@@ -7,10 +7,13 @@ Run from the root of a source checkout; the package is imported from
 BLAS/OpenMP pools pinned to at most the usable core count, so no state
 carries over between runs.
 
-`--trace 0` runs the workload untraced and reports the end-to-end metrics:
-set-up time (median of several set-ups), RSS after set-up, median wall time
-of one run, and peak RSS.  `--trace 1` runs the workload twice, untraced and
-then with span recorders installed (`spans.py`), and reports the per-layer
+`--trace 0` runs the workload untraced in `WORKERS` processes one after
+the other, each setting up once and then running for its share of
+`--seconds`, and reports the end-to-end metrics: set-up time, RSS after
+set-up and peak RSS (each the median over the workers), and the median wall
+time of one run over the pooled runs of all workers.  `--trace 1` runs the
+workload in two processes, untraced and then with span recorders installed
+(`spans.py`), each for half of `--seconds`, and reports the per-layer
 metrics of the traced process; the difference of the two median walls is
 the tracing overhead.  The last stdout line is the JSON result; the line
 before it records the environment and the output digest; a readable summary
@@ -38,9 +41,9 @@ from spans import PER_LAYER_METRICS  # noqa: E402
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
-WORKLOADS = ("pipeline-1e5", "sweep-5e4", "whatif-1e5")
-# set-ups per untraced run; `setup_s` is their median
-SETUPS = 3
+# worker processes per untraced run; `setup_s` is the median of their set-ups
+WORKERS = {"pipeline-2e4": 4, "sweep-5e4": 3}
+WORKLOADS = tuple(WORKERS)
 # every worker must have ended this long after start
 DEADLINE_S = 170.0
 THREAD_VARS = (
@@ -94,14 +97,14 @@ def _cpu_model() -> str:
     return platform.processor()
 
 
-def _run_worker(args, trace: int, setups: int, workdir: Path, deadline: float) -> dict:
-    result = workdir / f"result-trace{trace}.json"
+def _run_worker(args, tag: str, trace: int, seconds: float, workdir: Path,
+                deadline: float) -> dict:
+    result = workdir / f"{tag}.json"
     cmd = [
         sys.executable, str(HERE / "worker.py"),
         "--workload", args.workload, "--seed", str(args.seed),
-        "--seconds", str(args.seconds), "--trace", str(trace),
-        "--setups", str(setups), "--workdir", str(workdir / f"trace{trace}"),
-        "--result", str(result),
+        "--seconds", str(seconds), "--trace", str(trace),
+        "--workdir", str(workdir / tag), "--result", str(result),
     ] + (["--toy"] if args.toy else [])
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)
@@ -114,9 +117,9 @@ def _run_worker(args, trace: int, setups: int, workdir: Path, deadline: float) -
     try:
         proc = subprocess.run(cmd, env=env, cwd=ROOT, stdout=sys.stderr, timeout=timeout)
     except subprocess.TimeoutExpired:
-        raise BenchError(f"worker (trace {trace}) exceeded the deadline") from None
+        raise BenchError(f"worker {tag} exceeded the deadline") from None
     if proc.returncode != 0:
-        raise BenchError(f"worker (trace {trace}) exited {proc.returncode}")
+        raise BenchError(f"worker {tag} exited {proc.returncode}")
     with open(result, encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -125,12 +128,12 @@ def _summary(name: str, r: dict) -> None:
     walls = r["walls"]
     print(
         f"[{name}] wall_s median {statistics.median(walls):.4f} over {len(walls)} run(s) "
-        f"(min {min(walls):.4f}, max {max(walls):.4f}); set-up {r['setup_s']}; "
+        f"(min {min(walls):.4f}, max {max(walls):.4f}); set-up {r['setup_s']:.4f}; "
         f"failed {r['failed']}/{r['attempted']} "
         f"(failed_frac {r['failed'] / r['attempted']:.4f})",
         file=sys.stderr,
     )
-    for line in r["report"] + r["notes"]:
+    for line in r["notes"]:
         print(f"[{name}]   {line}", file=sys.stderr)
     if "layer_shares" in r:
         shares = ", ".join(f"{k} {v:.1%}" for k, v in r["layer_shares"].items())
@@ -140,19 +143,23 @@ def _summary(name: str, r: dict) -> None:
 def _measure(args, workdir: Path) -> tuple[dict, dict]:
     deadline = time.monotonic() + DEADLINE_S
     if not args.trace:
-        r = _run_worker(args, 0, SETUPS, workdir, deadline)
-        _summary("untraced", r)
+        workers = WORKERS[args.workload]
+        runs = []
+        for i in range(workers):
+            runs.append(
+                _run_worker(args, f"worker{i}", 0, args.seconds / workers, workdir, deadline)
+            )
+            _summary(f"worker {i + 1}", runs[-1])
         metrics = {
-            "setup_s": (statistics.median(r["setup_s"]), "s"),
-            "setup_rss_mb": (r["setup_rss_mb"], "MB"),
-            "wall_s": (statistics.median(r["walls"]), "s"),
-            "peak_rss_mb": (r["peak_rss_mb"], "MB"),
+            "setup_s": (statistics.median(r["setup_s"] for r in runs), "s"),
+            "setup_rss_mb": (statistics.median(r["setup_rss_mb"] for r in runs), "MB"),
+            "wall_s": (statistics.median(w for r in runs for w in r["walls"]), "s"),
+            "peak_rss_mb": (statistics.median(r["peak_rss_mb"] for r in runs), "MB"),
         }
-        runs = [r]
     else:
-        plain = _run_worker(args, 0, 1, workdir, deadline)
+        plain = _run_worker(args, "untraced", 0, args.seconds / 2, workdir, deadline)
         _summary("untraced", plain)
-        traced = _run_worker(args, 1, 1, workdir, deadline)
+        traced = _run_worker(args, "traced", 1, args.seconds / 2, workdir, deadline)
         _summary("traced", traced)
         traced_wall = statistics.median(traced["walls"])
         values = dict(traced["layers"])
@@ -160,15 +167,17 @@ def _measure(args, workdir: Path) -> tuple[dict, dict]:
         values["trace.overhead_s"] = traced_wall - statistics.median(plain["walls"])
         metrics = {n: (values[n], unit) for n, unit in PER_LAYER_METRICS}
         runs = [plain, traced]
-        if plain["digest"] != traced["digest"]:
-            traced["failed"] = traced["attempted"]
-            print("traced outputs differ from untraced outputs", file=sys.stderr)
+    if len({r["digest"] for r in runs}) > 1:
+        # one seed must give the same outputs in every process, traced or not
+        runs[-1]["failed"] = runs[-1]["attempted"]
+        print("outputs differ between worker processes", file=sys.stderr)
     info = {
         "workload": args.workload,
         "seed": args.seed,
         "trace": args.trace,
         "digest": runs[0]["digest"],
         "runs": [len(r["walls"]) for r in runs],
+        "setup_s": [r["setup_s"] for r in runs],
         "env": {
             "nproc": _nproc(),
             "git_revision": _git_revision(),

@@ -1,16 +1,14 @@
-"""One workload in one fresh process: set up, run a closed loop, check.
+"""One worker process: set up once, run a closed loop, check.
 
 Started by `run.py` with the thread-pool pins already in its environment.
 Writes one JSON document to `--result`; everything else goes to stderr.
 
 The closed loop has one client: a run starts only after the previous one
 has ended, and runs repeat until their summed wall time reaches `--seconds`
-(at least one run).  The runs are split into `--setups` chunks, each after
-a fresh set-up: chunk i runs until the summed wall reaches i/setups of
-`--seconds`.  Spreading the timed runs over the whole process, instead of
-timing only its last seconds, steadies the median on a shared machine
-whose speed drifts over tens of seconds.  A run whose single timed run is
-longer than `--seconds` (the CLI pipeline) times it after the first set-up.
+(at least one run).  `run.py` starts several such workers one after the
+other and pools their runs, so that one process's luck (its memory layout,
+its hash seed, the machine's speed while it ran) weighs on only a share of
+the samples.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ def main() -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), required=True)
-    ap.add_argument("--setups", type=int, required=True)
     ap.add_argument("--toy", action="store_true")
     ap.add_argument("--workdir", required=True)
     ap.add_argument("--result", required=True)
@@ -53,8 +50,6 @@ def main() -> int:
     os.chdir(args.workdir)
 
     tracer = Tracer() if args.trace else None
-    setup_s: list[float] = []
-    setup_rss = None
     walls: list[float] = []
     per_run: list[dict] = []
     shares: list[dict] = []
@@ -62,43 +57,35 @@ def main() -> int:
     attempted = failed = 0
     digest = None
     notes: list[str] = []
-    report: list[str] = []
-    check_errors: list[str] = []
-    for chunk in range(1, args.setups + 1):
-        state = None  # free the previous chunk's inputs before building new ones
+    t0 = time.perf_counter()
+    state = wl.setup(args.seed, args.toy)
+    setup_s = time.perf_counter() - t0
+    setup_rss = _rss_mb()
+    if tracer:
+        tracer.install()
+    while not walls or sum(walls) < args.seconds:
+        if tracer:
+            tracer.reset()
         t0 = time.perf_counter()
-        state = wl.setup(args.seed, args.toy)
-        setup_s.append(time.perf_counter() - t0)
-        if setup_rss is None:
-            setup_rss = _rss_mb()
+        out = wl.run(state)
+        wall = time.perf_counter() - t0
+        walls.append(wall)
+        attempted += out.attempted
+        failed += out.failed
+        notes += out.notes
+        if digest is None:
+            digest = out.digest
+        elif out.digest != digest:
+            failed += out.attempted - out.failed
+            notes.append(f"run {len(walls)} output digest differs from run 1")
         if tracer:
-            tracer.install()
-        runs_before = len(walls)
-        while sum(walls) < args.seconds * chunk / args.setups:
-            if tracer:
-                tracer.reset()
-            t0 = time.perf_counter()
-            out = wl.run(state)
-            wall = time.perf_counter() - t0
-            walls.append(wall)
-            attempted += out.attempted
-            failed += out.failed
-            notes += out.notes
-            if digest is None:
-                digest = out.digest
-            elif out.digest != digest:
-                failed += out.attempted - out.failed
-                notes.append(f"run {len(walls)} output digest differs from run 1")
-            if tracer:
-                per_run.append(tracer.run_metrics())
-                shares.append(tracer.layer_shares(wall))
-                span_names |= tracer.span_names()
-        if tracer:
-            tracer.uninstall()
-        if len(walls) > runs_before:
-            # untimed checks of this chunk's outputs
-            check_errors += wl.check(state)
-            report = wl.report(state)
+            per_run.append(tracer.run_metrics())
+            shares.append(tracer.layer_shares(wall))
+            span_names |= tracer.span_names()
+    if tracer:
+        tracer.uninstall()
+    # untimed checks of the outputs
+    check_errors = wl.check(state)
     peak_rss = _rss_mb()
     if tracer:
         counts = [n for n, unit in PER_LAYER_METRICS if unit == "count"]
@@ -115,7 +102,6 @@ def main() -> int:
         "attempted": attempted,
         "failed": failed,
         "notes": notes,
-        "report": report,
         "digest": digest,
         "setup_s": setup_s,
         "setup_rss_mb": setup_rss,
