@@ -41,10 +41,6 @@ MISINFO_RATE_LEVELS: tuple[float, ...] = (0.0, 0.00186, 0.01, 0.02, 0.03, 0.04, 
 REAL_CORRECTIVE_RT_RATE = 0.0079
 REAL_MISINFO_RT_RATE = 0.00186
 
-# event-time key that totally orders seed posts and retweets across
-# cascades, including simulated ones: day first, global seq second
-_DAY_SHIFT = 1 << 32
-
 
 class ExperimentError(ValueError):
     pass
@@ -110,8 +106,17 @@ class SweepGrid:
         raise ExperimentError(f"no cell ({misinfo_rate}, {corrective_rate})")
 
 
-def _event_key(day: date, seq: int) -> int:
-    return day.toordinal() * _DAY_SHIFT + seq
+def _time_ranks(days: Sequence[date], seqs: Sequence[int]) -> np.ndarray:
+    """Dense ranks of event times ordered by (day, seq); equal times tie."""
+    d = np.fromiter(map(date.toordinal, days), np.int64, len(days))
+    s = np.asarray(seqs, dtype=np.int64)
+    order = np.lexsort((s, d))
+    d, s = d[order], s[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (d[1:] != d[:-1]) | (s[1:] != s[:-1])
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = np.cumsum(new)
+    return ranks
 
 
 def _result(
@@ -206,24 +211,31 @@ def guideline_experiment(
             derive_seed(seed, "guideline-mis", trial),
             seq_start=max_seq + 1,
         )
+    # misinformation posts (seeds, then retweets) and corrective retweets,
+    # ranked together by event time
+    mis_events = [ev for c in mis_cascades for ev in c.events]
+    actors = [c.seed.author for c in mis_cascades] + [ev.user for ev in mis_events]
+    corrective = [
+        ev for c in others if c.seed.category is TweetCategory.CORRECTIVE for ev in c.events
+    ]
+    times = [c.seed for c in mis_cascades] + mis_events + corrective
+    ranks = _time_ranks([t.day for t in times], [t.seq for t in times])
+    mis_ranks, cor_ranks = ranks[: len(actors)], ranks[len(actors) :]
+    audiences = [graph.followers_array(a) for a in actors]
     first_mis = np.full(graph.n_users, np.iinfo(np.int64).max, dtype=np.int64)
-    for c in mis_cascades:
-        key = _event_key(c.seed.day, c.seed.seq)
-        idx = np.concatenate([[c.seed.author], graph.followers_array(c.seed.author)])
-        np.minimum.at(first_mis, idx, key)
-        for ev in c.events:
-            key = _event_key(ev.day, ev.seq)
-            idx = np.concatenate([[ev.user], graph.followers_array(ev.user)])
-            np.minimum.at(first_mis, idx, key)
+    np.minimum.at(
+        first_mis,
+        np.concatenate([np.asarray(actors, dtype=np.int64), *audiences]),
+        np.concatenate([mis_ranks, np.repeat(mis_ranks, list(map(len, audiences)))]),
+    )
+    users = np.fromiter((ev.user for ev in corrective), np.int64, len(corrective))
+    # consumed cascade by cascade, in the order `corrective` was built
+    gated = iter(first_mis[users] < cor_ranks)
     out: list[Cascade] = list(mis_cascades)
     kept = 0
     for c in others:
         if c.seed.category is TweetCategory.CORRECTIVE:
-            keep = {
-                ev.user
-                for ev in c.events
-                if first_mis[ev.user] < _event_key(ev.day, ev.seq)
-            }
+            keep = {ev.user for ev, ok in zip(c.events, gated) if ok}
             c = prune_cascade(graph, c, keep)
             kept += len(c.events)
         out.append(c)

@@ -12,15 +12,22 @@ import csv
 import io
 import logging
 import os
+import re
 import tempfile
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from itertools import chain, compress, islice
+from operator import ne
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
 log = logging.getLogger("infodemic.graph")
 
 EDGE_HEADER = ["follower_id", "followee_id"]
+# edge records parsed per step of load_edges
+_CHUNK_ROWS = 1 << 12
+# characters that can make csv.writer quote a field
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
 
 class GraphError(ValueError):
@@ -38,18 +45,29 @@ class _Csr:
 
     __slots__ = ("indptr", "indices")
 
-    def __init__(self, n: int, src: np.ndarray, dst: np.ndarray):
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+    def __init__(self, n: int, keys: np.ndarray):
+        """From sorted, distinct `src * n + dst` edge keys."""
+        src, self.indices = np.divmod(keys, n)
         self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self.indptr, src + 1, 1)
-        np.cumsum(self.indptr, out=self.indptr)
-        self.indices = dst.astype(np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
         self.indptr.setflags(write=False)
         self.indices.setflags(write=False)
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u] : self.indptr[u + 1]]
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in `a`."""
+    mask = np.ones(len(a), dtype=bool)
+    mask[1:] = a[1:] != a[:-1]
+    return mask
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    # sort + adjacent difference: far cheaper than np.unique's hash path
+    a = np.sort(a)
+    return a[_run_starts(a)]
 
 
 class SocialGraph:
@@ -62,28 +80,32 @@ class SocialGraph:
     def __init__(
         self,
         n_users: int,
-        edges: Iterable[tuple[int, int]],
-        external_ids: list[str] | None = None,
+        edges: np.ndarray | Sequence[tuple[int, int]],
+        external_ids: Sequence[str] | None = None,
         self_edges_dropped: int = 0,
     ):
-        pairs = {(int(a), int(b)) for a, b in edges}
-        dropped = sum(1 for a, b in pairs if a == b)
-        pairs = {(a, b) for a, b in pairs if a != b}
-        if pairs:
-            arr = np.array(sorted(pairs), dtype=np.int64)
-            if arr.min() < 0 or arr.max() >= n_users:
-                raise GraphError("edge endpoint outside 0..n_users-1")
-            src, dst = arr[:, 0], arr[:, 1]
-        else:
-            src = dst = np.zeros(0, dtype=np.int64)
-        self.n_users = int(n_users)
-        self.n_edges = len(src)
+        """`edges` is an (m, 2) array of (follower, followee) dense ids;
+        duplicates collapse and self-edges are dropped and counted."""
+        n = int(n_users)
+        arr = np.asarray(edges, dtype=np.int64)
+        if arr.size == 0:
+            arr = arr.reshape(0, 2)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise GraphError("edges must be (follower, followee) pairs")
+        loops = arr[:, 0] == arr[:, 1]
+        dropped = len(_sorted_unique(arr[loops, 0]))
+        arr = arr[~loops]
+        if len(arr) and (arr.min() < 0 or arr.max() >= n):
+            raise GraphError("edge endpoint outside 0..n_users-1")
+        keys = _sorted_unique(arr[:, 0] * n + arr[:, 1])
+        self.n_users = n
+        self.n_edges = len(keys)
         self.self_edges_dropped = self_edges_dropped + dropped
-        self._follows = _Csr(self.n_users, src, dst)
-        self._followers = _Csr(self.n_users, dst, src)
+        self._follows = _Csr(n, keys)
+        self._followers = _Csr(n, np.sort(keys % n * n + keys // n))
         if external_ids is None:
-            external_ids = [str(i) for i in range(self.n_users)]
-        if len(external_ids) != self.n_users:
+            external_ids = [str(i) for i in range(n)]
+        if len(external_ids) != n:
             raise GraphError("external_ids length must equal n_users")
         self.external_ids = tuple(external_ids)
         self._id_index = {x: i for i, x in enumerate(self.external_ids)}
@@ -103,10 +125,6 @@ class SocialGraph:
         """Followers of u as a sorted read-only array (hot path)."""
         return self._followers.neighbors(self._check(u))
 
-    def followers_of(self, u: int) -> set[int]:
-        """Followers of u as a plain set."""
-        return set(int(x) for x in self.followers_array(u))
-
     def out_degrees(self) -> np.ndarray:
         return np.diff(self._follows.indptr)
 
@@ -118,11 +136,6 @@ class SocialGraph:
             return self._id_index[external]
         except KeyError:
             raise GraphError(f"unknown user id {external!r}") from None
-
-    def edge_list(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n_users):
-            for v in self.follows(u):
-                yield u, int(v)
 
 
 @dataclass(frozen=True)
@@ -162,7 +175,14 @@ class GraphGenConfig:
 
 
 def generate_graph(config: GraphGenConfig) -> SocialGraph:
-    """Deterministic synthetic graph for a fixed config (seed included)."""
+    """Deterministic synthetic graph for a fixed config (seed included).
+
+    Each user u with out-degree d draws 2d+4 popularity-weighted
+    candidates and follows the first d distinct ones other than u.  A user
+    left short retries with 2*need+4 fresh candidates, up to 20 attempts in
+    all.  The draws for a run of users are taken in one call; only a short
+    user, who consumes extra draws, is replayed on its own.
+    """
     n = config.n_users
     if n == 0:
         return SocialGraph(0, [])
@@ -183,65 +203,122 @@ def generate_graph(config: GraphGenConfig) -> SocialGraph:
     pop = rng.pareto(config.popularity_exponent, size=n) + 1.0
     cum = np.cumsum(pop / pop.sum())
     cum[-1] = 1.0
-    edges: set[tuple[int, int]] = set()
-    for u in range(n):
-        d = int(min(degrees[u], n - 1))
-        if d == 0:
+    degrees = np.minimum(degrees, n - 1)
+    takes = np.where(degrees > 0, 2 * degrees + 4, 0)
+    srcs: list[np.ndarray] = []
+    dsts: list[np.ndarray] = []
+    # users pos..pos+window-1 are drawn at once; the window shrinks near a
+    # short user and doubles after a clean run, so replays stay cheap
+    pos, window = 0, n
+    while pos < n:
+        end = min(pos + window, n)
+        state = rng.bit_generator.state
+        owner = np.repeat(np.arange(pos, end), takes[pos:end])
+        cand = np.searchsorted(cum, rng.random(len(owner)))
+        src, dst = _first_distinct(n, owner, cand, degrees)
+        short = np.flatnonzero(np.bincount(src - pos, minlength=end - pos) < degrees[pos:end])
+        if len(short) == 0:
+            srcs.append(src)
+            dsts.append(dst)
+            pos, window = end, 2 * window
             continue
-        chosen: set[int] = set()
-        attempts = 0
-        while len(chosen) < d and attempts < 20:
-            need = d - len(chosen)
-            cand = np.searchsorted(cum, rng.random(need * 2 + 4))
-            for v in cand:
-                v = int(v)
-                if v != u and v not in chosen:
-                    chosen.add(v)
-                    if len(chosen) == d:
-                        break
-            attempts += 1
-        edges.update((u, v) for v in chosen)
-    return SocialGraph(n, edges)
+        u = pos + int(short[0])
+        head = src < u
+        srcs.append(src[head])
+        dsts.append(dst[head])
+        # replay u from the start of its draws, then resume after them
+        rng.bit_generator.state = state
+        rng.bit_generator.advance(int(takes[pos:u].sum()))
+        chosen = _retry_followees(rng, cum, u, int(degrees[u]))
+        srcs.append(np.full(len(chosen), u, dtype=np.int64))
+        dsts.append(np.fromiter(chosen, np.int64, len(chosen)))
+        pos, window = u + 1, max(2 * (u - pos), 1)
+    return SocialGraph(n, np.column_stack((np.concatenate(srcs), np.concatenate(dsts))))
+
+
+def _first_distinct(
+    n: int, owner: np.ndarray, cand: np.ndarray, degrees: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per owner (grouped, ascending), its first `degrees[owner]` distinct
+    candidates other than itself, as (owner, candidate) arrays."""
+    ok = cand != owner
+    owner, cand = owner[ok], cand[ok]
+    keys = owner * n + cand
+    order = np.argsort(keys, kind="stable")
+    first = np.zeros(len(keys), dtype=bool)
+    first[order[_run_starts(keys[order])]] = True
+    owner, cand = owner[first], cand[first]
+    rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    take = rank < degrees[owner]
+    return owner[take], cand[take]
+
+
+def _retry_followees(rng: np.random.Generator, cum: np.ndarray, u: int, d: int) -> set[int]:
+    """One user's draw loop: rounds of 2*need+4 candidates, at most 20."""
+    chosen: set[int] = set()
+    attempts = 0
+    while len(chosen) < d and attempts < 20:
+        need = d - len(chosen)
+        cand = np.searchsorted(cum, rng.random(need * 2 + 4))
+        for v in cand:
+            v = int(v)
+            if v != u and v not in chosen:
+                chosen.add(v)
+                if len(chosen) == d:
+                    break
+        attempts += 1
+    return chosen
 
 
 def load_edges(stream: TextIO | Iterable[str]) -> SocialGraph:
     """Parse `follower_id,followee_id` CSV records into a graph.
 
-    Duplicate edges collapse to one; self-edges are dropped and counted
-    (exposed as `SocialGraph.self_edges_dropped`, with a logged warning).
-    External ids are remapped to dense integers in first-appearance order.
+    Fields are stripped of surrounding whitespace.  Duplicate edges collapse
+    to one; self-edges are dropped and counted (exposed as
+    `SocialGraph.self_edges_dropped`, with a logged warning) before ids are
+    assigned, so an id seen only in self-edges gets none.  External ids are
+    remapped to dense integers in first-appearance order.
     """
     reader = csv.reader(iter(stream))
-    ids: dict[str, int] = {}
-    order: list[str] = []
-
-    def dense(x: str) -> int:
-        if x not in ids:
-            ids[x] = len(order)
-            order.append(x)
-        return ids[x]
-
-    pairs: set[tuple[int, int]] = set()
+    index: dict[str, int] = {}
+    codes: list[np.ndarray] = []
     self_edges = 0
     saw_header = False
-    for line_no, row in enumerate(reader, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if not saw_header:
+    base = 0  # records before this chunk
+    # bounded chunks keep only a slice of the parsed rows alive at once
+    while rows := list(islice(reader, _CHUNK_ROWS)):
+        keep = [i for i, row in enumerate(rows) if len(row) > 1 or row and row[0].strip()]
+        if keep and not saw_header:
             saw_header = True
-            if [c.strip() for c in row] == EDGE_HEADER:
-                continue
-            raise EdgeParseError(line_no, f"expected header {','.join(EDGE_HEADER)!r}")
-        if len(row) != 2 or not row[0].strip() or not row[1].strip():
-            raise EdgeParseError(line_no, f"malformed edge record {row!r}")
-        a, b = row[0].strip(), row[1].strip()
-        if a == b:
-            self_edges += 1
-            continue
-        pairs.add((dense(a), dense(b)))
+            if [c.strip() for c in rows[keep[0]]] != EDGE_HEADER:
+                line_no = base + keep[0] + 1
+                raise EdgeParseError(line_no, f"expected header {','.join(EDGE_HEADER)!r}")
+            keep = keep[1:]
+        records = [rows[i] for i in keep]
+        if set(map(len, records)) - {2}:
+            _raise_malformed(rows, keep, base)
+        fields = list(map(str.strip, chain.from_iterable(records)))
+        if "" in fields:
+            _raise_malformed(rows, keep, base)
+        distinct = list(map(ne, fields[0::2], fields[1::2]))
+        if not all(distinct):
+            self_edges += len(distinct) - sum(distinct)
+            fields = list(compress(fields, chain.from_iterable(zip(distinct, distinct))))
+        new = [x for x in dict.fromkeys(fields) if x not in index]
+        index.update(zip(new, range(len(index), len(index) + len(new))))
+        codes.append(np.fromiter(map(index.__getitem__, fields), np.int64, len(fields)))
+        base += len(rows)
     if self_edges:
         log.warning("dropped %d self-follow edge(s)", self_edges)
-    return SocialGraph(len(order), pairs, external_ids=order, self_edges_dropped=self_edges)
+    edges = np.concatenate(codes).reshape(-1, 2) if codes else []
+    return SocialGraph(len(index), edges, external_ids=list(index), self_edges_dropped=self_edges)
+
+
+def _raise_malformed(rows: list[list[str]], keep: list[int], base: int) -> None:
+    for i in keep:
+        row = rows[i]
+        if len(row) != 2 or not row[0].strip() or not row[1].strip():
+            raise EdgeParseError(base + i + 1, f"malformed edge record {row!r}")
 
 
 def load_edges_file(path: str | os.PathLike) -> SocialGraph:
@@ -250,13 +327,22 @@ def load_edges_file(path: str | os.PathLike) -> SocialGraph:
 
 
 def save_edges(graph: SocialGraph, path: str | os.PathLike) -> None:
-    """Write the edge CSV atomically (temp file + rename)."""
+    """Write the edge CSV atomically (temp file + rename), rows in
+    (follower, followee) dense-id order."""
+    fields = np.array([_csv_field(x) for x in graph.external_ids], dtype=object)
+    follows = graph._follows
+    src = np.repeat(np.arange(graph.n_users), np.diff(follows.indptr))
+    rows = map("{},{}\n".format, fields[src], fields[follows.indices])
+    _atomic_write(path, ",".join(EDGE_HEADER) + "\n" + "".join(rows))
+
+
+def _csv_field(value: str) -> str:
+    """`value` as csv.writer formats it inside a multi-field row."""
+    if not _CSV_SPECIAL.search(value):
+        return value
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(EDGE_HEADER)
-    for u, v in graph.edge_list():
-        w.writerow([graph.external_ids[u], graph.external_ids[v]])
-    _atomic_write(path, buf.getvalue())
+    csv.writer(buf, lineterminator="\n").writerow([value, ""])
+    return buf.getvalue()[:-2]
 
 
 def _atomic_write(path: str | os.PathLike, text: str) -> None:

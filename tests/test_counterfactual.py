@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from infodemic._rng import derive_seed
-from infodemic.cascade import TweetCategory, prune_cascade
+from infodemic.cascade import Cascade, RetweetEvent, SeedTweet, TweetCategory, prune_cascade
 from infodemic.counterfactual import (
     CORRECTIVE_RATE_LEVELS,
     MISINFO_RATE_LEVELS,
@@ -19,6 +19,8 @@ from infodemic.counterfactual import (
     sweep_trials_csv,
 )
 from infodemic.exposure import exposure_matrix
+from infodemic.graph import SocialGraph
+from infodemic.replica import REAL_PERIOD, reference_model
 from infodemic.salesmodel import fit, predict, sum_index
 
 
@@ -128,6 +130,28 @@ def test_guideline_gate_is_exact(small_replica, fitted):
             out_by_id[c.seed.tweet_id] = prune_cascade(r.graph, c, gate)
     kept_total = sum(len(c.events) for c in out_by_id.values())
     assert res.corrective_retweeters_kept == kept_total
+
+
+def test_guideline_orders_by_day_before_snowflake_seq():
+    """A snowflake-sized seq must not move an event past a later day."""
+    # users 1 and 3 follow both the misinformation author 0 and the
+    # corrective author 2
+    g = SocialGraph(4, [(1, 0), (1, 2), (3, 0), (3, 2)])
+    mis = Cascade(SeedTweet("m", 0, TweetCategory.MISINFORMATION, date(2020, 3, 5), -3), ())
+
+    def corrective(tweet_id, seed_seq, user, day, seq):
+        seed = SeedTweet(tweet_id, 2, TweetCategory.CORRECTIVE, date(2020, 2, 24), seed_seq)
+        return Cascade(seed, (RetweetEvent(user, tweet_id, day, seq),))
+
+    cascades = [
+        mis,
+        # retweeted ten days before the misinformation appears: dropped
+        corrective("early", -2, 1, date(2020, 2, 25), 1_230_000_000_000_000_000),
+        # retweeted the day after: kept
+        corrective("late", -1, 3, date(2020, 3, 6), 7),
+    ]
+    res = guideline_experiment(g, cascades, reference_model(4), None, 0, REAL_PERIOD)
+    assert res.corrective_retweeters_kept == 1
 
 
 def test_guideline_with_resimulated_misinfo(small_replica, fitted):

@@ -1,12 +1,17 @@
+import csv
+import hashlib
 import io
 import textwrap
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infodemic import graph as graph_module
 from infodemic.graph import (
+    EDGE_HEADER,
     EdgeParseError,
     GraphError,
     GraphGenConfig,
@@ -16,6 +21,12 @@ from infodemic.graph import (
     load_edges_file,
     save_edges,
 )
+from infodemic.replica import ReplicaConfig, build_replica
+
+
+def edges_of(g: SocialGraph) -> list[tuple[int, int]]:
+    """All (follower, followee) pairs, sorted."""
+    return [(u, int(v)) for u in range(g.n_users) for v in g.follows(u)]
 
 
 def test_basic_adjacency():
@@ -24,7 +35,7 @@ def test_basic_adjacency():
     assert g.n_edges == 3
     assert list(g.follows(0)) == [1]
     assert list(g.followers_array(1)) == [0, 2]
-    assert g.followers_of(3) == {1}
+    assert list(g.followers_array(3)) == [1]
     assert list(g.follows(3)) == []
 
 
@@ -58,7 +69,7 @@ def test_degrees_match_edge_list():
     g = SocialGraph(5, [(0, 1), (0, 2), (3, 2), (4, 2), (2, 0)])
     assert list(g.out_degrees()) == [2, 0, 1, 1, 1]
     assert list(g.in_degrees()) == [1, 1, 3, 0, 0]
-    assert sorted(g.edge_list()) == [(0, 1), (0, 2), (2, 0), (3, 2), (4, 2)]
+    assert edges_of(g) == [(0, 1), (0, 2), (2, 0), (3, 2), (4, 2)]
 
 
 def test_neighbor_arrays_read_only():
@@ -77,7 +88,7 @@ def test_follows_followers_are_transposes(n, raw):
     g = SocialGraph(n, edges)
     for u in range(n):
         for v in g.follows(u):
-            assert u in g.followers_of(int(v))
+            assert u in g.followers_array(int(v))
         for w in g.followers_array(u):
             assert u in set(int(x) for x in g.follows(int(w)))
 
@@ -88,13 +99,13 @@ def test_follows_followers_are_transposes(n, raw):
 def test_generate_deterministic():
     cfg = GraphGenConfig(n_users=200, seed=42, min_degree=1, max_degree=20)
     g1, g2 = generate_graph(cfg), generate_graph(cfg)
-    assert sorted(g1.edge_list()) == sorted(g2.edge_list())
+    assert edges_of(g1) == edges_of(g2)
 
 
 def test_generate_seed_changes_graph():
     a = generate_graph(GraphGenConfig(n_users=200, seed=1))
     b = generate_graph(GraphGenConfig(n_users=200, seed=2))
-    assert sorted(a.edge_list()) != sorted(b.edge_list())
+    assert edges_of(a) != edges_of(b)
 
 
 def test_generate_degree_bounds():
@@ -155,7 +166,9 @@ def test_load_edges_dense_remap():
     g = load_edges(io.StringIO(CSV))
     assert g.n_users == 3
     assert g.external_ids == ("alice", "bob", "carol")
-    assert g.followers_of(g.dense_id("bob")) == {g.dense_id("alice"), g.dense_id("carol")}
+    assert list(g.followers_array(g.dense_id("bob"))) == sorted(
+        [g.dense_id("alice"), g.dense_id("carol")]
+    )
 
 
 def test_load_edges_duplicates_and_self_edges():
@@ -196,4 +209,221 @@ def test_save_load_roundtrip(tmp_path):
     save_edges(g, path)
     g2 = load_edges_file(path)
     assert g2.external_ids == g.external_ids
-    assert sorted(g2.edge_list()) == sorted(g.edge_list())
+    assert edges_of(g2) == edges_of(g)
+
+
+# -- oracles: the straightforward per-user / per-row implementations ---------
+
+
+def csr_arrays(g: SocialGraph) -> list[np.ndarray]:
+    return [g._follows.indptr, g._follows.indices, g._followers.indptr, g._followers.indices]
+
+
+def reference_csr(n: int, pairs) -> list[np.ndarray]:
+    """Follows and followers CSR arrays of a set of (src, dst) pairs."""
+    out = []
+    for edges in (sorted(pairs), sorted((b, a) for a, b in pairs)):
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        for a, _ in edges:
+            indptr[a + 1] += 1
+        out += [np.cumsum(indptr), np.array([b for _, b in edges], dtype=np.int64)]
+    return out
+
+
+def reference_generate(config: GraphGenConfig):
+    """Per-user draw loop: (edge set, users that retried, users left short)."""
+    n = config.n_users
+    rng = np.random.default_rng(config.seed)
+    if config.fixed_degree is not None:
+        degrees = np.full(n, config.fixed_degree, dtype=np.int64)
+    else:
+        hi = n - 1 if config.max_degree is None else config.max_degree
+        ks = np.arange(max(config.min_degree, 1), hi + 1, dtype=np.float64)
+        if len(ks) == 0:
+            degrees = np.zeros(n, dtype=np.int64)
+        else:
+            w = ks ** (-config.exponent)
+            w /= w.sum()
+            degrees = rng.choice(ks.astype(np.int64), size=n, p=w)
+    pop = rng.pareto(config.popularity_exponent, size=n) + 1.0
+    cum = np.cumsum(pop / pop.sum())
+    cum[-1] = 1.0
+    edges, retried, short = set(), set(), set()
+    for u in range(n):
+        d = int(min(degrees[u], n - 1))
+        if d == 0:
+            continue
+        chosen: set[int] = set()
+        attempts = 0
+        while len(chosen) < d and attempts < 20:
+            need = d - len(chosen)
+            for v in np.searchsorted(cum, rng.random(need * 2 + 4)):
+                v = int(v)
+                if v != u and v not in chosen:
+                    chosen.add(v)
+                    if len(chosen) == d:
+                        break
+            attempts += 1
+        if attempts > 1:
+            retried.add(u)
+        if len(chosen) < d:
+            short.add(u)
+        edges.update((u, v) for v in chosen)
+    return edges, retried, short
+
+
+def assert_csr_equal(g: SocialGraph, expected: list[np.ndarray]) -> None:
+    for got, want in zip(csr_arrays(g), expected):
+        np.testing.assert_array_equal(got, want)
+
+
+DENSE = GraphGenConfig(n_users=30, seed=3, fixed_degree=25, popularity_exponent=0.3)
+
+
+@st.composite
+def gen_configs(draw):
+    n = draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 2**32 - 1))
+    pop = draw(st.floats(0.2, 2.5))
+    if draw(st.booleans()):
+        # up to n-1 followees: dense configs exercise the retry path
+        return GraphGenConfig(n_users=n, seed=seed, fixed_degree=draw(st.integers(0, n - 1)),
+                              popularity_exponent=pop)
+    hi = draw(st.integers(0, n - 1))
+    return GraphGenConfig(n_users=n, seed=seed, exponent=draw(st.floats(1.1, 3.5)),
+                          min_degree=draw(st.integers(0, hi)), max_degree=hi,
+                          popularity_exponent=pop)
+
+
+@given(gen_configs())
+@settings(max_examples=150, deadline=None)
+def test_generate_matches_per_user_reference(config):
+    edges, _, _ = reference_generate(config)
+    assert_csr_equal(generate_graph(config), reference_csr(config.n_users, edges))
+
+
+def test_generate_dense_config_retries_every_user():
+    edges, retried, short = reference_generate(DENSE)
+    # every user retries and stays short after the 20-attempt cap
+    assert retried == short == set(range(30))
+    g = generate_graph(DENSE)
+    assert g.n_edges == len(edges) == 252
+    assert_csr_equal(g, reference_csr(30, edges))
+
+
+def _sha256_of_saved(g: SocialGraph, tmp_path) -> str:
+    path = tmp_path / "edges.csv"
+    save_edges(g, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_saved_graphs_pinned(tmp_path):
+    replica = build_replica(ReplicaConfig(n_users=3000, seed=1)).graph
+    assert replica.n_edges == 25_468
+    assert _sha256_of_saved(replica, tmp_path) == (
+        "8d7f74ade1b0c9915857bd8dca99483c3383f1b23d1f8e158ce32b93433e35f9"
+    )
+    assert _sha256_of_saved(generate_graph(DENSE), tmp_path) == (
+        "e6e6410d697f9a54b65582438547a46ee12cdbb25f8c01e7e2bfac2690cc6452"
+    )
+
+
+def reference_load(text: str):
+    """Row-by-row loader: (external ids, edge set, self-edges dropped)."""
+    ids: dict[str, int] = {}
+    pairs: set[tuple[int, int]] = set()
+    self_edges = 0
+    saw_header = False
+    for line_no, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if not saw_header:
+            saw_header = True
+            if [c.strip() for c in row] == ["follower_id", "followee_id"]:
+                continue
+            raise EdgeParseError(line_no, "bad header")
+        if len(row) != 2 or not row[0].strip() or not row[1].strip():
+            raise EdgeParseError(line_no, "malformed")
+        a, b = row[0].strip(), row[1].strip()
+        if a == b:
+            self_edges += 1
+            continue
+        pairs.add((ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))))
+    return tuple(ids), pairs, self_edges
+
+
+def reference_save(g: SocialGraph) -> bytes:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["follower_id", "followee_id"])
+    for u, v in edges_of(g):
+        w.writerow([g.external_ids[u], g.external_ids[v]])
+    return buf.getvalue().encode("utf-8")
+
+
+EDGE_IDS = st.sampled_from(["a", "b", "c", "alice", "42", "a,b", 'x"y', "new\nline"])
+PADDING = st.sampled_from(["", " ", "  \t"])
+
+
+@st.composite
+def edge_csvs(draw, malformed=False):
+    """Edge CSV text with duplicates, self-edges, blank lines and quoting."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    buf.write(draw(st.sampled_from(["", "\n", " \n"])))
+    w.writerow([" follower_id", "followee_id "] if draw(st.booleans()) else EDGE_HEADER)
+    rows = draw(st.lists(st.tuples(EDGE_IDS, EDGE_IDS, PADDING, st.integers(0, 5)), max_size=30))
+    bad_at = draw(st.integers(0, len(rows))) if malformed else -1
+    bad_row = st.sampled_from([["a"], ["a", "b", "c"], ["a", " "], ["", "b"]])
+    for i, (a, b, pad, blank) in enumerate(rows):
+        if i == bad_at:
+            w.writerow(draw(bad_row))
+        if blank == 0:
+            buf.write(draw(st.sampled_from(["\n", "   \n"])))
+        w.writerow([pad + a, b + pad])
+    if bad_at == len(rows):
+        w.writerow(draw(bad_row))
+    return buf.getvalue()
+
+
+# record counts per loader step: tiny ones split every input across steps
+CHUNK_ROWS = st.sampled_from([1, 2, 3, graph_module._CHUNK_ROWS])
+
+
+@given(edge_csvs(), CHUNK_ROWS)
+@settings(max_examples=150, deadline=None)
+def test_load_edges_matches_reference_loader(text, chunk_rows):
+    ids, pairs, self_edges = reference_load(text)
+    with mock.patch.object(graph_module, "_CHUNK_ROWS", chunk_rows):
+        g = load_edges(io.StringIO(text))
+    assert g.external_ids == ids
+    assert g.self_edges_dropped == self_edges
+    assert_csr_equal(g, reference_csr(len(ids), pairs))
+
+
+@given(edge_csvs(malformed=True), CHUNK_ROWS)
+@settings(max_examples=100, deadline=None)
+def test_load_edges_malformed_line_matches_reference(text, chunk_rows):
+    with pytest.raises(EdgeParseError) as want:
+        reference_load(text)
+    with mock.patch.object(graph_module, "_CHUNK_ROWS", chunk_rows):
+        with pytest.raises(EdgeParseError) as got:
+            load_edges(io.StringIO(text))
+    assert got.value.line_no == want.value.line_no
+
+
+@given(edge_csvs())
+@settings(max_examples=100, deadline=None)
+def test_save_edges_matches_csv_writer(tmp_path_factory, text):
+    g = load_edges(io.StringIO(text))
+    path = tmp_path_factory.mktemp("save") / "edges.csv"
+    save_edges(g, path)
+    assert path.read_bytes() == reference_save(g)
+    # reloading renumbers ids by first appearance; the named edges survive
+    again = load_edges_file(path)
+    assert sorted(again.external_ids) == sorted(g.external_ids)
+    assert named_edges(again) == named_edges(g)
+
+
+def named_edges(g: SocialGraph) -> set[tuple[str, str]]:
+    return {(g.external_ids[u], g.external_ids[v]) for u, v in edges_of(g)}
