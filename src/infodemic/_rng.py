@@ -12,8 +12,6 @@ import hashlib
 
 import numpy as np
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-
 
 def derive_seed(*parts: int | str) -> int:
     """Stable 64-bit seed derived from a sequence of labels.
@@ -28,20 +26,27 @@ def derive_seed(*parts: int | str) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def uniform_for_users(key: int, users: np.ndarray) -> np.ndarray:
+def uniform_for_users(key: int | np.ndarray, users: np.ndarray) -> np.ndarray:
     """One fixed U(0,1) draw per user id under a given stream key.
 
     The draw for a user depends only on (key, user), never on when it is
     requested, which makes retweet decisions monotone-coupled across RT
     rates: raising the rate can only add retweeters, never remove them.
+    `key` is one stream key for all users or a uint64 array holding each
+    user's key, so draws for many streams take one pass.
 
-    Implemented as a vectorized splitmix64 finalizer over key ^ user.
+    Implemented as a vectorized splitmix64 finalizer over key + user.
     """
-    x = np.asarray(users, dtype=np.uint64) + np.uint64(key & 0xFFFFFFFFFFFFFFFF)
+    k = np.asarray(key & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+    # a fresh array, so the in-place steps below leave `users` alone;
+    # uint64 arithmetic wraps mod 2**64
+    x = np.asarray(users, dtype=np.uint64) + k
     with np.errstate(over="ignore"):
-        x = (x + np.uint64(0x9E3779B97F4A7C15)) & _MASK64
-        x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _MASK64
-        x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _MASK64
-        x = x ^ (x >> np.uint64(31))
+        x += np.uint64(0x9E3779B97F4A7C15)
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
     # 53-bit mantissa -> uniform in [0, 1)
     return (x >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))

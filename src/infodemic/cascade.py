@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 import numpy as np
 
 from ._rng import derive_seed, uniform_for_users
-from .graph import SocialGraph, _atomic_write
+from .graph import SocialGraph, _atomic_write, _sorted_unique
 
 log = logging.getLogger("infodemic.cascade")
 
@@ -188,52 +188,56 @@ def simulate_cascades(
     seeds = sorted(seeds, key=lambda s: (s.day, s.seq))
     seq = (max((s.seq for s in seeds), default=0) + 1) if seq_start is None else seq_start
 
-    exposed = [np.zeros(n, dtype=bool) for _ in seeds]
-    events: list[list[RetweetEvent]] = [[] for _ in seeds]
-    # retweeters whose event lands on the current day, per cascade
-    pending: list[np.ndarray] = [np.zeros(0, dtype=np.int64) for _ in seeds]
-    corrective_seen = np.zeros(n, dtype=bool)
+    # per-tweet columns, indexed like `seeds`
+    author = np.array([s.author for s in seeds], dtype=np.int64)
+    seed_day = np.array([(s.day - start).days for s in seeds], dtype=np.int64)
+    rate = np.array([rt_rates.get(s.category, 0.0) for s in seeds], dtype=np.float64)
+    corrective = np.array([s.category is TweetCategory.CORRECTIVE for s in seeds], dtype=bool)
+    blockable = np.array(
+        [corrective_blocks_misinfo and s.category is TweetCategory.MISINFORMATION for s in seeds],
+        dtype=bool,
+    )
+    skey = np.array([derive_seed(rng_seed, "rt", s.tweet_id) for s in seeds], dtype=np.uint64)
 
-    day = start
-    while day <= end:
-        corrective_seen_at_open = corrective_seen.copy() if corrective_blocks_misinfo else None
-        newly: list[np.ndarray] = [np.zeros(0, dtype=np.int64) for _ in seeds]
-        for i, s in enumerate(seeds):
-            fresh: list[np.ndarray] = []
-            if s.day == day:
-                src = np.concatenate([[s.author], graph.followers_array(s.author)])
-                fresh.append(src)
-            if len(pending[i]):
-                for u in pending[i]:
-                    events[i].append(RetweetEvent(int(u), s.tweet_id, day, seq))
-                    seq += 1
-                    fresh.append(np.concatenate([[u], graph.followers_array(int(u))]))
-            if fresh:
-                cand = np.unique(np.concatenate(fresh))
-                new = cand[~exposed[i][cand]]
-                exposed[i][new] = True
-                newly[i] = new
-                if s.category is TweetCategory.CORRECTIVE:
-                    corrective_seen[new] = True
-        for i, s in enumerate(seeds):
-            rate = rt_rates.get(s.category, 0.0)
-            deciders = newly[i]
-            deciders = deciders[deciders != s.author]
-            if rate <= 0.0 or len(deciders) == 0:
-                pending[i] = np.zeros(0, dtype=np.int64)
-                continue
-            draws = uniform_for_users(
-                derive_seed(rng_seed, "rt", s.tweet_id), deciders
-            )
-            hit = draws < rate
-            if (
-                corrective_blocks_misinfo
-                and s.category is TweetCategory.MISINFORMATION
-            ):
-                hit &= ~corrective_seen_at_open[deciders]
-            pending[i] = deciders[hit]
-        day += timedelta(days=1)
+    # (tweet, user) state lives under the key tweet * n + user
+    exposed = np.zeros(len(seeds) * n, dtype=bool)
+    corrective_seen = np.zeros(n, dtype=bool)
+    pending = np.zeros(0, dtype=np.int64)  # keys of retweets landing today
+    events: list[list[RetweetEvent]] = [[] for _ in seeds]
+    followers = graph._followers
+    for d in range((end - start).days + 1):
+        seeded = np.flatnonzero(seed_day == d)
+        if len(seeded) == 0 and len(pending) == 0:
+            continue
+        # sorted keys: seq follows (day, tweet, user) order
+        day = start + timedelta(days=d)
+        for t, u in zip(*(a.tolist() for a in np.divmod(pending, n))):
+            events[t].append(RetweetEvent(u, seeds[t].tweet_id, day, seq))
+            seq += 1
+        # every actor (author or retweeter) exposes itself and its followers
+        actors = np.concatenate([seeded * n + author[seeded], pending])
+        tweet, user = np.divmod(actors, n)
+        first = followers.indptr[user]
+        counts = followers.indptr[user + 1] - first
+        reached = followers.indices[_segments(first, counts)]
+        keys = _sorted_unique(np.concatenate([actors, np.repeat(tweet * n, counts) + reached]))
+        new = keys[~exposed[keys]]
+        exposed[new] = True
+        tweet, user = np.divmod(new, n)
+        # the newly exposed decide once, on their first exposure
+        hit = (user != author[tweet]) & (uniform_for_users(skey[tweet], user) < rate[tweet])
+        # corrective exposure counts from the next day on
+        hit &= ~(blockable[tweet] & corrective_seen[user])
+        corrective_seen[user[corrective[tweet]]] = True
+        pending = new[hit]
     return [Cascade(s, tuple(evs)) for s, evs in zip(seeds, events)]
+
+
+def _segments(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated index ranges first[i] .. first[i] + counts[i] - 1
+    (at least one range)."""
+    ends = np.cumsum(counts)
+    return np.repeat(first - (ends - counts), counts) + np.arange(ends[-1])
 
 
 def simulate_cascade(
@@ -285,9 +289,12 @@ def load_retweets(
     """Parse the retweet CSV (`user_id,tweet_id,day,seq`) into cascades.
 
     Every seed yields a cascade (possibly with zero events); retweets of
-    unknown tweet ids are an error.
+    unknown tweet ids are an error.  `seq` is a global order: a value used
+    twice, or equal to a seed tweet's seq, is an error.
     """
     by_tweet = {s.tweet_id: s for s in seeds}
+    seed_seqs = {s.seq: s.tweet_id for s in seeds}
+    first_line: dict[int, int] = {}
     buckets: dict[str, list[RetweetEvent]] = {s.tweet_id: [] for s in seeds}
     for line_no, row in _read_csv(stream, RETWEET_HEADER):
         tid = row[1]
@@ -298,6 +305,10 @@ def load_retweets(
             seq = int(row[3])
         except ValueError:
             raise CascadeError(f"line {line_no}: bad day/seq {row[2]!r},{row[3]!r}") from None
+        if seq in seed_seqs:
+            raise CascadeError(f"line {line_no}: seq {seq} is the seq of tweet {seed_seqs[seq]!r}")
+        if (prev := first_line.setdefault(seq, line_no)) != line_no:
+            raise CascadeError(f"line {line_no}: seq {seq} repeats line {prev}")
         buckets[tid].append(RetweetEvent(graph.dense_id(row[0]), tid, d, seq))
     out = []
     for s in seeds:

@@ -69,7 +69,6 @@ _CONFIG_KEYS = {
     "soldout_rate",
     "trials",
     "seed",
-    "threads",
     "out",
     "n_users",
     "exponent",
@@ -333,7 +332,7 @@ def cmd_sweep(args) -> None:
     cfg = _effective(
         args,
         ["graph", "tweets", "retweets", "period", "misinfo_rate", "corrective_rate",
-         "soldout_rate", "trials", "seed", "threads", "out"],
+         "soldout_rate", "trials", "seed", "out"],
     )
     if args.model is None:
         raise CliError("missing required option: --model")
@@ -365,7 +364,6 @@ def cmd_sweep(args) -> None:
         base_seed=int(cfg.get("seed", 0)),
         period=cfg["period"],
         soldout_rt_rate=float(cfg.get("soldout_rate", 0.004)),
-        threads=int(cfg.get("threads", 1) or 1),
     )
     p1, p2 = _outpath(args, "sweep_trials.csv"), _outpath(args, "sweep_summary.csv")
     sweep_trials_csv(grid, p1, _comments(cfg))
@@ -448,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corrective-rate", dest="corrective_rate", type=float)
     p.add_argument("--soldout-rate", dest="soldout_rate", type=float)
     p.add_argument("--trials", type=int)
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_sweep)
     return top
 

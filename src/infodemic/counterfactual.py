@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date
 from statistics import mean, pstdev
@@ -281,7 +280,6 @@ def sweep(
     base_seed: int,
     period: tuple[date, date],
     soldout_rt_rate: float = 0.004,
-    threads: int = 1,
 ) -> SweepGrid:
     """Full rate grid; per cell, `trials` regenerated runs and their
     index-sum statistics.
@@ -292,9 +290,10 @@ def sweep(
     """
     if not corrective_rates or not misinfo_rates:
         raise ExperimentError("rate lists must be non-empty")
-    jobs = []
-    for mi, m_rate in enumerate(misinfo_rates):
-        for ci, c_rate in enumerate(corrective_rates):
+    trial_seeds = [derive_seed(base_seed, "trial", t) for t in range(trials)]
+    cells = []
+    for m_rate in misinfo_rates:
+        for c_rate in corrective_rates:
             cfg = ExperimentConfig(
                 corrective_rt_rate=c_rate,
                 misinfo_rt_rate=m_rate,
@@ -302,26 +301,11 @@ def sweep(
                 trials=trials,
                 base_seed=base_seed,
             )
-            for t in range(trials):
-                jobs.append((mi, ci, m_rate, c_rate, cfg, t))
-
-    def run(job):
-        mi, ci, m_rate, c_rate, cfg, t = job
-        ts = derive_seed(base_seed, "trial", t)
-        return simulate_trial(graph, seed_tweets, model, cfg, period, ts, t).sum_index
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = list(pool.map(run, jobs))
-    else:
-        sums = [run(j) for j in jobs]
-    by_cell: dict[tuple[int, int], list[float]] = {}
-    for job, s in zip(jobs, sums):
-        by_cell.setdefault((job[0], job[1]), []).append(s)
-    cells = []
-    for mi, m_rate in enumerate(misinfo_rates):
-        for ci, c_rate in enumerate(corrective_rates):
-            cells.append(SweepCell(m_rate, c_rate, tuple(by_cell[(mi, ci)])))
+            sums = tuple(
+                simulate_trial(graph, seed_tweets, model, cfg, period, ts, t).sum_index
+                for t, ts in enumerate(trial_seeds)
+            )
+            cells.append(SweepCell(m_rate, c_rate, sums))
     return SweepGrid(tuple(cells), trials)
 
 

@@ -9,7 +9,6 @@ Graphs are immutable after construction and safe for concurrent reads.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import os
 import re
@@ -26,7 +25,7 @@ log = logging.getLogger("infodemic.graph")
 EDGE_HEADER = ["follower_id", "followee_id"]
 # edge records parsed per step of load_edges
 _CHUNK_ROWS = 1 << 12
-# characters that can make csv.writer quote a field
+# characters that make a field need csv quotes
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
 
@@ -286,7 +285,7 @@ def load_edges(stream: TextIO | Iterable[str]) -> SocialGraph:
     saw_header = False
     base = 0  # records before this chunk
     # bounded chunks keep only a slice of the parsed rows alive at once
-    while rows := list(islice(reader, _CHUNK_ROWS)):
+    while rows := _read_chunk(reader):
         keep = [i for i, row in enumerate(rows) if len(row) > 1 or row and row[0].strip()]
         if keep and not saw_header:
             saw_header = True
@@ -314,6 +313,15 @@ def load_edges(stream: TextIO | Iterable[str]) -> SocialGraph:
     return SocialGraph(len(index), edges, external_ids=list(index), self_edges_dropped=self_edges)
 
 
+def _read_chunk(reader) -> list[list[str]]:
+    """The next `_CHUNK_ROWS` records; text the csv module rejects (a bare
+    carriage return in an unquoted field) fails at its physical line."""
+    try:
+        return list(islice(reader, _CHUNK_ROWS))
+    except csv.Error as e:
+        raise EdgeParseError(reader.line_num, str(e)) from None
+
+
 def _raise_malformed(rows: list[list[str]], keep: list[int], base: int) -> None:
     for i in keep:
         row = rows[i]
@@ -337,12 +345,11 @@ def save_edges(graph: SocialGraph, path: str | os.PathLike) -> None:
 
 
 def _csv_field(value: str) -> str:
-    """`value` as csv.writer formats it inside a multi-field row."""
+    """`value` as csv.writer quotes a field of a multi-field row, except
+    that a carriage return always forces quotes, so the id reloads intact."""
     if not _CSV_SPECIAL.search(value):
         return value
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([value, ""])
-    return buf.getvalue()[:-2]
+    return '"' + value.replace('"', '""') + '"'
 
 
 def _atomic_write(path: str | os.PathLike, text: str) -> None:

@@ -200,7 +200,7 @@ def test_criterion_5_sweep_direction_properties():
         replica.graph, replica.seed_tweets, model,
         corrective_rates=CORRECTIVE_RATE_LEVELS,
         misinfo_rates=[0.0, 0.05],
-        trials=10, base_seed=5, period=cfg.period, threads=4,
+        trials=10, base_seed=5, period=cfg.period,
     )
     # CORRECTIVE_RATE_LEVELS is highest-first
     means0 = [grid.cell(0.0, cr).mean for cr in CORRECTIVE_RATE_LEVELS]
@@ -298,7 +298,7 @@ def test_criterion_8_sweep_rerun_byte_identical(small_replica, tmp_path):
             r.graph, r.seed_tweets, model,
             corrective_rates=[0.0079, 0.0032],
             misinfo_rates=[0.0, 0.05],
-            trials=3, base_seed=11, period=r.config.period, threads=2,
+            trials=3, base_seed=11, period=r.config.period,
         )
         p = tmp_path / name
         sweep_trials_csv(grid, p, ["config=acceptance", "seed=11"])

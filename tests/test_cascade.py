@@ -253,6 +253,22 @@ def test_corrective_exposure_blocks_misinfo_retweets():
     assert mis_blocked.events == ()
 
 
+def test_corrective_author_counts_as_exposed():
+    # 0 posts a correction on day 0 and sees 1's misinformation on day 1
+    g = SocialGraph(2, [(0, 1)])
+    seeds = [
+        seed(author=0, tid="c", seq=0),
+        seed(author=1, tid="m", seq=1, cat=TweetCategory.MISINFORMATION,
+             day=DAY0 + timedelta(days=1)),
+    ]
+    rates = {TweetCategory.MISINFORMATION: 1.0}
+    period = (DAY0, DAY0 + timedelta(days=3))
+    free = simulate_cascades(g, seeds, rates, period, 0)
+    blocked = simulate_cascades(g, seeds, rates, period, 0, corrective_blocks_misinfo=True)
+    assert free[1].retweeters == (0,)
+    assert blocked[1].events == ()
+
+
 def test_simulation_rejects_bad_inputs():
     g = line_graph(3)
     with pytest.raises(CascadeError):
@@ -263,6 +279,95 @@ def test_simulation_rejects_bad_inputs():
         simulate_cascade(g, seed(author=0), 0.5, 0, 0)
     with pytest.raises(CascadeError):
         simulate_cascades(g, [seed()], {}, (DAY0, DAY0 - timedelta(days=1)), 0)
+
+
+def reference_simulate(graph, seeds, rt_rates, period, rng_seed, *,
+                       corrective_blocks_misinfo=False, seq_start=None):
+    """Per-tweet x per-day diffusion loop: the engine's specification."""
+    start, end = period
+    n = graph.n_users
+    seeds = sorted(seeds, key=lambda s: (s.day, s.seq))
+    seq = (max((s.seq for s in seeds), default=0) + 1) if seq_start is None else seq_start
+    exposed = [np.zeros(n, dtype=bool) for _ in seeds]
+    events = [[] for _ in seeds]
+    pending = [np.zeros(0, dtype=np.int64) for _ in seeds]
+    corrective_seen = np.zeros(n, dtype=bool)
+    day = start
+    while day <= end:
+        seen_at_open = corrective_seen.copy()
+        newly = [np.zeros(0, dtype=np.int64) for _ in seeds]
+        for i, s in enumerate(seeds):
+            fresh = []
+            if s.day == day:
+                fresh.append(np.concatenate([[s.author], graph.followers_array(s.author)]))
+            for u in pending[i]:
+                events[i].append(RetweetEvent(int(u), s.tweet_id, day, seq))
+                seq += 1
+                fresh.append(np.concatenate([[u], graph.followers_array(int(u))]))
+            if fresh:
+                cand = np.unique(np.concatenate(fresh))
+                new = cand[~exposed[i][cand]]
+                exposed[i][new] = True
+                newly[i] = new
+                if s.category is TweetCategory.CORRECTIVE:
+                    corrective_seen[new] = True
+        for i, s in enumerate(seeds):
+            rate = rt_rates.get(s.category, 0.0)
+            deciders = newly[i][newly[i] != s.author]
+            if rate <= 0.0 or len(deciders) == 0:
+                pending[i] = np.zeros(0, dtype=np.int64)
+                continue
+            hit = uniform_for_users(derive_seed(rng_seed, "rt", s.tweet_id), deciders) < rate
+            if corrective_blocks_misinfo and s.category is TweetCategory.MISINFORMATION:
+                hit &= ~seen_at_open[deciders]
+            pending[i] = deciders[hit]
+        day += timedelta(days=1)
+    return [Cascade(s, tuple(evs)) for s, evs in zip(seeds, events)]
+
+
+RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def simulation_cases(draw):
+    """Small graph, seeds dated before/inside/after the period (several
+    per author and day), rates at and between 0 and 1, both flags."""
+    n = draw(st.integers(1, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    graph = SocialGraph(n, [p for p in draw(st.lists(pairs, max_size=40)) if p[0] != p[1]])
+    days = draw(st.integers(1, 6))
+    period = (DAY0, DAY0 + timedelta(days=days - 1))
+    authors = st.integers(0, min(n - 1, 2))  # few authors: shared author-days
+    specs = draw(st.lists(
+        st.tuples(authors, st.integers(-2, days + 1), st.sampled_from(list(TweetCategory))),
+        max_size=8,
+    ))
+    seqs = draw(st.permutations(range(-len(specs), 0)))
+    seeds = [
+        SeedTweet(f"t{i}", a, cat, DAY0 + timedelta(days=d), q)
+        for i, ((a, d, cat), q) in enumerate(zip(specs, seqs))
+    ]
+    rates = {c: draw(RATES) for c in TweetCategory if draw(st.booleans())}
+    kw = dict(
+        corrective_blocks_misinfo=draw(st.booleans()),
+        seq_start=draw(st.one_of(st.none(), st.integers(0, 2**62))),
+    )
+    return graph, seeds, rates, period, draw(st.integers(0, 2**64 - 1)), kw
+
+
+@given(simulation_cases())
+@settings(max_examples=300, deadline=None)
+def test_simulation_matches_per_tweet_reference(case):
+    graph, seeds, rates, period, rng_seed, kw = case
+    got = simulate_cascades(graph, seeds, rates, period, rng_seed, **kw)
+    assert got == reference_simulate(graph, seeds, rates, period, rng_seed, **kw)
+
+
+def test_uniform_draws_accept_per_user_keys():
+    users = np.arange(50)
+    keys = np.array([derive_seed(3, "rt", f"t{u % 4}") for u in users], dtype=np.uint64)
+    want = np.concatenate([uniform_for_users(int(k), [u]) for k, u in zip(keys, users)])
+    assert np.array_equal(uniform_for_users(keys, users), want)
 
 
 def test_uniform_draws_are_stable_per_user():
@@ -322,3 +427,22 @@ def test_load_retweets_unknown_tweet():
     text = "user_id,tweet_id,day,seq\nu1,phantom,2020-02-21,1\n"
     with pytest.raises(CascadeError):
         load_retweets(io.StringIO(text), g, seeds)
+
+
+@pytest.mark.parametrize(
+    "rows, line, what",
+    [
+        # repeated across two cascades
+        ("u1,t0,2020-02-22,5\nu0,t1,2020-02-22,5\n", 3, "repeats line 2"),
+        # repeated within one cascade
+        ("u1,t0,2020-02-22,5\nu2,t0,2020-02-23,5\n", 3, "repeats line 2"),
+        # equal to the seq load_seed_tweets gave a seed (-2 and -1)
+        ("u1,t0,2020-02-22,4\nu2,t0,2020-02-23,-1\n", 3, "seq of tweet 't1'"),
+    ],
+)
+def test_load_retweets_rejects_reused_seq(rows, line, what):
+    g = SocialGraph(3, [(1, 0), (2, 1)], external_ids=["u0", "u1", "u2"])
+    tweets = "tweet_id,author_id,category,day\nt0,u0,corrective,2020-02-21\n"
+    seeds = load_seed_tweets(io.StringIO(tweets + "t1,u2,soldout,2020-02-21\n"), g)
+    with pytest.raises(CascadeError, match=f"line {line}: .*{what}"):
+        load_retweets(io.StringIO("user_id,tweet_id,day,seq\n" + rows), g, seeds)

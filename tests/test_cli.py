@@ -1,12 +1,14 @@
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
+from infodemic.cascade import save_cascades
 from infodemic.cli import main
 from infodemic.exposure import ExposureMatrix
-from infodemic.graph import load_edges_file
+from infodemic.graph import load_edges_file, save_edges
 from infodemic.salesmodel import SalesSeries, load_model
 
 PERIOD = "2020-02-21..2020-03-01"
@@ -132,7 +134,7 @@ def test_sweep_command_deterministic(pipeline, tmp_path):
     ]
     d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert run(*args, "--out", d1) == 0
-    assert run(*args, "--out", d2, "--threads", "2") == 0
+    assert run(*args, "--out", d2) == 0
 
     def data_lines(path):
         with open(path) as fh:
@@ -140,6 +142,31 @@ def test_sweep_command_deterministic(pipeline, tmp_path):
 
     for name in ("sweep_trials.csv", "sweep_summary.csv"):
         assert data_lines(os.path.join(d1, name)) == data_lines(os.path.join(d2, name))
+
+
+@pytest.mark.parametrize(
+    "rates, digest",
+    [
+        ([], "9dd3b6c42d79276fe3e5b0daf442834e60d286ceeaaad0c27cfb41ed940805b2"),
+        (
+            ["--corrective-rate", "0.05", "--misinfo-rate", "0.05", "--soldout-rate", "0.05"],
+            "0cb0ce2ccfc7c9cf75500ff6bebaad719a6f3cdc57cf0a90ec67b00ce6db1cd9",
+        ),
+    ],
+)
+def test_simulate_retweets_pinned(small_replica, tmp_path, rates, digest):
+    """retweets.csv of the 3000-user replica, as the per-tweet loop wrote it
+    (117 and 1173 retweets)."""
+    r = small_replica
+    edges, seeds = str(tmp_path / "edges.csv"), str(tmp_path / "seeds.csv")
+    save_edges(r.graph, edges)
+    save_cascades(r.cascades, seeds, tmp_path / "real_retweets.csv", r.graph)
+    start, end = r.config.period
+    assert run(
+        "simulate", "--graph", edges, "--tweets", seeds, "--period", f"{start}..{end}",
+        "--seed", "3", "--out", str(tmp_path), *rates,
+    ) == 0
+    assert hashlib.sha256((tmp_path / "retweets.csv").read_bytes()).hexdigest() == digest
 
 
 def test_config_file_merge_and_flag_override(pipeline, tmp_path):

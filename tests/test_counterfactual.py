@@ -196,15 +196,22 @@ def test_sweep_grid_shape_and_stats(small_replica, fitted):
         sweep(r.graph, r.seed_tweets, fitted, [], [0.0], 1, 0, r.config.period)
 
 
-def test_sweep_threaded_equals_serial(small_replica, fitted):
+def test_sweep_equals_per_cell_trials(small_replica, fitted):
     r = small_replica
     kw = dict(
         corrective_rates=[0.0079, 0.0], misinfo_rates=[0.0186],
         trials=2, base_seed=9, period=r.config.period,
     )
-    serial = sweep(r.graph, r.seed_tweets, fitted, **kw)
-    threaded = sweep(r.graph, r.seed_tweets, fitted, threads=4, **kw)
-    assert [c.sums for c in serial.cells] == [c.sums for c in threaded.cells]
+    grid = sweep(r.graph, r.seed_tweets, fitted, **kw)
+    for c in grid.cells:
+        cfg = ExperimentConfig(misinfo_rt_rate=c.misinfo_rate, corrective_rt_rate=c.corrective_rate)
+        want = tuple(
+            simulate_trial(
+                r.graph, r.seed_tweets, fitted, cfg, r.config.period, derive_seed(9, "trial", t), t
+            ).sum_index
+            for t in range(2)
+        )
+        assert c.sums == want
 
 
 def test_sweep_coupled_trials_monotone_exposure(small_replica, fitted):

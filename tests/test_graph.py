@@ -197,6 +197,23 @@ def test_load_edges_malformed_record_line_number():
     assert exc.value.line_no == 3
 
 
+def test_bare_carriage_return_is_line_numbered():
+    text = "follower_id,followee_id\na,b\ncr\rid,x\n"
+    with pytest.raises(EdgeParseError) as exc:
+        load_edges(io.StringIO(text))
+    assert exc.value.line_no == 3
+
+
+def test_carriage_return_id_roundtrips(tmp_path):
+    g = SocialGraph(3, [(0, 1), (1, 2)], external_ids=["cr\rid", "b", 'q"\rz'])
+    path = tmp_path / "edges.csv"
+    save_edges(g, path)
+    assert path.read_bytes() == b'follower_id,followee_id\n"cr\rid",b\nb,"q""\rz"\n'
+    again = load_edges_file(path)
+    assert again.external_ids == g.external_ids
+    assert edges_of(again) == edges_of(g)
+
+
 def test_unknown_external_id():
     g = load_edges(io.StringIO(CSV))
     with pytest.raises(GraphError):
@@ -334,55 +351,71 @@ def reference_load(text: str):
     pairs: set[tuple[int, int]] = set()
     self_edges = 0
     saw_header = False
-    for line_no, row in enumerate(csv.reader(io.StringIO(text)), start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if not saw_header:
-            saw_header = True
-            if [c.strip() for c in row] == ["follower_id", "followee_id"]:
+    reader = csv.reader(io.StringIO(text))
+    try:
+        for line_no, row in enumerate(reader, start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            raise EdgeParseError(line_no, "bad header")
-        if len(row) != 2 or not row[0].strip() or not row[1].strip():
-            raise EdgeParseError(line_no, "malformed")
-        a, b = row[0].strip(), row[1].strip()
-        if a == b:
-            self_edges += 1
-            continue
-        pairs.add((ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))))
+            if not saw_header:
+                saw_header = True
+                if [c.strip() for c in row] == ["follower_id", "followee_id"]:
+                    continue
+                raise EdgeParseError(line_no, "bad header")
+            if len(row) != 2 or not row[0].strip() or not row[1].strip():
+                raise EdgeParseError(line_no, "malformed")
+            a, b = row[0].strip(), row[1].strip()
+            if a == b:
+                self_edges += 1
+                continue
+            pairs.add((ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))))
+    except csv.Error:
+        raise EdgeParseError(reader.line_num, "rejected by csv") from None
     return tuple(ids), pairs, self_edges
 
 
-def reference_save(g: SocialGraph) -> bytes:
+def csv_row(fields: list[str]) -> str:
+    """One csv.writer row ending in a newline, quoting a field that holds a
+    carriage return too (as csv.writer itself does from Python 3.13 on)."""
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["follower_id", "followee_id"])
-    for u, v in edges_of(g):
-        w.writerow([g.external_ids[u], g.external_ids[v]])
-    return buf.getvalue().encode("utf-8")
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    return buf.getvalue()[:-2] + "\n"
 
 
-EDGE_IDS = st.sampled_from(["a", "b", "c", "alice", "42", "a,b", 'x"y', "new\nline"])
+def reference_save(g: SocialGraph) -> bytes:
+    rows = [csv_row(["follower_id", "followee_id"])]
+    rows += [csv_row([g.external_ids[u], g.external_ids[v]]) for u, v in edges_of(g)]
+    return "".join(rows).encode("utf-8")
+
+
+EDGE_IDS = st.sampled_from(["a", "b", "c", "alice", "42", "a,b", 'x"y', "new\nline", "cr\rid"])
 PADDING = st.sampled_from(["", " ", "  \t"])
+# malformed records; a string is written as is (a bare carriage return)
+BAD_ROWS = st.sampled_from(
+    [["a"], ["a", "b", "c"], ["a", " "], ["", "b"], "cr\rid,b\n", "a,cr\rid\n"]
+)
 
 
 @st.composite
 def edge_csvs(draw, malformed=False):
     """Edge CSV text with duplicates, self-edges, blank lines and quoting."""
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
     buf.write(draw(st.sampled_from(["", "\n", " \n"])))
-    w.writerow([" follower_id", "followee_id "] if draw(st.booleans()) else EDGE_HEADER)
+    buf.write(csv_row([" follower_id", "followee_id "] if draw(st.booleans()) else EDGE_HEADER))
     rows = draw(st.lists(st.tuples(EDGE_IDS, EDGE_IDS, PADDING, st.integers(0, 5)), max_size=30))
     bad_at = draw(st.integers(0, len(rows))) if malformed else -1
-    bad_row = st.sampled_from([["a"], ["a", "b", "c"], ["a", " "], ["", "b"]])
+
+    def write_bad():
+        bad = draw(BAD_ROWS)
+        buf.write(bad if isinstance(bad, str) else csv_row(bad))
+
     for i, (a, b, pad, blank) in enumerate(rows):
         if i == bad_at:
-            w.writerow(draw(bad_row))
+            write_bad()
         if blank == 0:
             buf.write(draw(st.sampled_from(["\n", "   \n"])))
-        w.writerow([pad + a, b + pad])
+        buf.write(csv_row([pad + a, b + pad]))
     if bad_at == len(rows):
-        w.writerow(draw(bad_row))
+        write_bad()
     return buf.getvalue()
 
 
