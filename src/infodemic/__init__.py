@@ -7,7 +7,6 @@ from .cascade import (
     TweetCategory,
     prune_cascade,
     sample_keep_set,
-    simulate_cascade,
     simulate_cascades,
     visible_set,
 )
@@ -28,7 +27,7 @@ from .exposure import (
     total_exposures,
 )
 from .graph import GraphGenConfig, SocialGraph, generate_graph, load_edges
-from .numerics import OlsResult, PcaResult, contribution_ratios, ols, pca, project, t_cdf
+from .numerics import OlsResult, PcaResult, ols, pca, project, t_cdf
 from .replica import Replica, ReplicaConfig, build_replica, reference_model
 from .salesmodel import (
     FittedSalesModel,

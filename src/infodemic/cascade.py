@@ -8,7 +8,6 @@ order: once the author or any retweeter has acted, all of their followers
 
 from __future__ import annotations
 
-import csv
 import logging
 import os
 from dataclasses import dataclass, replace
@@ -19,7 +18,8 @@ from typing import Iterable, Mapping, Sequence, TextIO
 import numpy as np
 
 from ._rng import derive_seed, uniform_for_users
-from .graph import SocialGraph, _atomic_write, _sorted_unique
+from ._table import read_table, write_table
+from .graph import SocialGraph, _sorted_unique
 
 log = logging.getLogger("infodemic.cascade")
 
@@ -240,23 +240,6 @@ def _segments(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(first - (ends - counts), counts) + np.arange(ends[-1])
 
 
-def simulate_cascade(
-    graph: SocialGraph,
-    seed_tweet: SeedTweet,
-    rt_rate: float,
-    horizon: int,
-    rng_seed: int,
-) -> Cascade:
-    """Single-tweet diffusion over `horizon` days starting at the seed day."""
-    if horizon < 1:
-        raise CascadeError("horizon must be >= 1")
-    period = (seed_tweet.day, seed_tweet.day + timedelta(days=horizon - 1))
-    (out,) = simulate_cascades(
-        graph, [seed_tweet], {seed_tweet.category: rt_rate}, period, rng_seed
-    )
-    return out
-
-
 # -- CSV I/O ---------------------------------------------------------------
 
 
@@ -266,14 +249,13 @@ def load_seed_tweets(stream: TextIO | Iterable[str], graph: SocialGraph) -> list
     Seed seq numbers are not part of the file format; they are assigned
     from day order (ties broken by tweet id) with gaps left for events.
     """
-    rows = _read_csv(stream, TWEET_HEADER)
     parsed = []
-    for line_no, row in rows:
+    for line_no, row in read_table(stream, [TWEET_HEADER], CascadeError):
         try:
-            d = date.fromisoformat(row[3])
-        except ValueError:
-            raise CascadeError(f"line {line_no}: bad date {row[3]!r}") from None
-        parsed.append((d, row[0], graph.dense_id(row[1]), TweetCategory.from_label(row[2])))
+            d, author = date.fromisoformat(row[3]), graph.dense_id(row[1])
+            parsed.append((d, row[0], author, TweetCategory.from_label(row[2])))
+        except ValueError as e:
+            raise CascadeError(f"line {line_no}: {e}") from None
     parsed.sort(key=lambda t: (t[0], t[1]))
     return [
         SeedTweet(tweet_id=tid, author=a, category=cat, day=d, seq=-(len(parsed) - i))
@@ -296,20 +278,19 @@ def load_retweets(
     seed_seqs = {s.seq: s.tweet_id for s in seeds}
     first_line: dict[int, int] = {}
     buckets: dict[str, list[RetweetEvent]] = {s.tweet_id: [] for s in seeds}
-    for line_no, row in _read_csv(stream, RETWEET_HEADER):
+    for line_no, row in read_table(stream, [RETWEET_HEADER], CascadeError):
         tid = row[1]
         if tid not in by_tweet:
             raise CascadeError(f"line {line_no}: retweet of unknown tweet {tid!r}")
         try:
-            d = date.fromisoformat(row[2])
-            seq = int(row[3])
-        except ValueError:
-            raise CascadeError(f"line {line_no}: bad day/seq {row[2]!r},{row[3]!r}") from None
+            user, d, seq = graph.dense_id(row[0]), date.fromisoformat(row[2]), int(row[3])
+        except ValueError as e:
+            raise CascadeError(f"line {line_no}: {e}") from None
         if seq in seed_seqs:
             raise CascadeError(f"line {line_no}: seq {seq} is the seq of tweet {seed_seqs[seq]!r}")
         if (prev := first_line.setdefault(seq, line_no)) != line_no:
             raise CascadeError(f"line {line_no}: seq {seq} repeats line {prev}")
-        buckets[tid].append(RetweetEvent(graph.dense_id(row[0]), tid, d, seq))
+        buckets[tid].append(RetweetEvent(user, tid, d, seq))
     out = []
     for s in seeds:
         evs = sorted(buckets[s.tweet_id], key=lambda e: e.seq)
@@ -323,35 +304,10 @@ def save_cascades(
     retweets_path: str | os.PathLike,
     graph: SocialGraph,
 ) -> None:
-    tw = ",".join(TWEET_HEADER) + "\n"
-    rt = ",".join(RETWEET_HEADER) + "\n"
-    for c in cascades:
-        tw += (
-            f"{c.seed.tweet_id},{graph.external_ids[c.seed.author]},"
-            f"{c.seed.category.value},{c.seed.day.isoformat()}\n"
-        )
-        for ev in c.events:
-            rt += (
-                f"{graph.external_ids[ev.user]},{ev.tweet_id},"
-                f"{ev.day.isoformat()},{ev.seq}\n"
-            )
-    _atomic_write(tweets_path, tw)
-    _atomic_write(retweets_path, rt)
-
-
-def _read_csv(stream, header: list[str]):
-    reader = csv.reader(iter(stream))
-    out = []
-    saw_header = False
-    for line_no, row in enumerate(reader, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if not saw_header:
-            saw_header = True
-            if [c.strip() for c in row] == header:
-                continue
-            raise CascadeError(f"line {line_no}: expected header {','.join(header)!r}")
-        if len(row) != len(header):
-            raise CascadeError(f"line {line_no}: malformed record {row!r}")
-        out.append((line_no, [c.strip() for c in row]))
-    return out
+    ids = graph.external_ids
+    seeds = (c.seed for c in cascades)
+    tweets = ((s.tweet_id, ids[s.author], s.category.value, s.day) for s in seeds)
+    write_table(tweets_path, TWEET_HEADER, tweets)
+    events = (ev for c in cascades for ev in c.events)
+    retweets = ((ids[ev.user], ev.tweet_id, ev.day, ev.seq) for ev in events)
+    write_table(retweets_path, RETWEET_HEADER, retweets)

@@ -3,8 +3,9 @@
 Commands compose through documented CSV formats: gen-graph writes an edge
 file, simulate writes cascade files, exposure writes the per-day class
 matrix, fit persists the sales model, impacts/whatif/sweep write report
-CSVs.  Every output embeds the effective configuration as `#`-comment
-header lines, and all randomness flows from the single --seed flag.
+CSVs.  Every report table embeds the effective configuration as
+`#`-comment lines before its header, and all randomness flows from the
+single --seed flag.
 
 Exit codes: 0 success, 1 input/validation error, 2 runtime error.
 """
@@ -20,6 +21,7 @@ from datetime import date
 
 from . import __version__
 from ._rng import derive_seed
+from ._table import write_table
 from .cascade import (
     CascadeError,
     TweetCategory,
@@ -30,6 +32,7 @@ from .cascade import (
 )
 from .counterfactual import (
     CORRECTIVE_RATE_LEVELS,
+    MISINFO_RATE_LEVELS,
     ExperimentError,
     REAL_CORRECTIVE_RT_RATE,
     REAL_MISINFO_RT_RATE,
@@ -42,7 +45,6 @@ from .counterfactual import (
 )
 from .exposure import ExposureError, exposure_matrix, total_exposures
 from .graph import GraphError, GraphGenConfig, generate_graph, load_edges_file, save_edges
-from .graph import _atomic_write
 from .numerics import NumericsError
 from .salesmodel import (
     SalesModelError,
@@ -55,30 +57,6 @@ from .salesmodel import (
 )
 
 log = logging.getLogger("infodemic.cli")
-
-_CONFIG_KEYS = {
-    "graph",
-    "tweets",
-    "retweets",
-    "sales",
-    "period",
-    "k",
-    "retention",
-    "misinfo_rate",
-    "corrective_rate",
-    "soldout_rate",
-    "trials",
-    "seed",
-    "out",
-    "n_users",
-    "exponent",
-    "min_degree",
-    "max_degree",
-    "horizon",
-    "cumulative_exposure",
-    "include_authors",
-    "drop_nonsignificant_pcs",
-}
 
 _INPUT_ERRORS = (
     GraphError,
@@ -111,6 +89,37 @@ def _period_arg(text: str) -> tuple[date, date]:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
+# every command flag, by name (the flag without `--`, dashes as underscores)
+# -> add_argument keywords; a flag's value lands under its `dest`, its name
+# unless given
+_FLAGS: dict[str, dict] = {
+    "graph": {"help": "edge CSV (follower_id,followee_id)"},
+    "tweets": {"help": "seed-tweet CSV"},
+    "retweets": {"help": "retweet CSV"},
+    "period": {"type": _period_arg, "help": "FROM..TO (ISO dates, inclusive)"},
+    "model": {"help": "fitted model JSON"},
+    "sales": {"help": "sales CSV"},
+    "seed": {"type": int, "help": "base RNG seed (default 0)"},
+    "n_users": {"type": int},
+    "exponent": {"type": float},
+    "min_degree": {"type": int},
+    "max_degree": {"type": int},
+    "k": {"type": int},
+    "retention": {"type": float},
+    "trials": {"type": int},
+    "misinfo_rate": {"type": float},
+    "corrective_rate": {"type": float},
+    "soldout_rate": {"type": float},
+    "cumulative_exposure": {"action": "store_true", "default": None},
+    "drop_nonsignificant_pcs": {"action": "store_true", "default": None},
+    "exclude_authors": {"dest": "include_authors", "action": "store_false", "default": None},
+}
+
+# the keys of a command's effective configuration; a config file may not set --model
+_OPTION_KEYS = {spec.get("dest", name) for name, spec in _FLAGS.items()} | {"out"}
+_CONFIG_KEYS = _OPTION_KEYS - {"model"}
+
+
 def _load_config_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -122,12 +131,11 @@ def _load_config_file(path: str) -> dict:
     return doc
 
 
-def _effective(args: argparse.Namespace, keys: list[str]) -> dict:
+def _effective(args: argparse.Namespace) -> dict:
+    """The config file's keys, overridden by every flag the command was given."""
     cfg = dict(args.file_config)
-    for k in keys:
-        v = getattr(args, k, None)
-        if v is not None:
-            cfg[k] = v
+    cfg.update((k, v) for k, v in vars(args).items() if k in _OPTION_KEYS and v is not None)
+    cfg.setdefault("out", ".")
     return cfg
 
 
@@ -141,9 +149,17 @@ def _comments(cfg: dict) -> list[str]:
     return out
 
 
-def _outpath(args, name: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+def _outpath(cfg: dict, name: str) -> str:
+    os.makedirs(cfg["out"], exist_ok=True)
+    return os.path.join(cfg["out"], name)
+
+
+def _write(cfg: dict, name: str, header: list[str], rows) -> str:
+    """Write one output table under the output directory, headed by the
+    configuration."""
+    path = _outpath(cfg, name)
+    write_table(path, header, rows, _comments(cfg))
+    return path
 
 
 def _require(cfg: dict, *keys: str) -> None:
@@ -165,7 +181,7 @@ def _load_dataset(cfg: dict):
 
 
 def cmd_gen_graph(args) -> None:
-    cfg = _effective(args, ["n_users", "exponent", "min_degree", "max_degree", "seed", "out"])
+    cfg = _effective(args)
     _require(cfg, "n_users")
     g = generate_graph(
         GraphGenConfig(
@@ -176,16 +192,13 @@ def cmd_gen_graph(args) -> None:
             seed=int(cfg.get("seed", 0)),
         )
     )
-    path = _outpath(args, "edges.csv")
+    path = _outpath(cfg, "edges.csv")
     save_edges(g, path)
     print(f"wrote {path}: {g.n_users} users, {g.n_edges} edges")
 
 
 def cmd_simulate(args) -> None:
-    cfg = _effective(
-        args,
-        ["graph", "tweets", "period", "misinfo_rate", "corrective_rate", "soldout_rate", "seed", "out"],
-    )
+    cfg = _effective(args)
     _require(cfg, "graph", "tweets", "period")
     graph = load_edges_file(cfg["graph"])
     with open(cfg["tweets"], encoding="utf-8", newline="") as fh:
@@ -202,15 +215,13 @@ def cmd_simulate(args) -> None:
         derive_seed(int(cfg.get("seed", 0)), "cli-simulate"),
         corrective_blocks_misinfo=True,
     )
-    tw, rt = _outpath(args, "tweets.csv"), _outpath(args, "retweets.csv")
+    tw, rt = _outpath(cfg, "tweets.csv"), _outpath(cfg, "retweets.csv")
     save_cascades(cascades, tw, rt, graph)
     print(f"wrote {tw} and {rt}: {sum(len(c.events) for c in cascades)} retweets")
 
 
 def cmd_exposure(args) -> None:
-    cfg = _effective(
-        args, ["graph", "tweets", "retweets", "period", "cumulative_exposure", "include_authors", "out"]
-    )
+    cfg = _effective(args)
     _require(cfg, "graph", "tweets", "retweets", "period")
     graph, _, cascades = _load_dataset(cfg)
     m = exposure_matrix(
@@ -220,19 +231,16 @@ def cmd_exposure(args) -> None:
         cumulative=bool(cfg.get("cumulative_exposure", False)),
         include_actors=bool(cfg.get("include_authors", True)),
     )
-    path = _outpath(args, "exposure.csv")
+    path = _outpath(cfg, "exposure.csv")
     m.to_csv(path, _comments(cfg))
     print(f"wrote {path}: {len(m.days)} days")
 
 
 def cmd_fit(args) -> None:
-    cfg = _effective(
-        args,
-        ["graph", "tweets", "retweets", "sales", "period", "k", "drop_nonsignificant_pcs", "out"],
-    )
+    cfg = _effective(args)
     _require(cfg, "graph", "tweets", "retweets", "sales", "period")
     graph, _, cascades = _load_dataset(cfg)
-    with open(cfg["sales"], encoding="utf-8") as fh:
+    with open(cfg["sales"], encoding="utf-8", newline="") as fh:
         sales = SalesSeries.from_csv(fh)
     matrix = exposure_matrix(graph, cascades, cfg["period"])
     model = fit(
@@ -241,64 +249,41 @@ def cmd_fit(args) -> None:
         k=int(cfg.get("k", 4)),
         drop_nonsignificant=bool(cfg.get("drop_nonsignificant_pcs", False)),
     )
-    mpath = _outpath(args, "model.json")
+    mpath = _outpath(cfg, "model.json")
     save_model(model, mpath)
     d = model.diagnostics
-    lines = [f"# {c}" for c in _comments(cfg)]
-    lines.append("term,coefficient,stderr,t_value,p_value")
-    for i in range(model.k):
-        lines.append(
-            f"a{i + 1},{float(d.coefficients[i])!r},{float(d.stderrs[i])!r},"
-            f"{float(d.t_values[i])!r},{float(d.p_values[i])!r}"
-        )
-    lines.append(
-        f"intercept,{float(d.intercept)!r},{float(d.stderrs[-1])!r},"
-        f"{float(d.t_values[-1])!r},{float(d.p_values[-1])!r}"
-    )
-    lines.append(f"r_squared,{float(d.r_squared)!r},,,")
-    lines.append(f"f_value,{float(d.f_value)!r},,,")
-    dpath = _outpath(args, "diagnostics.csv")
-    _atomic_write(dpath, "\n".join(lines) + "\n")
+    terms = [f"a{i + 1}" for i in range(model.k)] + ["intercept"]
+    estimates = [*d.coefficients.tolist(), d.intercept]
+    rows = [
+        *zip(terms, estimates, d.stderrs.tolist(), d.t_values.tolist(), d.p_values.tolist()),
+        ("r_squared", float(d.r_squared), "", "", ""),
+        ("f_value", float(d.f_value), "", "", ""),
+    ]
+    header = ["term", "coefficient", "stderr", "t_value", "p_value"]
+    dpath = _write(cfg, "diagnostics.csv", header, rows)
     print(f"wrote {mpath} and {dpath}: R^2={d.r_squared:.4f} F={d.f_value:.2f}")
 
 
 def cmd_impacts(args) -> None:
-    cfg = _effective(args, ["graph", "tweets", "retweets", "period", "out"])
-    if args.model is None:
-        raise CliError("missing required option: --model")
-    model = load_model(args.model)
-    cfg["model"] = args.model
-    imp = model.per_viewer_impacts
-    lines = [f"# {c}" for c in _comments(cfg)]
-    lines.append("class,per_viewer_impact")
-    for i, v in enumerate(imp):
-        lines.append(f"x{i + 1},{float(v)!r}")
-    p1 = _outpath(args, "per_viewer_impacts.csv")
-    _atomic_write(p1, "\n".join(lines) + "\n")
-    paths = [p1]
+    cfg = _effective(args)
+    _require(cfg, "model")
+    imp = load_model(cfg["model"]).per_viewer_impacts
+    rows = [(f"x{i + 1}", v) for i, v in enumerate(imp.tolist())]
+    paths = [_write(cfg, "per_viewer_impacts.csv", ["class", "per_viewer_impact"], rows)]
     if cfg.get("graph") and cfg.get("tweets") and cfg.get("retweets") and cfg.get("period"):
         graph, _, cascades = _load_dataset(cfg)
         totals = total_exposures(exposure_matrix(graph, cascades, cfg["period"]))
         gi = group_impacts(imp, totals)
-        lines = [f"# {c}" for c in _comments(cfg)]
-        lines.append("class,total_viewers,group_impact")
-        for i, (t, v) in enumerate(zip(totals, gi)):
-            lines.append(f"x{i + 1},{int(t)},{float(v)!r}")
-        p2 = _outpath(args, "group_impacts.csv")
-        _atomic_write(p2, "\n".join(lines) + "\n")
-        paths.append(p2)
+        rows = [(f"x{i + 1}", t, v) for i, (t, v) in enumerate(zip(totals.tolist(), gi.tolist()))]
+        header = ["class", "total_viewers", "group_impact"]
+        paths.append(_write(cfg, "group_impacts.csv", header, rows))
     print("wrote " + " and ".join(paths))
 
 
 def cmd_whatif(args) -> None:
-    cfg = _effective(
-        args, ["graph", "tweets", "retweets", "period", "retention", "misinfo_rate", "trials", "seed", "out"]
-    )
-    if args.model is None:
-        raise CliError("missing required option: --model")
-    _require(cfg, "graph", "tweets", "retweets", "period")
-    cfg["model"] = args.model
-    model = load_model(args.model)
+    cfg = _effective(args)
+    _require(cfg, "model", "graph", "tweets", "retweets", "period")
+    model = load_model(cfg["model"])
     graph, _, cascades = _load_dataset(cfg)
     period = cfg["period"]
     trials = int(cfg.get("trials", 10))
@@ -309,41 +294,28 @@ def cmd_whatif(args) -> None:
         if cfg.get("retention") is not None
         else [r / CORRECTIVE_RATE_LEVELS[0] for r in CORRECTIVE_RATE_LEVELS]
     )
-    lines = [f"# {c}" for c in _comments(cfg)]
-    lines.append("scenario,trial,sum_sales_index,reduction_vs_baseline")
+    rows = []
     for r in retentions:
         for t in range(trials):
             res = reduce_corrective(graph, cascades, model, r, derive_seed(seed, "w", t), period, t)
-            lines.append(
-                f"retention={r:g},{t},{res.sum_index!r},{compare(baseline.sum_index, res.sum_index)!r}"
-            )
+            reduction = compare(baseline.sum_index, res.sum_index)
+            rows.append((f"retention={r:g}", t, res.sum_index, reduction))
     mis_rate = float(cfg.get("misinfo_rate", REAL_MISINFO_RT_RATE))
     for t in range(trials):
         res = guideline_experiment(graph, cascades, model, mis_rate, derive_seed(seed, "g", t), period, t)
-        lines.append(
-            f"guideline,{t},{res.sum_index!r},{compare(baseline.sum_index, res.sum_index)!r}"
-        )
-    path = _outpath(args, "whatif.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
+        rows.append(("guideline", t, res.sum_index, compare(baseline.sum_index, res.sum_index)))
+    header = ["scenario", "trial", "sum_sales_index", "reduction_vs_baseline"]
+    path = _write(cfg, "whatif.csv", header, rows)
     print(f"wrote {path}: baseline sum {baseline.sum_index:.4f}")
 
 
 def cmd_sweep(args) -> None:
-    cfg = _effective(
-        args,
-        ["graph", "tweets", "retweets", "period", "misinfo_rate", "corrective_rate",
-         "soldout_rate", "trials", "seed", "out"],
-    )
-    if args.model is None:
-        raise CliError("missing required option: --model")
-    _require(cfg, "graph", "tweets", "period")
-    cfg["model"] = args.model
-    model = load_model(args.model)
+    cfg = _effective(args)
+    _require(cfg, "model", "graph", "tweets", "period")
+    model = load_model(cfg["model"])
     graph = load_edges_file(cfg["graph"])
     with open(cfg["tweets"], encoding="utf-8", newline="") as fh:
         seeds = load_seed_tweets(fh, graph)
-    from .counterfactual import MISINFO_RATE_LEVELS
-
     corrective = (
         [float(cfg["corrective_rate"])]
         if cfg.get("corrective_rate") is not None
@@ -365,7 +337,7 @@ def cmd_sweep(args) -> None:
         period=cfg["period"],
         soldout_rt_rate=float(cfg.get("soldout_rate", 0.004)),
     )
-    p1, p2 = _outpath(args, "sweep_trials.csv"), _outpath(args, "sweep_summary.csv")
+    p1, p2 = _outpath(cfg, "sweep_trials.csv"), _outpath(cfg, "sweep_summary.csv")
     sweep_trials_csv(grid, p1, _comments(cfg))
     sweep_summary_csv(grid, p2, _comments(cfg))
     print(f"wrote {p1} and {p2}: {len(grid.cells)} cells x {grid.trials} trials")
@@ -373,80 +345,39 @@ def cmd_sweep(args) -> None:
 
 # -- argument wiring -------------------------------------------------------
 
+_DATASET = ("graph", "tweets", "retweets", "period")
+
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="infodemic", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, help="base RNG seed (default 0)")
-
-    def dataset(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--graph", help="edge CSV (follower_id,followee_id)")
-        p.add_argument("--tweets", help="seed-tweet CSV")
-        p.add_argument("--retweets", help="retweet CSV")
-        p.add_argument("--period", type=_period_arg, help="FROM..TO (ISO dates, inclusive)")
-
-    p = sub.add_parser("gen-graph", help="synthesize a follower graph")
-    common(p)
-    p.add_argument("--n-users", dest="n_users", type=int)
-    p.add_argument("--exponent", type=float)
-    p.add_argument("--min-degree", dest="min_degree", type=int)
-    p.add_argument("--max-degree", dest="max_degree", type=int)
-    p.set_defaults(func=cmd_gen_graph)
-
-    p = sub.add_parser("simulate", help="diffuse seed tweets stochastically")
-    common(p)
-    dataset(p)
-    p.add_argument("--misinfo-rate", dest="misinfo_rate", type=float)
-    p.add_argument("--corrective-rate", dest="corrective_rate", type=float)
-    p.add_argument("--soldout-rate", dest="soldout_rate", type=float)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("exposure", help="compute the daily class matrix")
-    common(p)
-    dataset(p)
-    p.add_argument("--cumulative-exposure", dest="cumulative_exposure", action="store_true", default=None)
-    p.add_argument("--exclude-authors", dest="include_authors", action="store_false", default=None)
-    p.set_defaults(func=cmd_exposure)
-
-    p = sub.add_parser("fit", help="fit the sales model (PCA + OLS)")
-    common(p)
-    dataset(p)
-    p.add_argument("--sales", help="sales CSV")
-    p.add_argument("--k", type=int)
-    p.add_argument(
-        "--drop-nonsignificant-pcs", dest="drop_nonsignificant_pcs", action="store_true", default=None
+    # (command, function, help, the flags it reads besides --config and --out);
+    # built per call, so a function rebound on the module (a tracing wrapper,
+    # say) is the one dispatched
+    commands = (
+        ("gen-graph", cmd_gen_graph, "synthesize a follower graph",
+         ("n_users", "exponent", "min_degree", "max_degree", "seed")),
+        ("simulate", cmd_simulate, "diffuse seed tweets stochastically",
+         ("graph", "tweets", "period", "misinfo_rate", "corrective_rate", "soldout_rate", "seed")),
+        ("exposure", cmd_exposure, "compute the daily class matrix",
+         (*_DATASET, "cumulative_exposure", "exclude_authors")),
+        ("fit", cmd_fit, "fit the sales model (PCA + OLS)",
+         (*_DATASET, "sales", "k", "drop_nonsignificant_pcs")),
+        ("impacts", cmd_impacts, "per-viewer and per-group impact tables", (*_DATASET, "model")),
+        ("whatif", cmd_whatif, "corrective reduction + guideline experiments",
+         (*_DATASET, "model", "retention", "misinfo_rate", "trials", "seed")),
+        ("sweep", cmd_sweep, "RT-rate grid sweep",
+         ("graph", "tweets", "period", "model", "misinfo_rate", "corrective_rate", "soldout_rate",
+          "trials", "seed")),
     )
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("impacts", help="per-viewer and per-group impact tables")
-    common(p)
-    dataset(p)
-    p.add_argument("--model", help="fitted model JSON")
-    p.set_defaults(func=cmd_impacts)
-
-    p = sub.add_parser("whatif", help="corrective reduction + guideline experiments")
-    common(p)
-    dataset(p)
-    p.add_argument("--model", help="fitted model JSON")
-    p.add_argument("--retention", type=float)
-    p.add_argument("--misinfo-rate", dest="misinfo_rate", type=float)
-    p.add_argument("--trials", type=int)
-    p.set_defaults(func=cmd_whatif)
-
-    p = sub.add_parser("sweep", help="RT-rate grid sweep")
-    common(p)
-    dataset(p)
-    p.add_argument("--model", help="fitted model JSON")
-    p.add_argument("--misinfo-rate", dest="misinfo_rate", type=float)
-    p.add_argument("--corrective-rate", dest="corrective_rate", type=float)
-    p.add_argument("--soldout-rate", dest="soldout_rate", type=float)
-    p.add_argument("--trials", type=int)
-    p.set_defaults(func=cmd_sweep)
+    for name, func, help_text, flags in commands:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON config file; flags override its keys")
+        p.add_argument("--out", help="output directory (default .)")
+        for flag in flags:
+            p.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
+        p.set_defaults(func=func)
     return top
 
 

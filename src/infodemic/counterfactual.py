@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import derive_seed
+from ._table import write_table
 from .cascade import (
     Cascade,
     CascadeError,
@@ -28,7 +29,7 @@ from .cascade import (
     simulate_cascades,
 )
 from .exposure import ExposureMatrix, exposure_matrix, total_exposures
-from .graph import SocialGraph, _atomic_write
+from .graph import SocialGraph
 from .salesmodel import FittedSalesModel, SalesSeries, predict, sum_index
 
 log = logging.getLogger("infodemic.counterfactual")
@@ -322,21 +323,18 @@ def compare(baseline_sum: float, variant_sum: float) -> float:
 def sweep_trials_csv(
     grid: SweepGrid, path: str | os.PathLike, header_comments: Sequence[str] = ()
 ) -> None:
-    lines = [f"# {c}" for c in header_comments]
-    lines.append("misinfo_rate,corrective_rate,trial,sum_sales_index")
-    for c in grid.cells:
-        for t, s in enumerate(c.sums):
-            lines.append(f"{c.misinfo_rate!r},{c.corrective_rate!r},{t},{s!r}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = (
+        (c.misinfo_rate, c.corrective_rate, t, s) for c in grid.cells for t, s in enumerate(c.sums)
+    )
+    write_table(
+        path, ["misinfo_rate", "corrective_rate", "trial", "sum_sales_index"], rows, header_comments
+    )
 
 
 def sweep_summary_csv(
     grid: SweepGrid, path: str | os.PathLike, header_comments: Sequence[str] = ()
 ) -> None:
-    lines = [f"# {c}" for c in header_comments]
-    lines.append("misinfo_rate,corrective_rate,mean,stddev,trials")
-    for c in grid.cells:
-        lines.append(
-            f"{c.misinfo_rate!r},{c.corrective_rate!r},{c.mean!r},{c.stddev!r},{grid.trials}"
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = ((c.misinfo_rate, c.corrective_rate, c.mean, c.stddev, grid.trials) for c in grid.cells)
+    write_table(
+        path, ["misinfo_rate", "corrective_rate", "mean", "stddev", "trials"], rows, header_comments
+    )

@@ -17,8 +17,9 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
+from ._table import read_table, write_table
 from .cascade import Cascade, TweetCategory
-from .graph import SocialGraph, _atomic_write
+from .graph import SocialGraph
 
 MATRIX_HEADER = ["day", "x1", "x2", "x3", "x4", "x5", "x6", "x7"]
 
@@ -65,38 +66,20 @@ class ExposureMatrix:
             if b != a + timedelta(days=1):
                 raise ExposureError("days must be contiguous and increasing")
 
-    def rows(self) -> list[DailyExposure]:
-        return [
-            DailyExposure(d, tuple(int(x) for x in row))
-            for d, row in zip(self.days, self.counts)
-        ]
-
     def to_csv(self, path: str | os.PathLike, header_comments: Sequence[str] = ()) -> None:
-        lines = [f"# {c}" for c in header_comments]
-        lines.append(",".join(MATRIX_HEADER))
-        for d, row in zip(self.days, self.counts):
-            lines.append(d.isoformat() + "," + ",".join(str(int(x)) for x in row))
-        _atomic_write(path, "\n".join(lines) + "\n")
+        rows = ((d, *row) for d, row in zip(self.days, self.counts.tolist()))
+        write_table(path, MATRIX_HEADER, rows, header_comments)
 
     @classmethod
     def from_csv(cls, stream: TextIO | Iterable[str]) -> "ExposureMatrix":
         days: list[date] = []
         rows: list[list[int]] = []
-        saw_header = False
-        for line in stream:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if not saw_header:
-                if parts != MATRIX_HEADER:
-                    raise ExposureError(f"expected header {','.join(MATRIX_HEADER)!r}")
-                saw_header = True
-                continue
-            if len(parts) != 8:
-                raise ExposureError(f"malformed row {line!r}")
-            days.append(date.fromisoformat(parts[0]))
-            rows.append([int(x) for x in parts[1:]])
+        for line_no, row in read_table(stream, [MATRIX_HEADER], ExposureError):
+            try:
+                days.append(date.fromisoformat(row[0]))
+                rows.append([int(x) for x in row[1:]])
+            except ValueError as e:
+                raise ExposureError(f"line {line_no}: {e}") from None
         return cls(tuple(days), np.array(rows, dtype=np.int64).reshape(len(days), 7))
 
 

@@ -1,6 +1,6 @@
 """Linear-algebra and statistics kernel for the exposure regression.
 
-Covariance PCA via a cyclic Jacobi eigensolver, ordinary least squares
+Covariance PCA via numpy's symmetric eigensolver, ordinary least squares
 with t/p/F diagnostics, and the Student-t CDF through a continued-fraction
 regularized incomplete beta.  Everything here is a pure function of its
 inputs; sizes are small (tens of rows, seven columns).
@@ -16,45 +16,6 @@ import numpy as np
 
 class NumericsError(ValueError):
     pass
-
-
-# -- symmetric eigenproblem ------------------------------------------------
-
-
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100):
-    """Eigenvalues/vectors of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues, eigenvectors-as-columns), unsorted.
-    """
-    a = np.array(a, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n) or not np.allclose(a, a.T, atol=1e-12 * (1 + np.abs(a).max())):
-        raise NumericsError("jacobi_eigh needs a symmetric square matrix")
-    v = np.eye(n)
-    scale = max(np.abs(a).max(), 1.0)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    return np.diag(a).copy(), v
 
 
 # -- PCA -------------------------------------------------------------------
@@ -93,28 +54,19 @@ def pca(data: np.ndarray) -> PcaResult:
     means = x.mean(axis=0)
     xc = x - means
     cov = xc.T @ xc / (x.shape[0] - 1)
-    vals, vecs = jacobi_eigh(cov)
-    order = np.argsort(vals)[::-1]
-    vals = np.clip(vals[order], 0.0, None)
-    vecs = vecs[:, order].T  # rows
+    _, vecs = np.linalg.eigh(cov)  # ascending, eigenvectors as columns
+    vecs = np.ascontiguousarray(vecs[:, ::-1].T)  # rows
     for i in range(vecs.shape[0]):
         j = int(np.argmax(np.abs(vecs[i])))
         if vecs[i, j] < 0:
             vecs[i] = -vecs[i]
+    # eigh's eigenvalues are accurate to about eps * the largest; the
+    # Rayleigh quotients of its eigenvectors keep a small eigenvalue of the
+    # graded count covariance accurate relative to itself
+    vals = np.clip(np.einsum("ij,jk,ik->i", vecs, cov, vecs), 0.0, None)
     total = vals.sum()
     contrib = vals / total if total > 0 else np.zeros_like(vals)
     return PcaResult(means, vals, vecs, contrib)
-
-
-def contribution_ratios(eigenvalues: np.ndarray) -> np.ndarray:
-    """Share of total variance per component: l_i / sum(l)."""
-    vals = np.asarray(eigenvalues, dtype=np.float64)
-    if np.any(vals < 0):
-        raise NumericsError("eigenvalues must be non-negative")
-    total = vals.sum()
-    if total == 0:
-        raise NumericsError("all eigenvalues are zero")
-    return vals / total
 
 
 def project(pca_result: PcaResult, data: np.ndarray, k: int) -> np.ndarray:
@@ -123,13 +75,6 @@ def project(pca_result: PcaResult, data: np.ndarray, k: int) -> np.ndarray:
         raise NumericsError(f"k must be in 1..{pca_result.n_components}")
     x = np.asarray(data, dtype=np.float64)
     return (x - pca_result.means) @ pca_result.eigenvectors[:k].T
-
-
-def reconstruct(pca_result: PcaResult, scores: np.ndarray) -> np.ndarray:
-    """Inverse of `project` for however many components the scores carry."""
-    s = np.asarray(scores, dtype=np.float64)
-    k = s.shape[1]
-    return s @ pca_result.eigenvectors[:k] + pca_result.means
 
 
 # -- OLS -------------------------------------------------------------------

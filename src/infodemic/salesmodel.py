@@ -17,13 +17,16 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
+from ._table import atomic_write, read_table, write_table
 from .exposure import ExposureMatrix
-from .graph import _atomic_write
 from .numerics import NumericsError, OlsResult, PcaResult, ols, pca, project
 
 MODEL_FORMAT_VERSION = 1
 
 YEAR_OFFSET_DAYS = 364  # same weekday one year back
+
+# sales.csv holds the index itself, or raw sales it is computed from
+SALES_HEADERS = (["date", "sales_index"], ["date", "sales", "sales_prev_year"])
 
 
 class SalesModelError(ValueError):
@@ -60,36 +63,19 @@ class SalesSeries:
         return cls(tuple(days), np.array(vals))
 
     def to_csv(self, path: str | os.PathLike, header_comments: Sequence[str] = ()) -> None:
-        lines = [f"# {c}" for c in header_comments]
-        lines.append("date,sales_index")
-        for d, v in zip(self.days, self.values):
-            lines.append(f"{d.isoformat()},{float(v)!r}")
-        _atomic_write(path, "\n".join(lines) + "\n")
+        write_table(path, SALES_HEADERS[0], zip(self.days, self.values.tolist()), header_comments)
 
     @classmethod
     def from_csv(cls, stream: TextIO | Iterable[str]) -> "SalesSeries":
         """Accepts `date,sales_index` or `date,sales,sales_prev_year`."""
         days: list[date] = []
         vals: list[float] = []
-        mode: str | None = None
-        for line in stream:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if mode is None:
-                if parts == ["date", "sales_index"]:
-                    mode = "index"
-                elif parts == ["date", "sales", "sales_prev_year"]:
-                    mode = "raw"
-                else:
-                    raise SalesModelError(f"unrecognized sales header {line!r}")
-                continue
-            days.append(date.fromisoformat(parts[0]))
-            if mode == "index":
-                vals.append(float(parts[1]))
-            else:
-                vals.append(sales_index(float(parts[1]), float(parts[2])))
+        for line_no, row in read_table(stream, SALES_HEADERS, SalesModelError):
+            try:
+                days.append(date.fromisoformat(row[0]))
+                vals.append(float(row[1]) if len(row) == 2 else sales_index(*map(float, row[1:])))
+            except ValueError as e:
+                raise SalesModelError(f"line {line_no}: {e}") from None
         return cls(tuple(days), np.array(vals))
 
 
@@ -252,7 +238,7 @@ def model_from_json(text: str) -> FittedSalesModel:
 
 
 def save_model(model: FittedSalesModel, path: str | os.PathLike) -> None:
-    _atomic_write(path, model_to_json(model) + "\n")
+    atomic_write(path, model_to_json(model) + "\n")
 
 
 def load_model(path: str | os.PathLike) -> FittedSalesModel:

@@ -19,7 +19,6 @@ from infodemic.cascade import (
     prune_cascade,
     sample_keep_set,
     save_cascades,
-    simulate_cascade,
     simulate_cascades,
     visible_set,
 )
@@ -171,6 +170,14 @@ def test_sample_keep_set_rejects_bad_retention(r):
 # -- simulation --------------------------------------------------------------
 
 
+def days(n):
+    """The n-day simulation period starting at DAY0."""
+    return (DAY0, DAY0 + timedelta(days=n - 1))
+
+
+CORRECTIVE = TweetCategory.CORRECTIVE
+
+
 def line_graph(n):
     # i+1 follows i, so content hops one user per day
     return SocialGraph(n, [(i + 1, i) for i in range(n - 1)])
@@ -178,7 +185,7 @@ def line_graph(n):
 
 def test_simulation_certain_rate_advances_one_hop_per_day():
     g = line_graph(5)
-    c = simulate_cascade(g, seed(author=0), rt_rate=1.0, horizon=4, rng_seed=0)
+    (c,) = simulate_cascades(g, [seed(author=0)], {CORRECTIVE: 1.0}, days(4), 0)
     # day 0: 1 exposed and decides; lands day 1; 2 decides day 1, lands day 2...
     assert [e.user for e in c.events] == [1, 2, 3]
     assert [e.day for e in c.events] == [DAY0 + timedelta(days=d) for d in (1, 2, 3)]
@@ -186,22 +193,22 @@ def test_simulation_certain_rate_advances_one_hop_per_day():
 
 def test_simulation_zero_rate_never_spreads():
     g = line_graph(4)
-    c = simulate_cascade(g, seed(author=0), rt_rate=0.0, horizon=5, rng_seed=0)
+    (c,) = simulate_cascades(g, [seed(author=0)], {CORRECTIVE: 0.0}, days(5), 0)
     assert c.events == ()
 
 
 def test_simulation_user_decides_once_per_tweet():
     # 2 follows both 0 and 1; with rate 1.0, 2 retweets exactly once
     g = SocialGraph(3, [(1, 0), (2, 0), (2, 1)])
-    c = simulate_cascade(g, seed(author=0), rt_rate=1.0, horizon=4, rng_seed=0)
+    (c,) = simulate_cascades(g, [seed(author=0)], {CORRECTIVE: 1.0}, days(4), 0)
     assert sorted(e.user for e in c.events) == [1, 2]
 
 
 def test_simulation_deterministic_given_seed():
     g = random_graph(np.random.default_rng(3), max_nodes=40)
     s = seed(author=0)
-    a = simulate_cascade(g, s, 0.5, 5, rng_seed=11)
-    b = simulate_cascade(g, s, 0.5, 5, rng_seed=11)
+    (a,) = simulate_cascades(g, [s], {CORRECTIVE: 0.5}, days(5), 11)
+    (b,) = simulate_cascades(g, [s], {CORRECTIVE: 0.5}, days(5), 11)
     assert a.events == b.events
 
 
@@ -210,8 +217,8 @@ def test_simulation_monotone_coupled_in_rate():
     for trial in range(10):
         g = random_graph(rng, max_nodes=30)
         s = seed(author=int(rng.integers(g.n_users)))
-        low = simulate_cascade(g, s, 0.2, 6, rng_seed=trial)
-        high = simulate_cascade(g, s, 0.7, 6, rng_seed=trial)
+        (low,) = simulate_cascades(g, [s], {CORRECTIVE: 0.2}, days(6), trial)
+        (high,) = simulate_cascades(g, [s], {CORRECTIVE: 0.7}, days(6), trial)
         assert set(low.retweeters) <= set(high.retweeters)
 
 
@@ -272,11 +279,11 @@ def test_corrective_author_counts_as_exposed():
 def test_simulation_rejects_bad_inputs():
     g = line_graph(3)
     with pytest.raises(CascadeError):
-        simulate_cascade(g, seed(author=0), 1.5, 3, 0)
+        simulate_cascades(g, [seed(author=0)], {CORRECTIVE: 1.5}, days(3), 0)
     with pytest.raises(CascadeError):
-        simulate_cascade(g, seed(author=9), 0.5, 3, 0)
+        simulate_cascades(g, [seed(author=9)], {CORRECTIVE: 0.5}, days(3), 0)
     with pytest.raises(CascadeError):
-        simulate_cascade(g, seed(author=0), 0.5, 0, 0)
+        simulate_cascades(g, [seed(author=0)], {CORRECTIVE: 0.5}, days(0), 0)
     with pytest.raises(CascadeError):
         simulate_cascades(g, [seed()], {}, (DAY0, DAY0 - timedelta(days=1)), 0)
 
@@ -421,6 +428,24 @@ def test_load_seed_tweets_errors():
         load_seed_tweets(io.StringIO(text), g)
 
 
+@pytest.mark.parametrize(
+    "tweets, retweets, what",
+    [
+        ("t0,mallory,corrective,2020-02-21\n", "", "line 3: unknown user id 'mallory'"),
+        ("t0,u0,rumour,2020-02-21\n", "", "line 3: unknown tweet category 'rumour'"),
+        ("", "mallory,t0,2020-02-21,1\n", "line 2: unknown user id 'mallory'"),
+        ("", "u1,t0,2020-02-21,x\n", "line 2: invalid literal"),
+    ],
+)
+def test_cascade_loader_value_errors_are_line_numbered(tweets, retweets, what):
+    g = SocialGraph(2, [(1, 0)], external_ids=["u0", "u1"])
+    text = "tweet_id,author_id,category,day\nt1,u0,soldout,2020-02-21\n" + tweets
+    with pytest.raises(CascadeError, match=f"^{what}"):
+        seeds = load_seed_tweets(io.StringIO(text), g)
+        seeds.append(seed(author=0, tid="t0", seq=-5))
+        load_retweets(io.StringIO("user_id,tweet_id,day,seq\n" + retweets), g, seeds)
+
+
 def test_load_retweets_unknown_tweet():
     g = SocialGraph(2, [(1, 0)], external_ids=["u0", "u1"])
     seeds = [seed(author=0, tid="t0", seq=-1)]
@@ -446,3 +471,47 @@ def test_load_retweets_rejects_reused_seq(rows, line, what):
     seeds = load_seed_tweets(io.StringIO(tweets + "t1,u2,soldout,2020-02-21\n"), g)
     with pytest.raises(CascadeError, match=f"line {line}: .*{what}"):
         load_retweets(io.StringIO("user_id,tweet_id,day,seq\n" + rows), g, seeds)
+
+
+def test_load_retweets_counts_physical_lines():
+    g = SocialGraph(2, [(1, 0)], external_ids=["u0", "u\n1"])
+    seeds = [seed(author=0, tid="t0", seq=-1)]
+    text = 'user_id,tweet_id,day,seq\n"u\n1",t0,2020-02-22,1\nu0,phantom,2020-02-22,2\n'
+    with pytest.raises(CascadeError, match="^line 4: retweet of unknown tweet"):
+        load_retweets(io.StringIO(text), g, seeds)
+
+
+# ids holding every character the table format treats specially
+IDS = st.text(st.sampled_from('ab ,"\n\r#'), min_size=1, max_size=5).map(str.strip).filter(bool)
+
+
+@st.composite
+def id_cascades(draw):
+    """(graph, cascades) over arbitrary external user and tweet ids."""
+    users = draw(st.lists(IDS, min_size=1, max_size=6, unique=True))
+    tweets = draw(st.lists(IDS, min_size=1, max_size=4, unique=True))
+    g = SocialGraph(len(users), [], external_ids=users)
+    dated = sorted((DAY0 + timedelta(days=draw(st.integers(0, 3))), t) for t in tweets)
+    seq = 1
+    cascades = []
+    for i, (day, tid) in enumerate(dated):
+        s = seed(author=draw(st.integers(0, len(users) - 1)), day=day, tid=tid,
+                 seq=i - len(dated), cat=draw(st.sampled_from(list(TweetCategory))))
+        events = []
+        for u in draw(st.lists(st.integers(0, len(users) - 1), unique=True, max_size=3)):
+            events.append(ev(u, seq, day=day + timedelta(days=1), tid=tid))
+            seq += draw(st.integers(1, 3))
+        cascades.append(Cascade(s, tuple(events)))
+    return g, cascades
+
+
+@given(id_cascades())
+@settings(max_examples=150, deadline=None)
+def test_cascade_csv_roundtrip_any_ids(tmp_path_factory, data):
+    g, cascades = data
+    d = tmp_path_factory.mktemp("cascades")
+    save_cascades(cascades, d / "tweets.csv", d / "retweets.csv", g)
+    with open(d / "tweets.csv", encoding="utf-8", newline="") as fh:
+        seeds = load_seed_tweets(fh, g)
+    with open(d / "retweets.csv", encoding="utf-8", newline="") as fh:
+        assert load_retweets(fh, g, seeds) == cascades

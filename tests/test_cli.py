@@ -8,7 +8,7 @@ import pytest
 from infodemic.cascade import save_cascades
 from infodemic.cli import main
 from infodemic.exposure import ExposureMatrix
-from infodemic.graph import load_edges_file, save_edges
+from infodemic.graph import SocialGraph, load_edges_file, save_edges
 from infodemic.salesmodel import SalesSeries, load_model
 
 PERIOD = "2020-02-21..2020-03-01"
@@ -185,6 +185,15 @@ def test_config_file_merge_and_flag_override(pipeline, tmp_path):
     assert "# period=2020-02-21..2020-03-01" in base
 
 
+def test_config_file_out_is_honored(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"n_users": 20, "out": str(tmp_path / "from_file")}))
+    assert run("gen-graph", "--config", str(p)) == 0
+    assert (tmp_path / "from_file" / "edges.csv").exists()
+    assert run("gen-graph", "--config", str(p), "--out", str(tmp_path / "flag")) == 0
+    assert (tmp_path / "flag" / "edges.csv").exists()
+
+
 def test_unknown_config_key_rejected(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"grpah": "oops.csv"}))
@@ -213,3 +222,133 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run("--version")
     assert exc.value.code == 0
+
+
+def test_commands_reject_flags_they_do_not_read():
+    for argv in (["exposure", "--seed", "1"], ["fit", "--seed", "1"], ["impacts", "--seed", "1"],
+                 ["simulate", "--retweets", "r.csv"], ["sweep", "--retweets", "r.csv"]):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2, argv
+
+
+def test_short_sales_row_is_input_error(pipeline, tmp_path):
+    sales = tmp_path / "sales.csv"
+    sales.write_text("date,sales_index\n2020-02-21\n")
+    code = run(
+        "fit", "--graph", os.path.join(pipeline, "edges.csv"),
+        "--tweets", os.path.join(pipeline, "tweets.csv"),
+        "--retweets", os.path.join(pipeline, "retweets.csv"),
+        "--sales", str(sales), "--period", PERIOD, "--out", str(tmp_path),
+    )
+    assert code == 1
+
+
+def test_ids_with_commas_and_quotes_survive_simulate(tmp_path):
+    ids = ["a,b", 'say "hi"', "plain", 'x,"y"', "z"]
+    g = SocialGraph(5, [(1, 0), (2, 0), (3, 1), (4, 3), (0, 2)], external_ids=ids)
+    edges, seeds = str(tmp_path / "edges.csv"), tmp_path / "seeds.csv"
+    save_edges(g, edges)
+    seeds.write_text(
+        'tweet_id,author_id,category,day\n"t,1","a,b",corrective,2020-02-21\n'
+        't2,"say ""hi""",misinformation,2020-02-22\n'
+    )
+    out = str(tmp_path / "out")
+    assert run(
+        "simulate", "--graph", edges, "--tweets", str(seeds), "--period", PERIOD,
+        "--corrective-rate", "1", "--misinfo-rate", "1", "--out", out,
+    ) == 0
+    tweets, retweets = os.path.join(out, "tweets.csv"), os.path.join(out, "retweets.csv")
+    with open(retweets, encoding="utf-8", newline="") as fh:
+        assert '"say ""hi"""' in fh.read()  # a retweeter id that needs quotes
+    assert run(
+        "exposure", "--graph", edges, "--tweets", tweets, "--retweets", retweets,
+        "--period", PERIOD, "--out", out,
+    ) == 0
+    with open(os.path.join(out, "exposure.csv")) as fh:
+        assert ExposureMatrix.from_csv(fh).counts.sum() > 0
+
+
+# The data formats exactly as README.md documents them, with a leading
+# comment line and a quoted id.
+README_EDGES = """\
+# follower graph, exported by hand
+follower_id,followee_id
+bob,alice
+"carol, jr",alice
+dave,alice
+erin,bob
+frank,"carol, jr"
+alice,dave
+erin,dave
+frank,dave
+bob,erin
+"""
+README_TWEETS = """\
+# seed tweets
+tweet_id,author_id,category,day
+c1,alice,corrective,2020-02-21
+m1,dave,misinformation,2020-02-22
+c2,"carol, jr",corrective,2020-02-23
+s1,bob,soldout,2020-02-24
+m2,alice,misinformation,2020-02-25
+c3,dave,corrective,2020-02-26
+s2,erin,soldout,2020-02-27
+"""
+README_RETWEETS = """\
+# retweets
+user_id,tweet_id,day,seq
+bob,c1,2020-02-22,1
+"carol, jr",c1,2020-02-22,2
+frank,c2,2020-02-24,3
+erin,m1,2020-02-23,4
+bob,m2,2020-02-26,5
+frank,c3,2020-02-27,6
+"""
+README_SALES_INDEX = """\
+# sales index
+date,sales_index
+2020-02-21,0.12
+2020-02-22,-0.03
+2020-02-23,0.08
+2020-02-24,0.2
+2020-02-25,-0.06
+2020-02-26,0.05
+2020-02-27,0.15
+"""
+README_SALES_RAW = """\
+# raw sales
+date,sales,sales_prev_year
+2020-02-21,112,100
+2020-02-22,97,100
+2020-02-23,108,100
+2020-02-24,120,100
+2020-02-25,94,100
+2020-02-26,105,100
+2020-02-27,115,100
+"""
+
+
+def test_readme_formats_run_the_pipeline(tmp_path):
+    files = {"edges.csv": README_EDGES, "tweets.csv": README_TWEETS,
+             "retweets.csv": README_RETWEETS, "index.csv": README_SALES_INDEX,
+             "raw.csv": README_SALES_RAW}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    dataset = ["--graph", str(tmp_path / "edges.csv"), "--tweets", str(tmp_path / "tweets.csv"),
+               "--retweets", str(tmp_path / "retweets.csv"), "--period", "2020-02-21..2020-02-27"]
+    assert run("exposure", *dataset, "--out", str(tmp_path / "exp")) == 0
+    models = []
+    for sales in ("index.csv", "raw.csv"):
+        out = str(tmp_path / sales[:-4])
+        assert run("fit", *dataset, "--sales", str(tmp_path / sales), "--k", "2", "--out", out) == 0
+        models.append(os.path.join(out, "model.json"))
+    a, b = (load_model(m) for m in models)
+    np.testing.assert_allclose(a.coefficients, b.coefficients, rtol=1e-9)
+    out = str(tmp_path / "out")
+    assert run("impacts", *dataset, "--model", models[0], "--out", out) == 0
+    assert run("whatif", *dataset, "--model", models[0], "--retention", "0.5",
+               "--trials", "1", "--out", out) == 0
+    assert run("sweep", *dataset[:4], *dataset[6:], "--model", models[0],
+               "--misinfo-rate", "0.05", "--corrective-rate", "0.01", "--trials", "1",
+               "--out", out) == 0

@@ -118,8 +118,7 @@ def test_exposure_matrix_and_totals():
     assert m.counts.shape == (3, 7)
     assert m.counts[0, 0] == 3 and m.counts[1, 1] == 3
     assert list(total_exposures(m)) == [3, 3, 0, 0, 0, 0, 0]
-    rows = m.rows()
-    assert rows[2].counts == (0,) * 7
+    assert tuple(m.counts[2]) == (0,) * 7
 
 
 def test_exposure_matrix_validation():
@@ -151,3 +150,17 @@ def test_matrix_csv_rejects_garbage():
     bad_row = "day,x1,x2,x3,x4,x5,x6,x7\n2020-02-21,1,2\n"
     with pytest.raises(ExposureError):
         ExposureMatrix.from_csv(io.StringIO(bad_row))
+
+
+@pytest.mark.parametrize(
+    "text, line, what",
+    [
+        ("", 1, "expected header"),
+        ("day,x1,x2,x3,x4,x5,x6,x7\n2020-02-21,1,2,3,4,5,6,7\n2020-02-22,1,2,3,4,5,6,1.5\n",
+         3, "invalid literal"),
+        ("day,x1,x2,x3,x4,x5,x6,x7\nFeb 21,1,2,3,4,5,6,7\n", 2, "isoformat"),
+    ],
+)
+def test_matrix_csv_errors_are_line_numbered(text, line, what):
+    with pytest.raises(ExposureError, match=f"^line {line}: .*{what}"):
+        ExposureMatrix.from_csv(io.StringIO(text))

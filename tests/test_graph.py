@@ -197,6 +197,23 @@ def test_load_edges_malformed_record_line_number():
     assert exc.value.line_no == 3
 
 
+def test_malformed_record_counts_physical_lines():
+    text = 'follower_id,followee_id\n"a\nb",c\nd\n'
+    with pytest.raises(EdgeParseError) as exc:
+        load_edges(io.StringIO(text))
+    assert exc.value.line_no == 4
+
+
+def test_load_edges_skips_leading_comments():
+    text = "# exported 2020-03-10\n\n# by hand\nfollower_id,followee_id\na,b\n"
+    g = load_edges(io.StringIO(text))
+    assert g.external_ids == ("a", "b")
+    assert edges_of(g) == [(0, 1)]
+    with pytest.raises(EdgeParseError) as exc:
+        load_edges(io.StringIO("follower_id,followee_id\na,b\n# not a comment here\n"))
+    assert exc.value.line_no == 3
+
+
 def test_bare_carriage_return_is_line_numbered():
     text = "follower_id,followee_id\na,b\ncr\rid,x\n"
     with pytest.raises(EdgeParseError) as exc:
@@ -346,30 +363,40 @@ def test_saved_graphs_pinned(tmp_path):
 
 
 def reference_load(text: str):
-    """Row-by-row loader: (external ids, edge set, self-edges dropped)."""
+    """Row-by-row loader: (external ids, edge set, self-edges dropped).
+
+    Lines are split as a file opened with newline="" splits them; blank and
+    `#` comment lines before the header are skipped, and an error names the
+    physical line its record starts on."""
+    lines = io.StringIO(text, newline="").readlines()
+    skip = 0
+    while skip < len(lines) and (not lines[skip].strip() or lines[skip].lstrip().startswith("#")):
+        skip += 1
     ids: dict[str, int] = {}
     pairs: set[tuple[int, int]] = set()
     self_edges = 0
     saw_header = False
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(lines[skip:])
+    line_no = skip
     try:
-        for line_no, row in enumerate(reader, start=1):
+        for row in reader:
+            start, line_no = line_no + 1, skip + reader.line_num
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if not saw_header:
                 saw_header = True
                 if [c.strip() for c in row] == ["follower_id", "followee_id"]:
                     continue
-                raise EdgeParseError(line_no, "bad header")
+                raise EdgeParseError(start, "bad header")
             if len(row) != 2 or not row[0].strip() or not row[1].strip():
-                raise EdgeParseError(line_no, "malformed")
+                raise EdgeParseError(start, "malformed")
             a, b = row[0].strip(), row[1].strip()
             if a == b:
                 self_edges += 1
                 continue
             pairs.add((ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))))
     except csv.Error:
-        raise EdgeParseError(reader.line_num, "rejected by csv") from None
+        raise EdgeParseError(skip + reader.line_num, "rejected by csv") from None
     return tuple(ids), pairs, self_edges
 
 
@@ -395,11 +422,16 @@ BAD_ROWS = st.sampled_from(
 )
 
 
+# blank and comment lines before the header; a quote in a comment opens no field
+PROLOGUE = st.lists(st.sampled_from(["\n", " \n", "# note\n", "  #a,\"b\n", "#\r\n"]), max_size=3)
+
+
 @st.composite
 def edge_csvs(draw, malformed=False):
-    """Edge CSV text with duplicates, self-edges, blank lines and quoting."""
+    """Edge CSV text with a prologue, duplicates, self-edges, blank lines
+    and quoting."""
     buf = io.StringIO()
-    buf.write(draw(st.sampled_from(["", "\n", " \n"])))
+    buf.write("".join(draw(PROLOGUE)))
     buf.write(csv_row([" follower_id", "followee_id "] if draw(st.booleans()) else EDGE_HEADER))
     rows = draw(st.lists(st.tuples(EDGE_IDS, EDGE_IDS, PADDING, st.integers(0, 5)), max_size=30))
     bad_at = draw(st.integers(0, len(rows))) if malformed else -1
@@ -428,7 +460,7 @@ CHUNK_ROWS = st.sampled_from([1, 2, 3, graph_module._CHUNK_ROWS])
 def test_load_edges_matches_reference_loader(text, chunk_rows):
     ids, pairs, self_edges = reference_load(text)
     with mock.patch.object(graph_module, "_CHUNK_ROWS", chunk_rows):
-        g = load_edges(io.StringIO(text))
+        g = load_edges(io.StringIO(text, newline=""))
     assert g.external_ids == ids
     assert g.self_edges_dropped == self_edges
     assert_csr_equal(g, reference_csr(len(ids), pairs))
@@ -441,7 +473,7 @@ def test_load_edges_malformed_line_matches_reference(text, chunk_rows):
         reference_load(text)
     with mock.patch.object(graph_module, "_CHUNK_ROWS", chunk_rows):
         with pytest.raises(EdgeParseError) as got:
-            load_edges(io.StringIO(text))
+            load_edges(io.StringIO(text, newline=""))
     assert got.value.line_no == want.value.line_no
 
 

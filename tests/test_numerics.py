@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 from infodemic.numerics import (
     NumericsError,
     betainc_reg,
-    contribution_ratios,
-    jacobi_eigh,
     ols,
     pca,
     project,
-    reconstruct,
     t_cdf,
 )
 
@@ -103,32 +100,36 @@ OLS_R2 = 0.9929182172141969
 OLS_F = 373.88634933554175
 
 
-# -- eigensolver -------------------------------------------------------------
+# -- eigensolver (numpy's eigh behind pca) ------------------------------------
 
 
-def test_jacobi_matches_frozen_eigenvalues():
-    vals, vecs = jacobi_eigh(EIG_M)
-    assert np.allclose(np.sort(vals)[::-1], EIG_W, atol=1e-12)
+def data_with_covariance(a: np.ndarray, rows: int) -> np.ndarray:
+    """Rows whose sample covariance is the positive definite matrix `a`."""
+    z = np.random.default_rng(5).normal(size=(rows, len(a)))
+    q, _ = np.linalg.qr(z - z.mean(axis=0))  # orthonormal columns, each summing to 0
+    return np.sqrt(rows - 1) * q @ np.linalg.cholesky(a).T
+
+
+def test_pca_matches_frozen_eigenvalues():
+    # EIG_M is indefinite; EIG_M + 3I has its eigenvectors and is a covariance
+    p = pca(data_with_covariance(EIG_M + 3.0 * np.eye(5), rows=9))
+    vals, vecs = p.eigenvalues - 3.0, p.eigenvectors.T
+    assert np.allclose(vals, EIG_W, atol=1e-12)
     # eigen residual and orthonormality
     assert np.abs(EIG_M @ vecs - vecs @ np.diag(vals)).max() < 1e-12
     assert np.abs(vecs.T @ vecs - np.eye(5)).max() < 1e-12
 
 
-def test_jacobi_random_symmetric_residuals():
+def test_pca_random_covariance_residuals():
     rng = np.random.default_rng(0)
     for n in (2, 3, 7, 12):
-        a = rng.normal(size=(n, n))
-        a = (a + a.T) / 2
-        vals, vecs = jacobi_eigh(a)
+        x = rng.normal(size=(n + 5, n))
+        xc = x - x.mean(axis=0)
+        a = xc.T @ xc / (len(x) - 1)
+        p = pca(x)
+        vals, vecs = p.eigenvalues, p.eigenvectors.T
         assert np.abs(a @ vecs - vecs @ np.diag(vals)).max() < 1e-12
         assert np.allclose(np.sort(vals), np.sort(np.diag(vecs.T @ a @ vecs)), atol=1e-12)
-
-
-def test_jacobi_rejects_non_symmetric():
-    with pytest.raises(NumericsError):
-        jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(NumericsError):
-        jacobi_eigh(np.ones((2, 3)))
 
 
 # -- PCA ---------------------------------------------------------------------
@@ -161,7 +162,7 @@ def test_pca_project_reconstruct_roundtrip():
     x = rng.normal(size=(12, 4))
     p = pca(x)
     full = project(p, x, 4)
-    assert np.abs(reconstruct(p, full) - x).max() < 1e-10
+    assert np.abs(full @ p.eigenvectors + p.means - x).max() < 1e-10
     with pytest.raises(NumericsError):
         project(p, x, 0)
     with pytest.raises(NumericsError):
@@ -180,18 +181,18 @@ def test_pca_scores_are_uncorrelated():
 
 def test_pca_input_validation():
     with pytest.raises(NumericsError):
+        pca(np.ones(3))
+    with pytest.raises(NumericsError):
         pca(np.ones((1, 3)))
     with pytest.raises(NumericsError):
         pca(np.array([[1.0, np.nan], [2.0, 3.0]]))
 
 
 def test_contribution_ratios():
-    c = contribution_ratios(np.array([3.0, 1.0]))
-    assert np.allclose(c, [0.75, 0.25])
-    with pytest.raises(NumericsError):
-        contribution_ratios(np.array([-1.0, 2.0]))
-    with pytest.raises(NumericsError):
-        contribution_ratios(np.zeros(3))
+    p = pca(data_with_covariance(np.diag([3.0, 1.0]), rows=6))
+    assert np.allclose(p.contribution, [0.75, 0.25])
+    # no variance at all: every share is zero
+    assert np.array_equal(pca(np.ones((4, 3))).contribution, np.zeros(3))
 
 
 # -- OLS ---------------------------------------------------------------------

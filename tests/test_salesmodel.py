@@ -83,6 +83,23 @@ def test_series_csv_raw_form():
         SalesSeries.from_csv(io.StringIO("wrong,header\n"))
 
 
+@pytest.mark.parametrize(
+    "text, line, what",
+    [
+        ("", 1, "expected header"),
+        ("# only a comment\n", 2, "expected header"),
+        ("date,sales_index\n2020-02-21\n", 2, "malformed record"),  # short row
+        ("date,sales_index\n2020-02-21,0.1,7\n", 2, "malformed record"),  # extra column
+        ("date,sales_index\n2020-02-21,0.1\n2020-02-22,abc\n", 3, "could not convert"),
+        ("date,sales_index\nFeb 21,0.1\n", 2, "isoformat"),
+        ("date,sales,sales_prev_year\n2020-02-21,5,0\n", 2, "must be positive"),
+    ],
+)
+def test_series_csv_errors_are_line_numbered(text, line, what):
+    with pytest.raises(SalesModelError, match=f"^line {line}: .*{what}"):
+        SalesSeries.from_csv(io.StringIO(text))
+
+
 # -- fitting -----------------------------------------------------------------
 
 
