@@ -161,6 +161,7 @@ def simulate_cascades(
     *,
     corrective_blocks_misinfo: bool = False,
     seq_start: int | None = None,
+    first_correction: np.ndarray | None = None,
 ) -> list[Cascade]:
     """Day-synchronous stochastic diffusion of all seed tweets at once.
 
@@ -170,6 +171,13 @@ def simulate_cascades(
     (first exposure only).  With `corrective_blocks_misinfo`, a user who
     was already exposed to any corrective tweet as of the start of the
     decision day never retweets misinformation.
+
+    `first_correction` holds, per user, the index of the period day on
+    which the user was first exposed to a corrective tweet (any value
+    >= the period's length for never).  It seeds the run's own record, so
+    a misinformation-only run given the first-correction days of a
+    corrective run blocks exactly as the run holding both would; the
+    caller's array is not modified.
 
     Retweet decisions use one fixed uniform draw per (tweet, user) keyed
     off the seed, so runs with the same seed are coupled across rates:
@@ -201,11 +209,16 @@ def simulate_cascades(
 
     # (tweet, user) state lives under the key tweet * n + user
     exposed = np.zeros(len(seeds) * n, dtype=bool)
-    corrective_seen = np.zeros(n, dtype=bool)
+    n_days = (end - start).days + 1
+    if first_correction is None:
+        first_corr = np.full(n, n_days, dtype=np.int64)
+    else:
+        first_corr = np.array(first_correction, dtype=np.int64)
+        if first_corr.shape != (n,):
+            raise CascadeError("first_correction must hold one day per user")
     pending = np.zeros(0, dtype=np.int64)  # keys of retweets landing today
     events: list[list[RetweetEvent]] = [[] for _ in seeds]
-    followers = graph._followers
-    for d in range((end - start).days + 1):
+    for d in range(n_days):
         seeded = np.flatnonzero(seed_day == d)
         if len(seeded) == 0 and len(pending) == 0:
             continue
@@ -216,28 +229,32 @@ def simulate_cascades(
             seq += 1
         # every actor (author or retweeter) exposes itself and its followers
         actors = np.concatenate([seeded * n + author[seeded], pending])
-        tweet, user = np.divmod(actors, n)
-        first = followers.indptr[user]
-        counts = followers.indptr[user + 1] - first
-        reached = followers.indices[_segments(first, counts)]
-        keys = _sorted_unique(np.concatenate([actors, np.repeat(tweet * n, counts) + reached]))
+        keys = _sorted_unique(_audience(graph, actors))
         new = keys[~exposed[keys]]
         exposed[new] = True
         tweet, user = np.divmod(new, n)
         # the newly exposed decide once, on their first exposure
         hit = (user != author[tweet]) & (uniform_for_users(skey[tweet], user) < rate[tweet])
         # corrective exposure counts from the next day on
-        hit &= ~(blockable[tweet] & corrective_seen[user])
-        corrective_seen[user[corrective[tweet]]] = True
+        hit &= ~(blockable[tweet] & (first_corr[user] < d))
+        corrected = user[corrective[tweet]]
+        first_corr[corrected] = np.minimum(first_corr[corrected], d)
         pending = new[hit]
     return [Cascade(s, tuple(evs)) for s, evs in zip(seeds, events)]
 
 
-def _segments(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated index ranges first[i] .. first[i] + counts[i] - 1
-    (at least one range)."""
+def _audience(graph: SocialGraph, actors: np.ndarray) -> np.ndarray:
+    """For actor keys `g * n + u` (at least one), the actor keys followed by
+    `g * n + v` for each follower v of u: one segment-gather over the
+    follower CSR, unsorted and with repeats."""
+    n = graph.n_users
+    group, user = np.divmod(actors, n)
+    followers = graph._followers
+    first = followers.indptr[user]
+    counts = followers.indptr[user + 1] - first
     ends = np.cumsum(counts)
-    return np.repeat(first - (ends - counts), counts) + np.arange(ends[-1])
+    reached = followers.indices[np.repeat(first - (ends - counts), counts) + np.arange(ends[-1])]
+    return np.concatenate([actors, np.repeat(group * n, counts) + reached])
 
 
 # -- CSV I/O ---------------------------------------------------------------
@@ -248,9 +265,13 @@ def load_seed_tweets(stream: TextIO | Iterable[str], graph: SocialGraph) -> list
 
     Seed seq numbers are not part of the file format; they are assigned
     from day order (ties broken by tweet id) with gaps left for events.
+    A tweet id used on two rows is an error.
     """
     parsed = []
+    first_line: dict[str, int] = {}
     for line_no, row in read_table(stream, [TWEET_HEADER], CascadeError):
+        if (prev := first_line.setdefault(row[0], line_no)) != line_no:
+            raise CascadeError(f"line {line_no}: tweet id {row[0]!r} repeats line {prev}")
         try:
             d, author = date.fromisoformat(row[3]), graph.dense_id(row[1])
             parsed.append((d, row[0], author, TweetCategory.from_label(row[2])))

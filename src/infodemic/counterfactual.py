@@ -28,7 +28,16 @@ from .cascade import (
     sample_keep_set,
     simulate_cascades,
 )
-from .exposure import ExposureMatrix, exposure_matrix, total_exposures
+from .exposure import (
+    ExposureMatrix,
+    _add_reach,
+    _code,
+    _code_counts,
+    _matrix,
+    _reach,
+    exposure_matrix,
+    total_exposures,
+)
 from .graph import SocialGraph
 from .salesmodel import FittedSalesModel, SalesSeries, predict, sum_index
 
@@ -287,26 +296,52 @@ def sweep(
 
     Trial seeds depend only on (base_seed, trial), not on the cell, so
     runs at different rates within one trial share their per-(tweet,
-    user) retweet draws and are monotone-coupled across rates.
+    user) retweet draws and are monotone-coupled across rates.  Each cell
+    equals `simulate_trial` at its rates and trial seed.
+
+    A tweet's cascade depends only on its own draws, the graph and, for
+    misinformation, each user's first day of corrective exposure.  So a
+    trial simulates the soldout tweets once, the corrective tweets once
+    per corrective rate, and the misinformation tweets once per cell,
+    gated by that rate's first-correction days.  A cell's class counts
+    are the corrective-plus-soldout counts of its corrective rate, with
+    every (day, user) the misinformation reaches moved to the class that
+    adds misinformation.
     """
     if not corrective_rates or not misinfo_rates:
         raise ExperimentError("rate lists must be non-empty")
-    trial_seeds = [derive_seed(base_seed, "trial", t) for t in range(trials)]
-    cells = []
     for m_rate in misinfo_rates:
-        for c_rate in corrective_rates:
-            cfg = ExperimentConfig(
-                corrective_rt_rate=c_rate,
-                misinfo_rt_rate=m_rate,
-                soldout_rt_rate=soldout_rt_rate,
-                trials=trials,
-                base_seed=base_seed,
-            )
-            sums = tuple(
-                simulate_trial(graph, seed_tweets, model, cfg, period, ts, t).sum_index
-                for t, ts in enumerate(trial_seeds)
-            )
-            cells.append(SweepCell(m_rate, c_rate, sums))
+        for c_rate in corrective_rates:  # each cell's config checks its rates
+            ExperimentConfig(c_rate, m_rate, soldout_rt_rate, trials, base_seed)
+    start, end = period
+    n_days = (end - start).days + 1
+    by_cat = {cat: [s for s in seed_tweets if s.category is cat] for cat in TweetCategory}
+    sums: list[list[list[float]]] = [[[] for _ in corrective_rates] for _ in misinfo_rates]
+    for t in range(trials):
+        ts = derive_seed(base_seed, "trial", t)
+
+        def reached(cat: TweetCategory, rate: float, **kw) -> np.ndarray:
+            cascades = simulate_cascades(graph, by_cat[cat], {cat: rate}, period, ts, **kw)
+            return _reach(graph, cascades, start, n_days)
+
+        soldout = _code(reached(TweetCategory.SOLDOUT, soldout_rt_rate), TweetCategory.SOLDOUT)
+        for j, c_rate in enumerate(corrective_rates):
+            corrective = reached(TweetCategory.CORRECTIVE, c_rate)
+            first_corr = np.where(corrective.any(axis=0), corrective.argmax(axis=0), n_days)
+            base = _code(corrective, TweetCategory.CORRECTIVE) | soldout
+            base_counts = _code_counts(base)
+            for i, m_rate in enumerate(misinfo_rates):
+                mis = reached(
+                    TweetCategory.MISINFORMATION, m_rate,
+                    corrective_blocks_misinfo=True, first_correction=first_corr,
+                )
+                counts = _add_reach(base, base_counts, mis, TweetCategory.MISINFORMATION)
+                sums[i][j].append(sum_index(predict(model, _matrix(start, counts))))
+    cells = [
+        SweepCell(m_rate, c_rate, tuple(sums[i][j]))
+        for i, m_rate in enumerate(misinfo_rates)
+        for j, c_rate in enumerate(corrective_rates)
+    ]
     return SweepGrid(tuple(cells), trials)
 
 

@@ -6,6 +6,8 @@ retweets by accounts they follow).  The seven non-empty category
 combinations partition the day's exposed users; users with no same-day
 exposure are not counted.  Daily counts are summed over days with
 repetition: the same user can contribute to a class on several days.
+A user's categories on a day are held as one 3-bit code, and the whole
+period is counted with one bincount over (day, code).
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from datetime import date, timedelta
+from itertools import chain
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
 from ._table import read_table, write_table
-from .cascade import Cascade, TweetCategory
+from .cascade import Cascade, TweetCategory, _audience
 from .graph import SocialGraph
 
 MATRIX_HEADER = ["day", "x1", "x2", "x3", "x4", "x5", "x6", "x7"]
@@ -80,31 +83,84 @@ class ExposureMatrix:
                 rows.append([int(x) for x in row[1:]])
             except ValueError as e:
                 raise ExposureError(f"line {line_no}: {e}") from None
+            if min(rows[-1]) < 0:
+                raise ExposureError(f"line {line_no}: negative class count {min(rows[-1])}")
         return cls(tuple(days), np.array(rows, dtype=np.int64).reshape(len(days), 7))
 
 
-def _category_masks(
+# bit of each category in a user's 3-bit category code C | M << 1 | S << 2
+_CATEGORY_BITS = {
+    TweetCategory.CORRECTIVE: 1,
+    TweetCategory.MISINFORMATION: 2,
+    TweetCategory.SOLDOUT: 4,
+}
+# class x1..x7 -> the category code its users hold
+_CLASS_CODES = np.array([sum(_CATEGORY_BITS[c] for c in cats) for cats in CLASS_CATEGORIES])
+
+
+def _reach(
     graph: SocialGraph,
     cascades: Sequence[Cascade],
-    day: date,
+    start: date,
+    n_days: int,
     *,
-    cumulative: bool,
-    include_actors: bool,
-) -> dict[TweetCategory, np.ndarray]:
-    masks = {cat: np.zeros(graph.n_users, dtype=bool) for cat in TweetCategory}
-    for c in cascades:
-        m = masks[c.seed.category]
-        hit = c.seed.day == day or (cumulative and c.seed.day <= day)
-        if hit:
-            m[graph.followers_array(c.seed.author)] = True
-            if include_actors:
-                m[c.seed.author] = True
-        for ev in c.events:
-            if ev.day == day or (cumulative and ev.day <= day):
-                m[graph.followers_array(ev.user)] = True
-                if include_actors:
-                    m[ev.user] = True
-    return masks
+    cumulative: bool = False,
+    include_actors: bool = True,
+) -> np.ndarray:
+    """(n_days, n_users) bool: who the cascades reach on each period day.
+
+    An actor (a seed author on the seed day, a retweeter on the retweet
+    day) reaches its followers, and itself with `include_actors`.
+    `cumulative` counts activity before the period on its first day and
+    carries every day's reach forward.
+    """
+    n = graph.n_users
+    seeds = [c.seed for c in cascades]
+    events = [ev for c in cascades for ev in c.events]
+    k = len(seeds) + len(events)
+    day = np.fromiter((x.day.toordinal() for x in chain(seeds, events)), np.int64, k)
+    day -= start.toordinal()
+    actor = np.fromiter(chain((s.author for s in seeds), (ev.user for ev in events)), np.int64, k)
+    if cumulative:
+        np.maximum(day, 0, out=day)
+    inside = (day >= 0) & (day < n_days)
+    actors = day[inside] * n + actor[inside]
+    out = np.zeros((n_days, n), dtype=bool)
+    if len(actors):
+        keys = _audience(graph, actors)
+        out.reshape(-1)[keys if include_actors else keys[len(actors) :]] = True
+    if cumulative:
+        np.logical_or.accumulate(out, axis=0, out=out)
+    return out
+
+
+def _code(reach: np.ndarray, cat: TweetCategory) -> np.ndarray:
+    """uint8 array holding the category's bit where `reach` is set."""
+    return reach.view(np.uint8) * np.uint8(_CATEGORY_BITS[cat])
+
+
+def _code_counts(code: np.ndarray) -> np.ndarray:
+    """(n_days, 8) count of each category code per day of an
+    (n_days, n_users) code array."""
+    keys = np.flatnonzero(code)
+    return _tally(keys, code.reshape(-1)[keys], *code.shape)
+
+
+def _add_reach(
+    code: np.ndarray, counts: np.ndarray, reach: np.ndarray, cat: TweetCategory
+) -> np.ndarray:
+    """`_code_counts` of `code` with `cat` added wherever `reach` is set,
+    updated from `counts` (those of `code`, which must lack `cat`) by
+    moving only the reached (day, user) pairs to their new code."""
+    keys = np.flatnonzero(reach)
+    old = code.reshape(-1)[keys]
+    new = old | np.uint8(_CATEGORY_BITS[cat])
+    return counts + _tally(keys, new, *code.shape) - _tally(keys, old, *code.shape)
+
+
+def _tally(keys: np.ndarray, codes: np.ndarray, n_days: int, n_users: int) -> np.ndarray:
+    # one bincount over (day, code) for keys day * n_users + user
+    return np.bincount(keys // n_users * 8 + codes, minlength=8 * n_days).reshape(n_days, 8)
 
 
 def daily_exposures(
@@ -122,22 +178,10 @@ def daily_exposures(
     instead of the day alone.  `include_actors` counts tweet authors and
     retweeters themselves as viewers of their own action (default on).
     """
-    m = _category_masks(
-        graph, cascades, day, cumulative=cumulative, include_actors=include_actors
+    m = exposure_matrix(
+        graph, cascades, (day, day), cumulative=cumulative, include_actors=include_actors
     )
-    c = m[TweetCategory.CORRECTIVE]
-    mi = m[TweetCategory.MISINFORMATION]
-    s = m[TweetCategory.SOLDOUT]
-    counts = (
-        int(np.count_nonzero(c & ~mi & ~s)),
-        int(np.count_nonzero(~c & mi & ~s)),
-        int(np.count_nonzero(~c & ~mi & s)),
-        int(np.count_nonzero(c & mi & ~s)),
-        int(np.count_nonzero(c & ~mi & s)),
-        int(np.count_nonzero(~c & mi & s)),
-        int(np.count_nonzero(c & mi & s)),
-    )
-    return DailyExposure(day, counts)
+    return DailyExposure(day, tuple(m.counts[0].tolist()))
 
 
 def exposure_matrix(
@@ -152,18 +196,21 @@ def exposure_matrix(
     start, end = period
     if end < start:
         raise ExposureError("empty period")
-    days: list[date] = []
-    rows: list[tuple[int, ...]] = []
-    d = start
-    while d <= end:
-        days.append(d)
-        rows.append(
-            daily_exposures(
-                graph, cascades, d, cumulative=cumulative, include_actors=include_actors
-            ).counts
+    n_days = (end - start).days + 1
+    code = np.zeros((n_days, graph.n_users), dtype=np.uint8)
+    for cat in TweetCategory:
+        mine = [c for c in cascades if c.seed.category is cat]
+        seen = _reach(
+            graph, mine, start, n_days, cumulative=cumulative, include_actors=include_actors
         )
-        d += timedelta(days=1)
-    return ExposureMatrix(tuple(days), np.array(rows, dtype=np.int64))
+        code |= _code(seen, cat)
+    return _matrix(start, _code_counts(code))
+
+
+def _matrix(start: date, per_code: np.ndarray) -> ExposureMatrix:
+    """The exposure matrix of per-day category-code counts from `start` on."""
+    days = tuple(start + timedelta(days=i) for i in range(len(per_code)))
+    return ExposureMatrix(days, per_code[:, _CLASS_CODES])
 
 
 def total_exposures(matrix: ExposureMatrix) -> np.ndarray:

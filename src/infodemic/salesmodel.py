@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -22,8 +22,6 @@ from .exposure import ExposureMatrix
 from .numerics import NumericsError, OlsResult, PcaResult, ols, pca, project
 
 MODEL_FORMAT_VERSION = 1
-
-YEAR_OFFSET_DAYS = 364  # same weekday one year back
 
 # sales.csv holds the index itself, or raw sales it is computed from
 SALES_HEADERS = (["date", "sales_index"], ["date", "sales", "sales_prev_year"])

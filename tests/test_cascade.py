@@ -370,6 +370,49 @@ def test_simulation_matches_per_tweet_reference(case):
     assert got == reference_simulate(graph, seeds, rates, period, rng_seed, **kw)
 
 
+def first_correction_days(graph, cascades, period):
+    """Per user, the period day index of the first corrective exposure
+    (as an actor or a follower of one); the period's length for never."""
+    start, end = period
+    n_days = (end - start).days + 1
+    first = np.full(graph.n_users, n_days)
+    for c in cascades:
+        assert c.seed.category is TweetCategory.CORRECTIVE
+        for day, actor in [(c.seed.day, c.seed.author)] + [(e.day, e.user) for e in c.events]:
+            d = (day - start).days
+            if 0 <= d < n_days:
+                for u in [actor, *graph.followers_array(actor).tolist()]:
+                    first[u] = min(first[u], d)
+    return first
+
+
+@given(simulation_cases())
+@settings(max_examples=200, deadline=None)
+def test_misinfo_run_given_first_correction_days_matches_joint_run(case):
+    graph, seeds, rates, period, rng_seed, _ = case
+    joint = simulate_cascades(
+        graph, seeds, rates, period, rng_seed, corrective_blocks_misinfo=True
+    )
+    corrective = [s for s in seeds if s.category is TweetCategory.CORRECTIVE]
+    misinfo = [s for s in seeds if s.category is TweetCategory.MISINFORMATION]
+    first = first_correction_days(
+        graph, simulate_cascades(graph, corrective, rates, period, rng_seed), period
+    )
+    alone = simulate_cascades(
+        graph, misinfo, rates, period, rng_seed,
+        corrective_blocks_misinfo=True, first_correction=first,
+    )
+
+    def acts(cascades):
+        return {
+            c.seed.tweet_id: [(e.user, e.day) for e in c.events]
+            for c in cascades
+            if c.seed.category is TweetCategory.MISINFORMATION
+        }
+
+    assert acts(alone) == acts(joint)
+
+
 def test_uniform_draws_accept_per_user_keys():
     users = np.arange(50)
     keys = np.array([derive_seed(3, "rt", f"t{u % 4}") for u in users], dtype=np.uint64)
@@ -425,6 +468,18 @@ def test_load_seed_tweets_errors():
         load_seed_tweets(io.StringIO("bad,header\n"), g)
     text = "tweet_id,author_id,category,day\nt0,u0,corrective,not-a-date\n"
     with pytest.raises(CascadeError):
+        load_seed_tweets(io.StringIO(text), g)
+
+
+def test_load_seed_tweets_rejects_repeated_tweet_id():
+    g = SocialGraph(2, [(1, 0)], external_ids=["u0", "u1"])
+    text = (
+        "tweet_id,author_id,category,day\n"
+        "t0,u0,corrective,2020-02-21\n"
+        "t1,u0,soldout,2020-02-21\n"
+        "t0,u1,misinformation,2020-02-22\n"
+    )
+    with pytest.raises(CascadeError, match="^line 4: tweet id 't0' repeats line 2"):
         load_seed_tweets(io.StringIO(text), g)
 
 

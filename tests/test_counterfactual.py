@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from infodemic._rng import derive_seed
-from infodemic.cascade import Cascade, RetweetEvent, SeedTweet, TweetCategory, prune_cascade
+from infodemic.cascade import (
+    Cascade,
+    RetweetEvent,
+    SeedTweet,
+    TweetCategory,
+    prune_cascade,
+    simulate_cascades,
+)
 from infodemic.counterfactual import (
     CORRECTIVE_RATE_LEVELS,
     MISINFO_RATE_LEVELS,
@@ -196,22 +203,63 @@ def test_sweep_grid_shape_and_stats(small_replica, fitted):
         sweep(r.graph, r.seed_tweets, fitted, [], [0.0], 1, 0, r.config.period)
 
 
+def misinfo_retweets(r, rates, trial_seed, blocks):
+    cascades = simulate_cascades(
+        r.graph, r.seed_tweets, rates, r.config.period, trial_seed, corrective_blocks_misinfo=blocks
+    )
+    return sum(len(c.events) for c in cascades if c.seed.category is TweetCategory.MISINFORMATION)
+
+
 def test_sweep_equals_per_cell_trials(small_replica, fitted):
     r = small_replica
     kw = dict(
-        corrective_rates=[0.0079, 0.0], misinfo_rates=[0.0186],
+        corrective_rates=[0.0079, 0.0, 0.05], misinfo_rates=[0.0, 0.05, 0.2],
         trials=2, base_seed=9, period=r.config.period,
     )
     grid = sweep(r.graph, r.seed_tweets, fitted, **kw)
+    assert len(grid.cells) == 9
+    blocked = 0
     for c in grid.cells:
         cfg = ExperimentConfig(misinfo_rt_rate=c.misinfo_rate, corrective_rt_rate=c.corrective_rate)
-        want = tuple(
-            simulate_trial(
-                r.graph, r.seed_tweets, fitted, cfg, r.config.period, derive_seed(9, "trial", t), t
-            ).sum_index
-            for t in range(2)
-        )
-        assert c.sums == want
+        want = []
+        for t in range(2):
+            ts = derive_seed(9, "trial", t)
+            want.append(
+                simulate_trial(r.graph, r.seed_tweets, fitted, cfg, r.config.period, ts, t).sum_index
+            )
+            rates = {
+                TweetCategory.MISINFORMATION: c.misinfo_rate,
+                TweetCategory.CORRECTIVE: c.corrective_rate,
+                TweetCategory.SOLDOUT: cfg.soldout_rt_rate,
+            }
+            blocked += misinfo_retweets(r, rates, ts, False) - misinfo_retweets(r, rates, ts, True)
+        assert c.sums == tuple(want)
+    # corrective exposure gates misinformation somewhere on this grid
+    assert blocked > 0
+
+
+def test_sweep_gates_misinfo_from_the_day_after_correction():
+    # user 1 follows the misinformation author 0 and the corrective author
+    # 2, and user 3 follows 1; a correction seen the same day does not gate
+    g = SocialGraph(4, [(1, 0), (1, 2), (3, 1)])
+    day = REAL_PERIOD[0]
+    seeds = [
+        SeedTweet("c", 2, TweetCategory.CORRECTIVE, day, -3),
+        SeedTweet("m", 0, TweetCategory.MISINFORMATION, day, -2),
+        SeedTweet("m2", 0, TweetCategory.MISINFORMATION, date(2020, 2, 22), -1),
+    ]
+    rates = {TweetCategory.MISINFORMATION: 1.0}
+    c, m, m2 = simulate_cascades(
+        g, seeds, rates, REAL_PERIOD, derive_seed(0, "trial", 0), corrective_blocks_misinfo=True
+    )
+    assert m.retweeters == (1, 3) and m2.retweeters == ()
+    model = reference_model(4)
+    grid = sweep(g, seeds, model, [0.0], [0.0, 1.0], 1, 0, REAL_PERIOD)
+    for cell in grid.cells:
+        cfg = ExperimentConfig(misinfo_rt_rate=cell.misinfo_rate, corrective_rt_rate=0.0)
+        want = simulate_trial(g, seeds, model, cfg, REAL_PERIOD, derive_seed(0, "trial", 0))
+        assert cell.sums == (want.sum_index,)
+    assert grid.cells[0].sums != grid.cells[1].sums
 
 
 def test_sweep_coupled_trials_monotone_exposure(small_replica, fitted):

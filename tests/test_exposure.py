@@ -82,6 +82,18 @@ def test_daily_exposures_matches_per_user_oracle(cumulative, include_actors):
                 g, cascades, day, cumulative=cumulative, include_actors=include_actors
             )
             assert got == want
+        # a period that starts after day-0 activity and ends before day-5
+        first = DAY0 + timedelta(days=int(rng.integers(1, 4)))
+        last = first + timedelta(days=int(rng.integers(0, 5 - (first - DAY0).days)))
+        m = exposure_matrix(
+            g, cascades, (first, last), cumulative=cumulative, include_actors=include_actors
+        )
+        assert m.days[0] == first and m.days[-1] == last
+        for day, row in zip(m.days, m.counts.tolist()):
+            want = oracle_daily(
+                g, cascades, day, cumulative=cumulative, include_actors=include_actors
+            )
+            assert tuple(row) == want
 
 
 def test_classes_partition_exposed_users():
@@ -159,6 +171,8 @@ def test_matrix_csv_rejects_garbage():
         ("day,x1,x2,x3,x4,x5,x6,x7\n2020-02-21,1,2,3,4,5,6,7\n2020-02-22,1,2,3,4,5,6,1.5\n",
          3, "invalid literal"),
         ("day,x1,x2,x3,x4,x5,x6,x7\nFeb 21,1,2,3,4,5,6,7\n", 2, "isoformat"),
+        ("day,x1,x2,x3,x4,x5,x6,x7\n2020-02-20,0,0,0,0,0,0,0\n2020-02-21,-5,0,0,0,0,0,0\n",
+         3, "negative class count -5"),
     ],
 )
 def test_matrix_csv_errors_are_line_numbered(text, line, what):
