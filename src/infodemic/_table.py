@@ -126,13 +126,16 @@ def csv_field(value: str) -> str:
     return '"' + value.replace('"', '""') + '"'
 
 
-def atomic_write(path: str | os.PathLike, text: str) -> None:
-    """Write `text` to a temp file beside `path`, then rename it over `path`."""
+def atomic_write(path: str | os.PathLike, data: str | bytes) -> None:
+    """Write `data`, text as UTF-8, to a temp file beside `path`, then
+    rename it over `path`."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     d = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -200,6 +200,9 @@ def simulate_cascades(
     author = np.array([s.author for s in seeds], dtype=np.int64)
     seed_day = np.array([(s.day - start).days for s in seeds], dtype=np.int64)
     rate = np.array([rt_rates.get(s.category, 0.0) for s in seeds], dtype=np.float64)
+    # masking out the keys of rate-0 tweets costs more than it saves when
+    # there are none
+    some_rate_zero = not rate.all()
     corrective = np.array([s.category is TweetCategory.CORRECTIVE for s in seeds], dtype=bool)
     blockable = np.array(
         [corrective_blocks_misinfo and s.category is TweetCategory.MISINFORMATION for s in seeds],
@@ -234,7 +237,13 @@ def simulate_cascades(
         exposed[new] = True
         tweet, user = np.divmod(new, n)
         # the newly exposed decide once, on their first exposure
-        hit = (user != author[tweet]) & (uniform_for_users(skey[tweet], user) < rate[tweet])
+        hit = user != author[tweet]
+        if some_rate_zero:  # a tweet at rate 0 takes no draw
+            hit &= rate[tweet] > 0
+            live = np.flatnonzero(hit)
+            hit[live] = uniform_for_users(skey[tweet[live]], user[live]) < rate[tweet[live]]
+        else:
+            hit &= uniform_for_users(skey[tweet], user) < rate[tweet]
         # corrective exposure counts from the next day on
         hit &= ~(blockable[tweet] & (first_corr[user] < d))
         corrected = user[corrective[tweet]]
@@ -292,23 +301,39 @@ def load_retweets(
     """Parse the retweet CSV (`user_id,tweet_id,day,seq`) into cascades.
 
     Every seed yields a cascade (possibly with zero events); retweets of
-    unknown tweet ids are an error.  `seq` is a global order: a value used
-    twice, or equal to a seed tweet's seq, is an error.
+    unknown tweet ids are an error, and so are a retweet dated before its
+    tweet and a second retweet of one tweet by one user.  `seq` is a
+    global order: a value used twice, equal to a seed tweet's seq, or below
+    the seq of the retweeted tweet is an error.
     """
     by_tweet = {s.tweet_id: s for s in seeds}
     seed_seqs = {s.seq: s.tweet_id for s in seeds}
     first_line: dict[int, int] = {}
+    retweet_line: dict[tuple[str, int], int] = {}
     buckets: dict[str, list[RetweetEvent]] = {s.tweet_id: [] for s in seeds}
     for line_no, row in read_table(stream, [RETWEET_HEADER], CascadeError):
         tid = row[1]
-        if tid not in by_tweet:
+        if (tweet := by_tweet.get(tid)) is None:
             raise CascadeError(f"line {line_no}: retweet of unknown tweet {tid!r}")
         try:
             user, d, seq = graph.dense_id(row[0]), date.fromisoformat(row[2]), int(row[3])
         except ValueError as e:
             raise CascadeError(f"line {line_no}: {e}") from None
+        if d < tweet.day:
+            raise CascadeError(
+                f"line {line_no}: user {row[0]!r} retweets tweet {tid!r} on {d}, "
+                f"before its day {tweet.day}"
+            )
+        if (prev := retweet_line.setdefault((tid, user), line_no)) != line_no:
+            raise CascadeError(
+                f"line {line_no}: user {row[0]!r} retweets tweet {tid!r} again (line {prev})"
+            )
         if seq in seed_seqs:
             raise CascadeError(f"line {line_no}: seq {seq} is the seq of tweet {seed_seqs[seq]!r}")
+        if seq < tweet.seq:
+            raise CascadeError(
+                f"line {line_no}: seq {seq} precedes the seq {tweet.seq} of tweet {tid!r}"
+            )
         if (prev := first_line.setdefault(seq, line_no)) != line_no:
             raise CascadeError(f"line {line_no}: seq {seq} repeats line {prev}")
         buckets[tid].append(RetweetEvent(user, tid, d, seq))

@@ -62,8 +62,6 @@ class ExperimentConfig:
     soldout_rt_rate: float = 0.004
     trials: int = 10
     base_seed: int = 0
-    guideline: bool = False
-    period: tuple[date, date] | None = None
 
     def __post_init__(self):
         for r in (self.corrective_rt_rate, self.misinfo_rt_rate, self.soldout_rt_rate):

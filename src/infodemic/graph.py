@@ -8,12 +8,15 @@ Graphs are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
+import csv
+import hashlib
+import io
 import logging
 import os
 from dataclasses import dataclass
 from itertools import chain, compress
 from operator import ne
-from typing import Iterable, Sequence, TextIO
+from typing import BinaryIO, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -24,6 +27,10 @@ log = logging.getLogger("infodemic.graph")
 EDGE_HEADER = ["follower_id", "followee_id"]
 # edge records parsed per step of load_edges
 _CHUNK_ROWS = 1 << 12
+# `<edges csv>.csr` holds the parsed graph of that CSV: this header, the
+# CSV's sha256, then the arrays of `_sidecar_bytes`, each in `np.save`
+# format; the header's number is the layout's version
+_SIDECAR_HEAD = b"infodemic edge csr 1\n"
 
 
 class GraphError(ValueError):
@@ -41,13 +48,18 @@ class _Csr:
 
     __slots__ = ("indptr", "indices")
 
-    def __init__(self, n: int, keys: np.ndarray):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        self.indptr, self.indices = indptr, indices
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+
+    @classmethod
+    def from_keys(cls, n: int, keys: np.ndarray) -> "_Csr":
         """From sorted, distinct `src * n + dst` edge keys."""
-        src, self.indices = np.divmod(keys, n)
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
-        self.indptr.setflags(write=False)
-        self.indices.setflags(write=False)
+        src, indices = np.divmod(keys, n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return cls(indptr, indices)
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u] : self.indptr[u + 1]]
@@ -94,15 +106,35 @@ class SocialGraph:
         if len(arr) and (arr.min() < 0 or arr.max() >= n):
             raise GraphError("edge endpoint outside 0..n_users-1")
         keys = _sorted_unique(arr[:, 0] * n + arr[:, 1])
-        self.n_users = n
-        self.n_edges = len(keys)
-        self.self_edges_dropped = self_edges_dropped + dropped
-        self._follows = _Csr(n, keys)
-        self._followers = _Csr(n, np.sort(keys % n * n + keys // n))
         if external_ids is None:
             external_ids = [str(i) for i in range(n)]
+        self._assign(
+            _Csr.from_keys(n, keys),
+            _Csr.from_keys(n, np.sort(keys % n * n + keys // n)),
+            external_ids,
+            self_edges_dropped + dropped,
+        )
+
+    @classmethod
+    def _from_csr(
+        cls, follows: _Csr, followers: _Csr, external_ids: Sequence[str], self_edges_dropped: int
+    ) -> "SocialGraph":
+        """A graph over adjacency already sorted, deduplicated and free of
+        self-edges, `followers` the transpose of `follows`; taken as is."""
+        g = cls.__new__(cls)
+        g._assign(follows, followers, external_ids, self_edges_dropped)
+        return g
+
+    def _assign(
+        self, follows: _Csr, followers: _Csr, external_ids: Sequence[str], self_edges_dropped: int
+    ) -> None:
+        n = len(follows.indptr) - 1
         if len(external_ids) != n:
             raise GraphError("external_ids length must equal n_users")
+        self.n_users = n
+        self.n_edges = len(follows.indices)
+        self.self_edges_dropped = self_edges_dropped
+        self._follows, self._followers = follows, followers
         self.external_ids = tuple(external_ids)
         self._id_index = {x: i for i, x in enumerate(self.external_ids)}
 
@@ -317,15 +349,162 @@ def _raise_malformed(rows: list[list[str]], line_no: int) -> None:
 
 
 def load_edges_file(path: str | os.PathLike) -> SocialGraph:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return load_edges(fh)
+    """`load_edges` of the file, parsed at most once per content.
+
+    The parse is kept in the sidecar `<path>.csr`, keyed by the CSV's
+    sha256 and a format version, and later loads of the same bytes read the
+    graph from there.  A sidecar that is missing, stale, unreadable or
+    inconsistent means a parse, and a sidecar that cannot be written is
+    left out; neither is an error.
+    """
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    try:
+        graph = _read_sidecar(_sidecar_path(path), digest.digest())
+    except (OSError, ValueError, EOFError) as e:  # UnicodeDecodeError is a ValueError
+        log.debug("parsing %s: its sidecar is unusable (%s)", path, e)
+    else:
+        if graph.self_edges_dropped:
+            log.warning("dropped %d self-follow edge(s)", graph.self_edges_dropped)
+        return graph
+    # the sidecar is keyed by the bytes parsed, even if the file just changed
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # the text stream `open(path, encoding="utf-8", newline="")` would give
+    graph = load_edges(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    _write_sidecar(path, hashlib.sha256(data).digest(), graph)
+    return graph
 
 
 def save_edges(graph: SocialGraph, path: str | os.PathLike) -> None:
     """Write the edge CSV atomically (temp file + rename), rows in
-    (follower, followee) dense-id order."""
+    (follower, followee) dense-id order, then the sidecar `load_edges_file`
+    reads for it when every id reloads as it is."""
     fields = np.array([csv_field(x) for x in graph.external_ids], dtype=object)
     follows = graph._follows
     src = np.repeat(np.arange(graph.n_users), np.diff(follows.indptr))
     rows = map("{},{}\n".format, fields[src], fields[follows.indices])
-    atomic_write(path, ",".join(EDGE_HEADER) + "\n" + "".join(rows))
+    data = (",".join(EDGE_HEADER) + "\n" + "".join(rows)).encode("utf-8")
+    atomic_write(path, data)
+    if _ids_reload_intact(graph):
+        _write_sidecar(path, hashlib.sha256(data).digest(), _reloaded(graph, src))
+
+
+def _ids_reload_intact(graph: SocialGraph) -> bool:
+    """Whether the saved ids parse back as themselves, each its own user:
+    distinct, non-empty, free of surrounding whitespace, and neither
+    holding a NUL (a csv error before Python 3.11) nor over the csv
+    module's field size limit."""
+    ids = graph.external_ids
+    return (
+        len(graph._id_index) == len(ids)
+        and all(ids)
+        and all(map(str.__eq__, ids, map(str.strip, ids)))
+        and "\0" not in "".join(ids)
+        and max(map(len, ids), default=0) <= csv.field_size_limit()
+    )
+
+
+def _reloaded(graph: SocialGraph, src: np.ndarray) -> SocialGraph:
+    """The graph `load_edges` parses from `save_edges`' CSV of `graph`, whose
+    ids reload intact and are distinct: dense ids renumbered by first
+    appearance over the rows, isolated users gone."""
+    n, m, dst = graph.n_users, graph.n_edges, graph._follows.indices
+    # a user's first position in the interleaved (src, dst) rows: twice its
+    # first row as a follower, or twice its first row as a followee plus one;
+    # that row holds its smallest follower
+    first = np.full(n, 2 * m)
+    follower = np.flatnonzero(np.diff(graph._follows.indptr))
+    first[follower] = 2 * graph._follows.indptr[follower]
+    followers = graph._followers
+    followee = np.flatnonzero(np.diff(followers.indptr))
+    key = followers.indices[followers.indptr[followee]] * n + followee
+    row = np.searchsorted(src * n + dst, key)
+    first[followee] = np.minimum(first[followee], 2 * row + 1)
+    order = np.argsort(first)[: np.count_nonzero(first < 2 * m)]
+    dense = np.empty(n, dtype=np.int64)
+    dense[order] = np.arange(len(order))
+    ids = graph.external_ids
+    edges = np.column_stack((dense[src], dense[dst]))
+    return SocialGraph(len(order), edges, [ids[u] for u in order.tolist()])
+
+
+def _sidecar_path(path: str | os.PathLike) -> str:
+    return os.fspath(path) + ".csr"
+
+
+def _sidecar_bytes(graph: SocialGraph, digest: bytes) -> bytes:
+    """Header, CSV digest, then meta, both CSRs, per-id code-point lengths
+    and the UTF-8 id blob.  `np.save` output carries no timestamp, so equal
+    graphs give equal bytes."""
+    ids = graph.external_ids
+    arrays = (
+        np.array([graph.n_users, graph.n_edges, graph.self_edges_dropped], dtype=np.int64),
+        graph._follows.indptr,
+        graph._follows.indices,
+        graph._followers.indptr,
+        graph._followers.indices,
+        np.fromiter(map(len, ids), np.int64, len(ids)),
+        np.frombuffer("".join(ids).encode("utf-8"), dtype=np.uint8),
+    )
+    buf = io.BytesIO()
+    buf.write(_SIDECAR_HEAD + digest)
+    for a in arrays:
+        np.save(buf, a, allow_pickle=False)
+    return buf.getvalue()
+
+
+def _write_sidecar(csv_path: str | os.PathLike, digest: bytes, graph: SocialGraph) -> None:
+    path = _sidecar_path(csv_path)
+    try:
+        atomic_write(path, _sidecar_bytes(graph, digest))
+    except (OSError, ValueError) as e:
+        log.debug("edge sidecar %s not written: %s", path, e)
+
+
+def _read_sidecar(path: str, digest: bytes) -> SocialGraph:
+    """The graph stored in sidecar `path` for the CSV of sha256 `digest`;
+    a `ValueError` when it was made for other bytes or does not hold a
+    consistent graph."""
+    with open(path, "rb") as fh:
+        if fh.read(len(_SIDECAR_HEAD) + len(digest)) != _SIDECAR_HEAD + digest:
+            raise ValueError("made for another version or other bytes")
+        n, m, dropped = _load_array(fh, np.int64, 3).tolist()
+        if min(n, m, dropped) < 0:
+            raise ValueError("negative size")
+        follows, followers = _load_csr(fh, n, m), _load_csr(fh, n, m)
+        lengths = _load_array(fh, np.int64, n)
+        text = _load_array(fh, np.uint8).tobytes().decode("utf-8")
+    if np.any(lengths < 0) or int(lengths.sum()) != len(text):
+        raise ValueError("id lengths do not match the id blob")
+    ends = np.cumsum(lengths).tolist()
+    ids = [text[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    graph = SocialGraph._from_csr(follows, followers, ids, dropped)
+    if len(graph._id_index) != n:
+        raise ValueError("repeated id")
+    return graph
+
+
+def _load_array(fh: BinaryIO, dtype: type, length: int | None = None) -> np.ndarray:
+    """The next `np.save`d array, which must be 1-d of `dtype` (and
+    `length`); its header is checked before its data is read."""
+    if np.lib.format.read_magic(fh) != (1, 0):
+        raise ValueError("not an npy 1.0 array")
+    shape, _, dt = np.lib.format.read_array_header_1_0(fh)
+    if dt != np.dtype(dtype) or len(shape) != 1 or length not in (None, shape[0]):
+        raise ValueError("array of the wrong type or length")
+    nbytes = shape[0] * dt.itemsize
+    if nbytes > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError("truncated")
+    return np.frombuffer(fh.read(nbytes), dtype=dt)
+
+
+def _load_csr(fh: BinaryIO, n: int, m: int) -> _Csr:
+    indptr, indices = _load_array(fh, np.int64, n + 1), _load_array(fh, np.int64, m)
+    if indptr[0] != 0 or indptr[-1] != m or np.any(indptr[1:] < indptr[:-1]):
+        raise ValueError("indptr not monotone from 0 to the edge count")
+    if m and (indices.min() < 0 or indices.max() >= n):
+        raise ValueError("neighbor index out of range")
+    return _Csr(indptr, indices)

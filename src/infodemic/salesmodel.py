@@ -204,35 +204,88 @@ def model_to_json(model: FittedSalesModel) -> str:
 
 
 def model_from_json(text: str) -> FittedSalesModel:
+    """The model of a `model_to_json` document.  A document of another
+    shape, a missing key or a value of the wrong type or length raises
+    `SalesModelError`."""
     doc = json.loads(text)
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise SalesModelError(f"unsupported model format {doc.get('format_version')!r}")
-    dg = doc["diagnostics"]
+    if not isinstance(doc, dict):
+        raise SalesModelError("model document must be a JSON object")
+    version = doc.get("format_version")
+    if isinstance(version, bool) or version != MODEL_FORMAT_VERSION:
+        raise SalesModelError(f"unsupported model format {version!r}")
+    dg = _value(doc, "diagnostics", dict)
     diag = OlsResult(
-        coefficients=np.array(dg["coefficients"]),
-        intercept=dg["intercept"],
-        stderrs=np.array(dg["stderrs"]),
-        t_values=np.array(dg["t_values"]),
-        p_values=np.array(dg["p_values"]),
-        r_squared=dg["r_squared"],
-        f_value=dg["f_value"],
-        dof=dg["dof"],
-        sst_zero=dg["sst_zero"],
+        coefficients=_numbers(dg, "coefficients"),
+        intercept=_value(dg, "intercept", _NUMBER),
+        stderrs=_numbers(dg, "stderrs"),
+        t_values=_numbers(dg, "t_values"),
+        p_values=_numbers(dg, "p_values"),
+        r_squared=_value(dg, "r_squared", _NUMBER),
+        f_value=_value(dg, "f_value", _NUMBER),
+        dof=_value(dg, "dof", int),
+        sst_zero=_value(dg, "sst_zero", bool),
     )
     p = PcaResult(
-        means=np.array(doc["means"]),
-        eigenvalues=np.array(doc["eigenvalues"]),
-        eigenvectors=np.array(doc["eigenvectors"]),
-        contribution=np.array(doc["contribution"]),
+        means=_numbers(doc, "means"),
+        eigenvalues=_numbers(doc, "eigenvalues"),
+        eigenvectors=_numbers(doc, "eigenvectors", ndim=2),
+        contribution=_numbers(doc, "contribution"),
     )
+    components, features = p.eigenvectors.shape
+    if len(p.eigenvalues) != components or len(p.contribution) != components:
+        raise SalesModelError("eigenvalues and contribution need one entry per eigenvector")
+    if len(p.means) != features:
+        raise SalesModelError("means need one entry per eigenvector column")
+    k = _value(doc, "k", int)
+    coefficients = _numbers(doc, "coefficients")
+    if not 1 <= k <= components or len(coefficients) != k:
+        raise SalesModelError(f"k={k} needs at least k eigenvectors and exactly k coefficients")
+    days = _value(doc, "train_days", list)
+    try:
+        train_days = tuple(date.fromisoformat(x) for x in days)
+    except (TypeError, ValueError) as e:
+        raise SalesModelError(f"model field 'train_days': {e}") from None
     return FittedSalesModel(
         pca=p,
-        k=doc["k"],
-        coefficients=np.array(doc["coefficients"]),
-        intercept=doc["intercept"],
+        k=k,
+        coefficients=coefficients,
+        intercept=_value(doc, "intercept", _NUMBER),
         diagnostics=diag,
-        train_days=tuple(date.fromisoformat(x) for x in doc["train_days"]),
+        train_days=train_days,
     )
+
+
+_NUMBER = (int, float)
+
+
+def _value(doc: dict, key: str, kind: type | tuple[type, ...]):
+    """`doc[key]`, which must be a `kind` (a bool is only a bool)."""
+    if key not in doc:
+        raise SalesModelError(f"model field {key!r} missing")
+    v = doc[key]
+    if not isinstance(v, kind) or isinstance(v, bool) and kind is not bool:
+        raise SalesModelError(f"model field {key!r} has the wrong type")
+    return v
+
+
+def _numbers(doc: dict, key: str, ndim: int = 1) -> np.ndarray:
+    """`doc[key]` as a float array: a list of numbers, or when `ndim` is 2
+    a list of equally long lists of numbers."""
+    v = _value(doc, key, list)
+    rows = [v] if ndim == 1 else v
+    a = None
+    if all(isinstance(row, list) and all(map(_is_number, row)) for row in rows):
+        try:
+            a = np.array(v, dtype=np.float64)
+        except ValueError:  # rows of unequal length
+            pass
+    if a is None or a.ndim != ndim:
+        raise SalesModelError(f"model field {key!r} must be a {ndim}-d list of numbers")
+    return a
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, _NUMBER) and not isinstance(x, bool)
 
 
 def save_model(model: FittedSalesModel, path: str | os.PathLike) -> None:

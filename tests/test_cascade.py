@@ -1,4 +1,5 @@
 import io
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -526,6 +527,36 @@ def test_load_retweets_rejects_reused_seq(rows, line, what):
     seeds = load_seed_tweets(io.StringIO(tweets + "t1,u2,soldout,2020-02-21\n"), g)
     with pytest.raises(CascadeError, match=f"line {line}: .*{what}"):
         load_retweets(io.StringIO("user_id,tweet_id,day,seq\n" + rows), g, seeds)
+
+
+def retweets_of_two_seeds(rows: str):
+    g = SocialGraph(3, [(1, 0), (2, 1)], external_ids=["u0", "u1", "u2"])
+    tweets = "tweet_id,author_id,category,day\nt0,u0,corrective,2020-02-21\n"
+    seeds = load_seed_tweets(io.StringIO(tweets + "t1,u2,soldout,2020-02-22\n"), g)
+    return load_retweets(io.StringIO("user_id,tweet_id,day,seq\n" + rows), g, seeds)
+
+
+def test_load_retweets_rejects_retweet_before_its_tweet():
+    rows = "u1,t1,2020-02-22,3\nu0,t1,2020-02-21,4\n"
+    want = "line 3: user 'u0' retweets tweet 't1' on 2020-02-21, before its day 2020-02-22"
+    with pytest.raises(CascadeError, match=f"^{re.escape(want)}$"):
+        retweets_of_two_seeds(rows)
+
+
+def test_load_retweets_rejects_second_retweet_by_one_user():
+    rows = "u1,t0,2020-02-22,3\nu2,t0,2020-02-22,4\nu1,t0,2020-02-23,5\n"
+    want = "line 4: user 'u1' retweets tweet 't0' again (line 2)"
+    with pytest.raises(CascadeError, match=f"^{re.escape(want)}$"):
+        retweets_of_two_seeds(rows)
+    # one user retweeting two tweets is fine
+    cascades = retweets_of_two_seeds("u1,t0,2020-02-22,3\nu1,t1,2020-02-22,4\n")
+    assert [len(c.events) for c in cascades] == [1, 1]
+
+
+def test_load_retweets_rejects_seq_before_its_tweet():
+    # load_seed_tweets gives t0 and t1 the seqs -2 and -1
+    with pytest.raises(CascadeError, match="^line 2: seq -5 precedes the seq -1 of tweet 't1'$"):
+        retweets_of_two_seeds("u1,t1,2020-02-22,-5\n")
 
 
 def test_load_retweets_counts_physical_lines():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -242,6 +243,61 @@ def test_short_sales_row_is_input_error(pipeline, tmp_path):
         "--sales", str(sales), "--period", PERIOD, "--out", str(tmp_path),
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("text", ["[]", '{"format_version": 1}', '{"format_version": 1, "k": "4"}'])
+def test_malformed_model_json_is_input_error(pipeline, tmp_path, capsys, text):
+    model = tmp_path / "m.json"
+    model.write_text(text)
+    code = run(
+        "impacts", "--model", str(model), "--graph", os.path.join(pipeline, "edges.csv"),
+        "--tweets", os.path.join(pipeline, "tweets.csv"),
+        "--retweets", os.path.join(pipeline, "retweets.csv"),
+        "--period", PERIOD, "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_outputs_do_not_depend_on_the_edge_sidecar(pipeline, tmp_path):
+    """Every command's output bytes are the same whether the graph comes
+    from a parse or from the `.csr` sidecar, and whatever state it is in."""
+    for name in ("edges.csv", "seeds.csv", "sales.csv"):
+        shutil.copy(os.path.join(pipeline, name), tmp_path / name)
+    edges, out = str(tmp_path / "edges.csv"), str(tmp_path / "out")
+    sidecar = tmp_path / "edges.csv.csr"
+    tweets, retweets = os.path.join(out, "tweets.csv"), os.path.join(out, "retweets.csv")
+    dataset = ["--graph", edges, "--tweets", tweets, "--retweets", retweets, "--period", PERIOD]
+    model = ["--model", os.path.join(out, "model.json")]
+    commands = [
+        ["simulate", "--graph", edges, "--tweets", str(tmp_path / "seeds.csv"),
+         "--period", PERIOD, "--corrective-rate", "0.3", "--misinfo-rate", "0.2",
+         "--soldout-rate", "0.2", "--seed", "1"],
+        ["exposure", *dataset],
+        ["fit", *dataset, "--sales", str(tmp_path / "sales.csv"), "--k", "4"],
+        ["impacts", *dataset, *model],
+        ["whatif", *dataset, *model, "--retention", "0.5", "--trials", "2", "--seed", "1"],
+        ["sweep", *dataset[:4], *dataset[6:], *model, "--misinfo-rate", "0.05",
+         "--trials", "2", "--seed", "7"],
+    ]
+
+    def outputs() -> dict[str, bytes]:
+        shutil.rmtree(out, ignore_errors=True)
+        for argv in commands:
+            assert run(*argv, "--out", out) == 0, argv[0]
+        return {name: (tmp_path / "out" / name).read_bytes() for name in os.listdir(out)}
+
+    want = outputs()  # the first load parses and writes the sidecar
+    assert len(want) == 10 and sidecar.exists()
+    assert outputs() == want  # every load reads the sidecar
+    sidecar.write_bytes(sidecar.read_bytes()[:-100])
+    assert outputs() == want  # truncated
+    other = tmp_path / "other.csv"
+    save_edges(SocialGraph(2, [(0, 1)]), other)
+    shutil.copy(tmp_path / "other.csv.csr", sidecar)
+    assert outputs() == want  # made for other bytes
+    sidecar.unlink()
+    assert outputs() == want  # absent
 
 
 def test_ids_with_commas_and_quotes_survive_simulate(tmp_path):

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import re
 import textwrap
 from unittest import mock
 
@@ -357,9 +358,11 @@ def test_saved_graphs_pinned(tmp_path):
     assert _sha256_of_saved(replica, tmp_path) == (
         "8d7f74ade1b0c9915857bd8dca99483c3383f1b23d1f8e158ce32b93433e35f9"
     )
+    assert_same_graph(load_from_sidecar(tmp_path / "edges.csv"), parse_file(tmp_path / "edges.csv"))
     assert _sha256_of_saved(generate_graph(DENSE), tmp_path) == (
         "e6e6410d697f9a54b65582438547a46ee12cdbb25f8c01e7e2bfac2690cc6452"
     )
+    assert_same_graph(load_from_sidecar(tmp_path / "edges.csv"), parse_file(tmp_path / "edges.csv"))
 
 
 def reference_load(text: str):
@@ -492,3 +495,207 @@ def test_save_edges_matches_csv_writer(tmp_path_factory, text):
 
 def named_edges(g: SocialGraph) -> set[tuple[str, str]]:
     return {(g.external_ids[u], g.external_ids[v]) for u, v in edges_of(g)}
+
+
+# -- the `.csr` sidecar ------------------------------------------------------
+
+
+def assert_same_graph(got: SocialGraph, want: SocialGraph) -> None:
+    assert got.n_users == want.n_users
+    assert got.external_ids == want.external_ids
+    assert got.self_edges_dropped == want.self_edges_dropped
+    assert_csr_equal(got, csr_arrays(want))
+
+
+def parse_file(path) -> SocialGraph:
+    """The graph `load_edges` parses from the file, no sidecar involved."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return load_edges(fh)
+
+
+def sidecar_of(path):
+    return path.with_name(path.name + ".csr")
+
+
+def load_from_sidecar(path) -> SocialGraph:
+    """`load_edges_file`, failing if it parses the CSV."""
+    with mock.patch.object(graph_module, "load_edges", side_effect=AssertionError("parsed")):
+        return load_edges_file(path)
+
+
+@given(edge_csvs())
+@settings(max_examples=100, deadline=None)
+def test_sidecar_graph_equals_parse(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("sidecar") / "edges.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = load_edges(io.StringIO(text, newline=""))
+    assert_same_graph(load_edges_file(path), want)
+    assert sidecar_of(path).exists()
+    assert_same_graph(load_from_sidecar(path), want)
+
+
+# ids that need csv quotes, a comment-like id, non-ASCII ids, and ids that do
+# not reload as they are: surrounding whitespace, or empty
+SAVE_IDS = st.sampled_from(
+    ["a", "b", "42", "a,b", 'x"y', "new\nline", "cr\rid", "#c", "é", "日本", " pad", "tab\t", ""]
+)
+
+
+@given(
+    st.lists(SAVE_IDS, min_size=1, max_size=8),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20),
+)
+@settings(max_examples=150, deadline=None)
+def test_saved_sidecar_graph_equals_parse(tmp_path_factory, ids, raw):
+    n = len(ids)
+    # users without an edge are isolated; repeated ids are allowed
+    g = SocialGraph(n, [(a % n, b % n) for a, b in raw], external_ids=ids)
+    path = tmp_path_factory.mktemp("saved") / "edges.csv"
+    save_edges(g, path)
+    intact = len(set(ids)) == n and all(x and x == x.strip() for x in ids)
+    assert sidecar_of(path).exists() == intact
+    load = load_from_sidecar if intact else load_edges_file
+    try:
+        want = parse_file(path)
+    except EdgeParseError as e:  # an empty id on an edge row
+        with pytest.raises(EdgeParseError, match=f"^{re.escape(str(e))}$"):
+            load(path)
+    else:
+        assert_same_graph(load(path), want)
+
+
+@pytest.mark.parametrize(
+    "odd", ["nul\0id", "x" * (csv.field_size_limit() + 1)], ids=["nul", "over-field-limit"]
+)
+def test_ids_the_csv_module_may_reject_get_no_saved_sidecar(tmp_path, odd):
+    """A NUL is a csv error before Python 3.11, and an id over the field
+    size limit always is one; a load must fail or succeed as the parse does."""
+    path = tmp_path / "edges.csv"
+    save_edges(SocialGraph(2, [(0, 1)], external_ids=["a", odd]), path)
+    assert not sidecar_of(path).exists()
+    try:
+        want = parse_file(path)
+    except EdgeParseError as e:
+        with pytest.raises(EdgeParseError, match=f"^{re.escape(str(e))}$"):
+            load_edges_file(path)
+    else:
+        assert_same_graph(load_edges_file(path), want)
+
+
+def test_saved_sidecar_equals_the_one_a_parse_writes(tmp_path):
+    g = SocialGraph(6, [(3, 1), (1, 4), (4, 3), (3, 4)], external_ids=list("uvwxyz"))
+    path = tmp_path / "edges.csv"
+    save_edges(g, path)
+    saved = sidecar_of(path).read_bytes()
+    save_edges(g, path)
+    assert sidecar_of(path).read_bytes() == saved
+    sidecar_of(path).unlink()
+    load_edges_file(path)
+    assert sidecar_of(path).read_bytes() == saved
+
+
+def test_edited_csv_reparses(tmp_path):
+    path = tmp_path / "edges.csv"
+    save_edges(load_edges(io.StringIO(CSV)), path)
+    load_from_sidecar(path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("dave,alice\nerin,erin\n")
+    g = load_edges_file(path)
+    assert_same_graph(g, parse_file(path))
+    assert g.external_ids[-1] == "dave" and g.self_edges_dropped == 1
+    # the parse rewrote the sidecar for the new bytes
+    assert_same_graph(load_from_sidecar(path), g)
+
+
+def test_truncated_sidecar_reparses(tmp_path):
+    path = tmp_path / "edges.csv"
+    save_edges(load_edges(io.StringIO(CSV)), path)
+    full = sidecar_of(path).read_bytes()
+    for size in (0, 5, len(graph_module._SIDECAR_HEAD) + 32, 200, len(full) // 2, len(full) - 1):
+        sidecar_of(path).write_bytes(full[:size])
+        assert_same_graph(load_edges_file(path), parse_file(path))
+        assert sidecar_of(path).read_bytes() == full
+
+
+def write_sidecar(path, text: bytes, arrays) -> None:
+    """A sidecar for CSV bytes `text` holding `arrays` in the file format."""
+    buf = io.BytesIO()
+    buf.write(graph_module._SIDECAR_HEAD + hashlib.sha256(text).digest())
+    for a in arrays:
+        np.save(buf, np.asarray(a), allow_pickle=False)
+    sidecar_of(path).write_bytes(buf.getvalue())
+
+
+# the sidecar arrays of "alice,bob / carol,bob / alice,carol"
+GOOD_ARRAYS = [
+    [3, 3, 0], [0, 2, 2, 3], [1, 2, 1], [0, 0, 2, 3], [0, 2, 0], [5, 3, 5],
+    np.frombuffer(b"alicebobcarol", dtype=np.uint8),
+]
+
+
+@pytest.mark.parametrize(
+    "index, value",
+    [
+        (0, [3, 3]),  # meta of the wrong shape
+        (0, [3, 3, -1]),  # negative count
+        (1, [0, 2, 1, 3]),  # indptr not monotone
+        (1, [0, 2, 2, 2]),  # indptr not ending at the edge count
+        (2, [1, 3, 1]),  # index out of range
+        (2, np.array([1, 2, 1], dtype=np.int32)),  # wrong dtype
+        (5, [5, 3, 4]),  # id lengths not summing to the blob
+        (6, np.frombuffer(b"alice\xffbobcaro", dtype=np.uint8)),  # not UTF-8
+        (6, "alicebobcarol"),  # a string array, not bytes
+    ],
+)
+def test_inconsistent_sidecar_reparses(tmp_path, index, value):
+    path = tmp_path / "edges.csv"
+    path.write_text(CSV)
+    write_sidecar(path, CSV.encode(), GOOD_ARRAYS)
+    assert_same_graph(load_from_sidecar(path), load_edges(io.StringIO(CSV)))
+    write_sidecar(path, CSV.encode(), GOOD_ARRAYS[:index] + [value] + GOOD_ARRAYS[index + 1 :])
+    assert_same_graph(load_edges_file(path), load_edges(io.StringIO(CSV)))
+
+
+def test_stale_or_other_version_sidecar_reparses(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text(CSV)
+    want = load_edges(io.StringIO(CSV))
+    write_sidecar(path, b"other bytes", GOOD_ARRAYS)
+    assert_same_graph(load_edges_file(path), want)
+    with mock.patch.object(graph_module, "_SIDECAR_HEAD", b"infodemic edge csr 0\n"):
+        write_sidecar(path, CSV.encode(), GOOD_ARRAYS)
+    assert_same_graph(load_edges_file(path), want)
+    assert_same_graph(load_from_sidecar(path), want)
+
+
+def test_unwritable_directory_still_loads(tmp_path, monkeypatch):
+    path = tmp_path / "edges.csv"
+    path.write_text(CSV)
+
+    def refuse(*args, **kwargs):
+        raise PermissionError("read-only directory")
+
+    monkeypatch.setattr("tempfile.mkstemp", refuse)
+    for _ in range(2):
+        assert_same_graph(load_edges_file(path), load_edges(io.StringIO(CSV)))
+    assert not sidecar_of(path).exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["edges.csv"]
+
+
+def test_sidecar_hit_keeps_dropped_self_edges(tmp_path, caplog):
+    path = tmp_path / "edges.csv"
+    path.write_text("follower_id,followee_id\na,b\nc,c\nd,d\n")
+    load_edges_file(path)
+    with caplog.at_level("WARNING", logger="infodemic.graph"):
+        g = load_from_sidecar(path)
+    assert g.self_edges_dropped == 2
+    assert "dropped 2 self-follow edge(s)" in caplog.text
+
+
+def test_sidecar_parse_errors_stay_line_numbered(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text("follower_id,followee_id\na,b\nc\n")
+    for _ in range(2):
+        with pytest.raises(EdgeParseError, match="^line 3: "):
+            load_edges_file(path)
+    assert not sidecar_of(path).exists()

@@ -1,8 +1,12 @@
+import functools
 import io
+import json
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DAY0
 from infodemic.exposure import ExposureMatrix
@@ -195,3 +199,59 @@ def test_model_json_version_check():
     doc = model_to_json(model).replace('"format_version": 1', '"format_version": 99')
     with pytest.raises(SalesModelError):
         model_from_json(doc)
+
+
+# one value of every JSON type, numbers of either kind, and nested lists
+JSON_VALUES = st.sampled_from(
+    [None, True, 0, 3, 2.5, "x", "2020-02-21", [], ["x"], [1.0], [[1.0]], [True], {}, {"k": 4}]
+)
+
+
+@functools.cache
+def valid_model_json() -> str:
+    matrix, sales, _ = planted_dataset(noise=1e-3, seed=4)
+    return model_to_json(fit(matrix, sales, k=4))
+
+
+@st.composite
+def edited_model_docs(draw):
+    """A valid model document with one key dropped or retyped, or a
+    document that is not an object at all."""
+    doc = json.loads(valid_model_json())
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict))), None
+    part = doc if draw(st.booleans()) else doc["diagnostics"]
+    key = draw(st.sampled_from(sorted(part)))
+    if draw(st.booleans()):
+        del part[key]
+        return doc, key
+    part[key] = draw(JSON_VALUES)
+    return doc, None
+
+
+@given(edited_model_docs())
+@settings(max_examples=200, deadline=None)
+def test_model_json_shape_errors_are_sales_model_errors(edit):
+    doc, dropped = edit
+    try:
+        model = model_from_json(json.dumps(doc))
+    except SalesModelError:
+        return
+    # only the derived impacts may be missing, and what loads is usable
+    assert dropped in (None, "per_viewer_impacts")
+    matrix, _, _ = planted_dataset()
+    assert np.isfinite(predict(model, matrix).values).all()
+    assert model.per_viewer_impacts.shape == (7,)
+
+
+@pytest.mark.parametrize(
+    "text, what",
+    [
+        ("[]", "must be a JSON object"),
+        ('{"format_version": 1}', "'diagnostics' missing"),
+        ('{"format_version": true}', "unsupported model format True"),
+    ],
+)
+def test_model_json_shape_error_messages(text, what):
+    with pytest.raises(SalesModelError, match=what):
+        model_from_json(text)
