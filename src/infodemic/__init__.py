@@ -2,13 +2,11 @@
 
 from .cascade import (
     Cascade,
-    RetweetEvent,
     SeedTweet,
     TweetCategory,
     prune_cascade,
     sample_keep_set,
     simulate_cascades,
-    visible_set,
 )
 from .counterfactual import (
     ExperimentConfig,
@@ -20,9 +18,7 @@ from .counterfactual import (
     sweep,
 )
 from .exposure import (
-    DailyExposure,
     ExposureMatrix,
-    daily_exposures,
     exposure_matrix,
     total_exposures,
 )

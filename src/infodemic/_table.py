@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import os
 import re
-import tempfile
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -128,13 +127,15 @@ def csv_field(value: str) -> str:
 
 def atomic_write(path: str | os.PathLike, data: str | bytes) -> None:
     """Write `data`, text as UTF-8, to a temp file beside `path`, then
-    rename it over `path`."""
+    rename it over `path`.  The file is created as `open` creates one, so
+    its mode is 0666 less the umask."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     d = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    tmp = os.path.join(d, f"tmp{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb")  # exclusive, so the file removed below is this one
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

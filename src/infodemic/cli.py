@@ -53,7 +53,6 @@ from .salesmodel import (
     group_impacts,
     load_model,
     save_model,
-    sum_index,
 )
 
 log = logging.getLogger("infodemic.cli")
@@ -74,19 +73,14 @@ class CliError(Exception):
     pass
 
 
-def _parse_period(text: str) -> tuple[date, date]:
+def _period_arg(text: str) -> tuple[date, date]:
     try:
         a, b = text.split("..")
         return date.fromisoformat(a), date.fromisoformat(b)
     except ValueError:
-        raise CliError(f"--period must look like 2020-02-21..2020-03-10, got {text!r}")
-
-
-def _period_arg(text: str) -> tuple[date, date]:
-    try:
-        return _parse_period(text)
-    except CliError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+        raise argparse.ArgumentTypeError(
+            f"--period must look like 2020-02-21..2020-03-10, got {text!r}"
+        ) from None
 
 
 # every command flag, by name (the flag without `--`, dashes as underscores)
@@ -115,12 +109,14 @@ _FLAGS: dict[str, dict] = {
     "exclude_authors": {"dest": "include_authors", "action": "store_false", "default": None},
 }
 
-# the keys of a command's effective configuration; a config file may not set --model
-_OPTION_KEYS = {spec.get("dest", name) for name, spec in _FLAGS.items()} | {"out"}
-_CONFIG_KEYS = _OPTION_KEYS - {"model"}
+# the keys of a command's effective configuration -> their flag's spec; a
+# config file may not set --model
+_OPTIONS = {spec.get("dest", name): spec for name, spec in _FLAGS.items()} | {"out": {}}
+_CONFIG_KEYS = set(_OPTIONS) - {"model"}
 
 
 def _load_config_file(path: str) -> dict:
+    """The config file's options, each parsed as its flag parses its value."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -128,13 +124,27 @@ def _load_config_file(path: str) -> dict:
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return doc
+    return {key: _config_value(key, value) for key, value in doc.items()}
+
+
+def _config_value(key: str, value):
+    spec = _OPTIONS[key]
+    if "action" in spec:  # an on/off flag takes a JSON boolean
+        if not isinstance(value, bool):
+            raise CliError(f"config key {key!r}: expected true or false, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise CliError(f"config key {key!r}: expected a string or a number, got {value!r}")
+    try:
+        return spec.get("type", str)(str(value))
+    except (ValueError, argparse.ArgumentTypeError) as e:
+        raise CliError(f"config key {key!r}: {e}") from None
 
 
 def _effective(args: argparse.Namespace) -> dict:
     """The config file's keys, overridden by every flag the command was given."""
     cfg = dict(args.file_config)
-    cfg.update((k, v) for k, v in vars(args).items() if k in _OPTION_KEYS and v is not None)
+    cfg.update((k, v) for k, v in vars(args).items() if k in _OPTIONS and v is not None)
     cfg.setdefault("out", ".")
     return cfg
 
@@ -185,11 +195,11 @@ def cmd_gen_graph(args) -> None:
     _require(cfg, "n_users")
     g = generate_graph(
         GraphGenConfig(
-            n_users=int(cfg["n_users"]),
-            exponent=float(cfg.get("exponent", 2.5)),
-            min_degree=int(cfg.get("min_degree", 1)),
-            max_degree=None if cfg.get("max_degree") is None else int(cfg["max_degree"]),
-            seed=int(cfg.get("seed", 0)),
+            n_users=cfg["n_users"],
+            exponent=cfg.get("exponent", 2.5),
+            min_degree=cfg.get("min_degree", 1),
+            max_degree=cfg.get("max_degree"),
+            seed=cfg.get("seed", 0),
         )
     )
     path = _outpath(cfg, "edges.csv")
@@ -207,12 +217,12 @@ def cmd_simulate(args) -> None:
         graph,
         seeds,
         {
-            TweetCategory.MISINFORMATION: float(cfg.get("misinfo_rate", REAL_MISINFO_RT_RATE)),
-            TweetCategory.CORRECTIVE: float(cfg.get("corrective_rate", REAL_CORRECTIVE_RT_RATE)),
-            TweetCategory.SOLDOUT: float(cfg.get("soldout_rate", 0.004)),
+            TweetCategory.MISINFORMATION: cfg.get("misinfo_rate", REAL_MISINFO_RT_RATE),
+            TweetCategory.CORRECTIVE: cfg.get("corrective_rate", REAL_CORRECTIVE_RT_RATE),
+            TweetCategory.SOLDOUT: cfg.get("soldout_rate", 0.004),
         },
         cfg["period"],
-        derive_seed(int(cfg.get("seed", 0)), "cli-simulate"),
+        derive_seed(cfg.get("seed", 0), "cli-simulate"),
         corrective_blocks_misinfo=True,
     )
     tw, rt = _outpath(cfg, "tweets.csv"), _outpath(cfg, "retweets.csv")
@@ -228,8 +238,8 @@ def cmd_exposure(args) -> None:
         graph,
         cascades,
         cfg["period"],
-        cumulative=bool(cfg.get("cumulative_exposure", False)),
-        include_actors=bool(cfg.get("include_authors", True)),
+        cumulative=cfg.get("cumulative_exposure", False),
+        include_actors=cfg.get("include_authors", True),
     )
     path = _outpath(cfg, "exposure.csv")
     m.to_csv(path, _comments(cfg))
@@ -246,8 +256,8 @@ def cmd_fit(args) -> None:
     model = fit(
         matrix,
         sales,
-        k=int(cfg.get("k", 4)),
-        drop_nonsignificant=bool(cfg.get("drop_nonsignificant_pcs", False)),
+        k=cfg.get("k", 4),
+        drop_nonsignificant=cfg.get("drop_nonsignificant_pcs", False),
     )
     mpath = _outpath(cfg, "model.json")
     save_model(model, mpath)
@@ -286,11 +296,11 @@ def cmd_whatif(args) -> None:
     model = load_model(cfg["model"])
     graph, _, cascades = _load_dataset(cfg)
     period = cfg["period"]
-    trials = int(cfg.get("trials", 10))
-    seed = int(cfg.get("seed", 0))
+    trials = cfg.get("trials", 10)
+    seed = cfg.get("seed", 0)
     baseline = reduce_corrective(graph, cascades, model, 1.0, derive_seed(seed, "w", 0), period)
     retentions = (
-        [float(cfg["retention"])]
+        [cfg["retention"]]
         if cfg.get("retention") is not None
         else [r / CORRECTIVE_RATE_LEVELS[0] for r in CORRECTIVE_RATE_LEVELS]
     )
@@ -300,7 +310,7 @@ def cmd_whatif(args) -> None:
             res = reduce_corrective(graph, cascades, model, r, derive_seed(seed, "w", t), period, t)
             reduction = compare(baseline.sum_index, res.sum_index)
             rows.append((f"retention={r:g}", t, res.sum_index, reduction))
-    mis_rate = float(cfg.get("misinfo_rate", REAL_MISINFO_RT_RATE))
+    mis_rate = cfg.get("misinfo_rate", REAL_MISINFO_RT_RATE)
     for t in range(trials):
         res = guideline_experiment(graph, cascades, model, mis_rate, derive_seed(seed, "g", t), period, t)
         rows.append(("guideline", t, res.sum_index, compare(baseline.sum_index, res.sum_index)))
@@ -317,12 +327,12 @@ def cmd_sweep(args) -> None:
     with open(cfg["tweets"], encoding="utf-8", newline="") as fh:
         seeds = load_seed_tweets(fh, graph)
     corrective = (
-        [float(cfg["corrective_rate"])]
+        [cfg["corrective_rate"]]
         if cfg.get("corrective_rate") is not None
         else list(CORRECTIVE_RATE_LEVELS)
     )
     misinfo = (
-        [float(cfg["misinfo_rate"])]
+        [cfg["misinfo_rate"]]
         if cfg.get("misinfo_rate") is not None
         else list(MISINFO_RATE_LEVELS)
     )
@@ -332,10 +342,10 @@ def cmd_sweep(args) -> None:
         model,
         corrective,
         misinfo,
-        trials=int(cfg.get("trials", 10)),
-        base_seed=int(cfg.get("seed", 0)),
+        trials=cfg.get("trials", 10),
+        base_seed=cfg.get("seed", 0),
         period=cfg["period"],
-        soldout_rt_rate=float(cfg.get("soldout_rate", 0.004)),
+        soldout_rt_rate=cfg.get("soldout_rate", 0.004),
     )
     p1, p2 = _outpath(cfg, "sweep_trials.csv"), _outpath(cfg, "sweep_summary.csv")
     sweep_trials_csv(grid, p1, _comments(cfg))
@@ -390,8 +400,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.file_config = _load_config_file(args.config) if args.config else {}
-        if "period" in args.file_config and isinstance(args.file_config["period"], str):
-            args.file_config["period"] = _parse_period(args.file_config["period"])
         args.func(args)
         return 0
     except (CliError, *_INPUT_ERRORS) as e:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from statistics import mean, pstdev
 from typing import Sequence
@@ -21,10 +21,12 @@ from ._rng import derive_seed
 from ._table import write_table
 from .cascade import (
     Cascade,
-    CascadeError,
     SeedTweet,
     TweetCategory,
-    prune_cascade,
+    _actors,
+    _audience,
+    _events,
+    _prune,
     sample_keep_set,
     simulate_cascades,
 )
@@ -113,12 +115,10 @@ class SweepGrid:
         raise ExperimentError(f"no cell ({misinfo_rate}, {corrective_rate})")
 
 
-def _time_ranks(days: Sequence[date], seqs: Sequence[int]) -> np.ndarray:
-    """Dense ranks of event times ordered by (day, seq); equal times tie."""
-    d = np.fromiter(map(date.toordinal, days), np.int64, len(days))
-    s = np.asarray(seqs, dtype=np.int64)
-    order = np.lexsort((s, d))
-    d, s = d[order], s[order]
+def _time_ranks(events: np.ndarray) -> np.ndarray:
+    """Dense ranks of `EVENT` rows by time, (day, seq); equal times tie."""
+    order = np.lexsort((events["seq"], events["day"]))
+    d, s = events["day"][order], events["seq"][order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = (d[1:] != d[:-1]) | (s[1:] != s[:-1])
     ranks = np.empty(len(order), dtype=np.int64)
@@ -162,15 +162,11 @@ def reduce_corrective(
     `sample_keep_set`, so for one seed the kept sets are nested across
     levels and the resulting index sums are noise-free monotone.
     """
-    out: list[Cascade] = []
-    kept = 0
-    for c in real_cascades:
-        if c.seed.category is TweetCategory.CORRECTIVE:
-            keep = sample_keep_set(c, retention, seed)
-            c = prune_cascade(graph, c, keep)
-            kept += len(c.events)
-        out.append(c)
-    return _result(graph, out, model, period, trial, kept)
+    corrective = [c for c in real_cascades if c.seed.category is TweetCategory.CORRECTIVE]
+    others = [c for c in real_cascades if c.seed.category is not TweetCategory.CORRECTIVE]
+    pruned = _prune(graph, corrective, [sample_keep_set(c, retention, seed) for c in corrective])
+    kept = sum(len(c.events) for c in pruned)
+    return _result(graph, others + pruned, model, period, trial, kept)
 
 
 def guideline_experiment(
@@ -192,61 +188,32 @@ def guideline_experiment(
     misinformation seed tweets; the simulated cascades then both gate the
     corrective events and replace the real ones in the exposure counts.
     """
-    others = [
-        c for c in real_cascades if c.seed.category is not TweetCategory.MISINFORMATION
-    ]
-    if misinfo_rt_rate is None:
-        mis_cascades = [
-            c for c in real_cascades if c.seed.category is TweetCategory.MISINFORMATION
-        ]
-    else:
-        mis_seeds = [
-            c.seed
-            for c in real_cascades
-            if c.seed.category is TweetCategory.MISINFORMATION
-        ]
-        max_seq = max(
-            [c.seed.seq for c in real_cascades]
-            + [ev.seq for c in real_cascades for ev in c.events],
-            default=0,
-        )
+    mis_cascades = [c for c in real_cascades if c.seed.category is TweetCategory.MISINFORMATION]
+    if misinfo_rt_rate is not None:
         mis_cascades = simulate_cascades(
             graph,
-            mis_seeds,
+            [c.seed for c in mis_cascades],
             {TweetCategory.MISINFORMATION: misinfo_rt_rate},
             period,
             derive_seed(seed, "guideline-mis", trial),
-            seq_start=max_seq + 1,
+            seq_start=_actors(real_cascades)["seq"].max(initial=0) + 1,
         )
+    corrective = [c for c in real_cascades if c.seed.category is TweetCategory.CORRECTIVE]
+    soldout = [c for c in real_cascades if c.seed.category is TweetCategory.SOLDOUT]
     # misinformation posts (seeds, then retweets) and corrective retweets,
     # ranked together by event time
-    mis_events = [ev for c in mis_cascades for ev in c.events]
-    actors = [c.seed.author for c in mis_cascades] + [ev.user for ev in mis_events]
-    corrective = [
-        ev for c in others if c.seed.category is TweetCategory.CORRECTIVE for ev in c.events
-    ]
-    times = [c.seed for c in mis_cascades] + mis_events + corrective
-    ranks = _time_ranks([t.day for t in times], [t.seq for t in times])
-    mis_ranks, cor_ranks = ranks[: len(actors)], ranks[len(actors) :]
-    audiences = [graph.followers_array(a) for a in actors]
-    first_mis = np.full(graph.n_users, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(
-        first_mis,
-        np.concatenate([np.asarray(actors, dtype=np.int64), *audiences]),
-        np.concatenate([mis_ranks, np.repeat(mis_ranks, list(map(len, audiences)))]),
-    )
-    users = np.fromiter((ev.user for ev in corrective), np.int64, len(corrective))
-    # consumed cascade by cascade, in the order `corrective` was built
-    gated = iter(first_mis[users] < cor_ranks)
-    out: list[Cascade] = list(mis_cascades)
-    kept = 0
-    for c in others:
-        if c.seed.category is TweetCategory.CORRECTIVE:
-            keep = {ev.user for ev, ok in zip(c.events, gated) if ok}
-            c = prune_cascade(graph, c, keep)
-            kept += len(c.events)
-        out.append(c)
-    return _result(graph, out, model, period, trial, kept)
+    mis, retweets = _actors(mis_cascades), _events(corrective)
+    ranks = _time_ranks(np.concatenate([mis, retweets]))
+    # each user's first misinformation exposure, as an actor or a follower
+    n = graph.n_users
+    first_mis = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+    rank, user = np.divmod(_audience(graph, ranks[: len(mis)] * n + mis["user"]), n)
+    np.minimum.at(first_mis, user, rank)
+    gated = first_mis[retweets["user"]] < ranks[len(mis) :]
+    gates = np.split(gated, np.cumsum([len(c.events) for c in corrective])[:-1])
+    pruned = _prune(graph, corrective, [c.retweeters[ok] for c, ok in zip(corrective, gates)])
+    kept = sum(len(c.events) for c in pruned)
+    return _result(graph, mis_cascades + soldout + pruned, model, period, trial, kept)
 
 
 def simulate_trial(

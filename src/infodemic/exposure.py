@@ -15,13 +15,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from itertools import chain
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
 from ._table import read_table, write_table
-from .cascade import Cascade, TweetCategory, _audience
+from .cascade import Cascade, TweetCategory, _actors, _audience
 from .graph import SocialGraph
 
 MATRIX_HEADER = ["day", "x1", "x2", "x3", "x4", "x5", "x6", "x7"]
@@ -40,16 +39,6 @@ CLASS_CATEGORIES: tuple[frozenset[TweetCategory], ...] = (
 
 class ExposureError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class DailyExposure:
-    day: date
-    counts: tuple[int, int, int, int, int, int, int]
-
-    @property
-    def total_exposed(self) -> int:
-        return sum(self.counts)
 
 
 @dataclass(frozen=True)
@@ -114,21 +103,15 @@ def _reach(
     `cumulative` counts activity before the period on its first day and
     carries every day's reach forward.
     """
-    n = graph.n_users
-    seeds = [c.seed for c in cascades]
-    events = [ev for c in cascades for ev in c.events]
-    k = len(seeds) + len(events)
-    day = np.fromiter((x.day.toordinal() for x in chain(seeds, events)), np.int64, k)
-    day -= start.toordinal()
-    actor = np.fromiter(chain((s.author for s in seeds), (ev.user for ev in events)), np.int64, k)
+    acts = _actors(cascades)
+    day = acts["day"] - start.toordinal()
     if cumulative:
         np.maximum(day, 0, out=day)
     inside = (day >= 0) & (day < n_days)
-    actors = day[inside] * n + actor[inside]
-    out = np.zeros((n_days, n), dtype=bool)
-    if len(actors):
-        keys = _audience(graph, actors)
-        out.reshape(-1)[keys if include_actors else keys[len(actors) :]] = True
+    actors = day[inside] * graph.n_users + acts["user"][inside]
+    out = np.zeros((n_days, graph.n_users), dtype=bool)
+    keys = _audience(graph, actors)
+    out.reshape(-1)[keys if include_actors else keys[len(actors) :]] = True
     if cumulative:
         np.logical_or.accumulate(out, axis=0, out=out)
     return out
@@ -161,27 +144,6 @@ def _add_reach(
 def _tally(keys: np.ndarray, codes: np.ndarray, n_days: int, n_users: int) -> np.ndarray:
     # one bincount over (day, code) for keys day * n_users + user
     return np.bincount(keys // n_users * 8 + codes, minlength=8 * n_days).reshape(n_days, 8)
-
-
-def daily_exposures(
-    graph: SocialGraph,
-    cascades: Sequence[Cascade],
-    day: date,
-    *,
-    cumulative: bool = False,
-    include_actors: bool = True,
-) -> DailyExposure:
-    """Classify every user exposed on `day` into exactly one of the seven
-    classes and count each class.
-
-    `cumulative` classifies by all exposure up to and including the day
-    instead of the day alone.  `include_actors` counts tweet authors and
-    retweeters themselves as viewers of their own action (default on).
-    """
-    m = exposure_matrix(
-        graph, cascades, (day, day), cumulative=cumulative, include_actors=include_actors
-    )
-    return DailyExposure(day, tuple(m.counts[0].tolist()))
 
 
 def exposure_matrix(

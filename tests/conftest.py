@@ -4,6 +4,7 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from infodemic.graph import SocialGraph, GraphGenConfig, generate_graph
 from infodemic.replica import ReplicaConfig, build_replica
@@ -34,6 +35,20 @@ def random_graph(rng: np.random.Generator, max_nodes: int = 12) -> SocialGraph:
 
 
 DAY0 = date(2020, 2, 21)
+
+# field text that is neither a number nor an ISO date, and needs no quotes
+NOT_A_VALUE = st.text("xyz/: ", min_size=1)
+
+
+@st.composite
+def table_with_bad_row(draw, header: str, good_rows: list[str], bad_row: st.SearchStrategy):
+    """(text, line): a table holding `good_rows` and one record drawn from
+    `bad_row` among them, after a prologue of comment lines, and the
+    physical line of that record."""
+    comments = draw(st.integers(0, 2))
+    at = draw(st.integers(0, len(good_rows)))
+    rows = [*good_rows[:at], draw(bad_row), *good_rows[at:]]
+    return "# comment\n" * comments + "".join(r + "\n" for r in [header, *rows]), comments + 2 + at
 
 # Verdict lines collected by the acceptance tests; printed after capture
 # ends so they show up in any pytest run.

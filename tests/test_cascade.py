@@ -1,6 +1,6 @@
 import io
 import re
-from datetime import date, timedelta
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from infodemic._rng import derive_seed, uniform_for_users
 from infodemic.cascade import (
     Cascade,
     CascadeError,
-    RetweetEvent,
     SeedTweet,
     TweetCategory,
     load_retweets,
@@ -21,7 +20,6 @@ from infodemic.cascade import (
     sample_keep_set,
     save_cascades,
     simulate_cascades,
-    visible_set,
 )
 from infodemic.graph import SocialGraph
 
@@ -30,8 +28,9 @@ def seed(author=0, day=DAY0, seq=0, cat=TweetCategory.CORRECTIVE, tid="t0"):
     return SeedTweet(tweet_id=tid, author=author, category=cat, day=day, seq=seq)
 
 
-def ev(user, seq, day=DAY0, tid="t0"):
-    return RetweetEvent(user=user, tweet_id=tid, day=day, seq=seq)
+def ev(user, seq, day=DAY0):
+    """One event row: (user, day ordinal, seq)."""
+    return (user, day.toordinal(), seq)
 
 
 def cascade(events, **kw):
@@ -58,11 +57,6 @@ def test_event_before_seed_day_rejected():
         cascade([ev(1, 1, day=DAY0 - timedelta(days=1))])
 
 
-def test_event_tweet_id_mismatch():
-    with pytest.raises(CascadeError):
-        cascade([ev(1, 1, tid="other")])
-
-
 def test_unknown_category_label():
     with pytest.raises(CascadeError):
         TweetCategory.from_label("satire")
@@ -81,17 +75,35 @@ def test_visible_set_grows_with_events():
     assert visible_set(g, c, 3) == {0, 1, 2, 3}
 
 
+def visible_set(graph, cascade, seq_limit):
+    """Users who could have seen the tweet before `seq_limit`.
+
+    Includes the author and every retweeter as viewers of their own
+    action.  Empty if the seed itself is not yet posted at seq_limit.
+    """
+    if cascade.seed.seq >= seq_limit:
+        return set()
+    out = {cascade.seed.author}
+    out.update(int(x) for x in graph.followers_array(cascade.seed.author))
+    for user, _, seq in cascade.events.tolist():
+        if seq >= seq_limit:
+            break
+        out.add(user)
+        out.update(int(x) for x in graph.followers_array(user))
+    return out
+
+
 def brute_force_prune(graph, c, keep):
     """Remove events until every survivor is visible given survivors only."""
-    events = [e for e in c.events if e.user in keep]
+    events = [e for e in c.events.tolist() if e[0] in keep]
     while True:
         ok = []
-        for e in events:
-            sub = Cascade(c.seed, tuple(x for x in events if x.seq < e.seq))
-            if e.user in visible_set(graph, sub, e.seq):
-                ok.append(e)
+        for user, day, seq in events:
+            sub = Cascade(c.seed, [x for x in events if x[2] < seq])
+            if user in visible_set(graph, sub, seq):
+                ok.append((user, day, seq))
         if ok == events:
-            return Cascade(c.seed, tuple(events))
+            return Cascade(c.seed, events)
         events = ok
 
 
@@ -100,13 +112,21 @@ def test_prune_removes_invisible_chain():
     g = SocialGraph(3, [(1, 0), (2, 1)])
     c = cascade([ev(1, 1), ev(2, 2)])
     pruned = prune_cascade(g, c, keep=[2])
-    assert pruned.events == ()
+    assert len(pruned.events) == 0
 
 
 def test_prune_keep_everyone_is_identity():
     g = SocialGraph(3, [(1, 0), (2, 1)])
     c = cascade([ev(1, 1), ev(2, 2)])
-    assert prune_cascade(g, c, keep=[1, 2]).events == c.events
+    assert prune_cascade(g, c, keep=[1, 2]) == c
+
+
+def test_prune_keeps_an_author_retweeting_its_own_tweet():
+    g = SocialGraph(3, [(1, 0), (2, 1)])
+    c = cascade([ev(0, 1), ev(1, 2), ev(2, 3)])
+    for keep in ([0, 1, 2], [0, 2], [1, 2]):
+        assert prune_cascade(g, c, keep) == brute_force_prune(g, c, keep)
+    assert prune_cascade(g, c, [0, 1, 2]) == c
 
 
 def test_prune_rejects_non_retweeters():
@@ -121,9 +141,9 @@ def test_prune_matches_fixpoint_oracle_randomized():
     for _ in range(100):
         g = random_graph(rng)
         c = _random_cascade(rng, g)
-        users = list(c.retweeters)
+        users = c.retweeters.tolist()
         keep = {u for u in users if rng.random() < 0.6}
-        assert prune_cascade(g, c, keep).events == brute_force_prune(g, c, keep).events
+        assert prune_cascade(g, c, keep) == brute_force_prune(g, c, keep)
 
 
 def _random_cascade(rng, g, cat=TweetCategory.CORRECTIVE):
@@ -139,7 +159,7 @@ def _random_cascade(rng, g, cat=TweetCategory.CORRECTIVE):
         if rng.random() < 0.4:
             day = day + timedelta(days=1)
         events.append(ev(int(u), i + 1, day=day))
-    return Cascade(seed(author=author, cat=cat), tuple(events))
+    return Cascade(seed(author=author, cat=cat), events)
 
 
 # -- keep-set sampling -------------------------------------------------------
@@ -156,9 +176,9 @@ def test_sample_keep_set_deterministic_and_nested():
     c = cascade([ev(i, i) for i in range(1, 21)])
     for r1, r2 in [(0.2, 0.5), (0.5, 0.9), (0.0, 1.0)]:
         k1, k2 = sample_keep_set(c, r1, 7), sample_keep_set(c, r2, 7)
-        assert k1 <= k2
-    assert sample_keep_set(c, 0.5, 7) == sample_keep_set(c, 0.5, 7)
-    assert sample_keep_set(c, 0.5, 7) != sample_keep_set(c, 0.5, 8)
+        assert set(k1.tolist()) <= set(k2.tolist())
+    assert np.array_equal(sample_keep_set(c, 0.5, 7), sample_keep_set(c, 0.5, 7))
+    assert not np.array_equal(sample_keep_set(c, 0.5, 7), sample_keep_set(c, 0.5, 8))
 
 
 @given(st.floats(min_value=-5, max_value=5).filter(lambda r: not 0 <= r <= 1))
@@ -188,21 +208,21 @@ def test_simulation_certain_rate_advances_one_hop_per_day():
     g = line_graph(5)
     (c,) = simulate_cascades(g, [seed(author=0)], {CORRECTIVE: 1.0}, days(4), 0)
     # day 0: 1 exposed and decides; lands day 1; 2 decides day 1, lands day 2...
-    assert [e.user for e in c.events] == [1, 2, 3]
-    assert [e.day for e in c.events] == [DAY0 + timedelta(days=d) for d in (1, 2, 3)]
+    assert c.events["user"].tolist() == [1, 2, 3]
+    assert c.events["day"].tolist() == [(DAY0 + timedelta(days=d)).toordinal() for d in (1, 2, 3)]
 
 
 def test_simulation_zero_rate_never_spreads():
     g = line_graph(4)
     (c,) = simulate_cascades(g, [seed(author=0)], {CORRECTIVE: 0.0}, days(5), 0)
-    assert c.events == ()
+    assert len(c.events) == 0
 
 
 def test_simulation_user_decides_once_per_tweet():
     # 2 follows both 0 and 1; with rate 1.0, 2 retweets exactly once
     g = SocialGraph(3, [(1, 0), (2, 0), (2, 1)])
     (c,) = simulate_cascades(g, [seed(author=0)], {CORRECTIVE: 1.0}, days(4), 0)
-    assert sorted(e.user for e in c.events) == [1, 2]
+    assert sorted(c.retweeters.tolist()) == [1, 2]
 
 
 def test_simulation_deterministic_given_seed():
@@ -210,7 +230,7 @@ def test_simulation_deterministic_given_seed():
     s = seed(author=0)
     (a,) = simulate_cascades(g, [s], {CORRECTIVE: 0.5}, days(5), 11)
     (b,) = simulate_cascades(g, [s], {CORRECTIVE: 0.5}, days(5), 11)
-    assert a.events == b.events
+    assert a == b
 
 
 def test_simulation_monotone_coupled_in_rate():
@@ -220,7 +240,7 @@ def test_simulation_monotone_coupled_in_rate():
         s = seed(author=int(rng.integers(g.n_users)))
         (low,) = simulate_cascades(g, [s], {CORRECTIVE: 0.2}, days(6), trial)
         (high,) = simulate_cascades(g, [s], {CORRECTIVE: 0.7}, days(6), trial)
-        assert set(low.retweeters) <= set(high.retweeters)
+        assert set(low.retweeters.tolist()) <= set(high.retweeters.tolist())
 
 
 def test_simulation_events_valid_cascade_invariants():
@@ -235,9 +255,9 @@ def test_simulation_events_valid_cascade_invariants():
     )
     for c in out:
         # Cascade.__post_init__ validates seq order/dedup; check visibility too
-        for e in c.events:
-            sub = Cascade(c.seed, tuple(x for x in c.events if x.seq < e.seq))
-            assert e.user in visible_set(g, sub, e.seq)
+        for user, _, seq in c.events.tolist():
+            sub = Cascade(c.seed, c.events[c.events["seq"] < seq])
+            assert user in visible_set(g, sub, seq)
 
 
 def test_corrective_exposure_blocks_misinfo_retweets():
@@ -257,8 +277,8 @@ def test_corrective_exposure_blocks_misinfo_retweets():
     free = simulate_cascades(g, seeds, {c: 1.0 for c in TweetCategory}, period, 0)
     mis_blocked = next(c for c in blocked if c.seed.tweet_id == "m")
     mis_free = next(c for c in free if c.seed.tweet_id == "m")
-    assert mis_free.retweeters == (1, 2)  # 2 hears it through 1's retweet
-    assert mis_blocked.events == ()
+    assert mis_free.retweeters.tolist() == [1, 2]  # 2 hears it through 1's retweet
+    assert len(mis_blocked.events) == 0
 
 
 def test_corrective_author_counts_as_exposed():
@@ -273,8 +293,8 @@ def test_corrective_author_counts_as_exposed():
     period = (DAY0, DAY0 + timedelta(days=3))
     free = simulate_cascades(g, seeds, rates, period, 0)
     blocked = simulate_cascades(g, seeds, rates, period, 0, corrective_blocks_misinfo=True)
-    assert free[1].retweeters == (0,)
-    assert blocked[1].events == ()
+    assert free[1].retweeters.tolist() == [0]
+    assert len(blocked[1].events) == 0
 
 
 def test_simulation_rejects_bad_inputs():
@@ -309,7 +329,7 @@ def reference_simulate(graph, seeds, rt_rates, period, rng_seed, *,
             if s.day == day:
                 fresh.append(np.concatenate([[s.author], graph.followers_array(s.author)]))
             for u in pending[i]:
-                events[i].append(RetweetEvent(int(u), s.tweet_id, day, seq))
+                events[i].append((int(u), day.toordinal(), seq))
                 seq += 1
                 fresh.append(np.concatenate([[u], graph.followers_array(int(u))]))
             if fresh:
@@ -330,7 +350,7 @@ def reference_simulate(graph, seeds, rt_rates, period, rng_seed, *,
                 hit &= ~seen_at_open[deciders]
             pending[i] = deciders[hit]
         day += timedelta(days=1)
-    return [Cascade(s, tuple(evs)) for s, evs in zip(seeds, events)]
+    return [Cascade(s, evs) for s, evs in zip(seeds, events)]
 
 
 RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -379,8 +399,9 @@ def first_correction_days(graph, cascades, period):
     first = np.full(graph.n_users, n_days)
     for c in cascades:
         assert c.seed.category is TweetCategory.CORRECTIVE
-        for day, actor in [(c.seed.day, c.seed.author)] + [(e.day, e.user) for e in c.events]:
-            d = (day - start).days
+        posts = [(c.seed.day.toordinal(), c.seed.author)]
+        for day, actor in posts + [(day, user) for user, day, _ in c.events.tolist()]:
+            d = day - start.toordinal()
             if 0 <= d < n_days:
                 for u in [actor, *graph.followers_array(actor).tolist()]:
                     first[u] = min(first[u], d)
@@ -406,7 +427,7 @@ def test_misinfo_run_given_first_correction_days_matches_joint_run(case):
 
     def acts(cascades):
         return {
-            c.seed.tweet_id: [(e.user, e.day) for e in c.events]
+            c.seed.tweet_id: [(user, day) for user, day, _ in c.events.tolist()]
             for c in cascades
             if c.seed.category is TweetCategory.MISINFORMATION
         }
@@ -458,9 +479,9 @@ def test_cascade_csv_roundtrip(tmp_path):
     with open(rt) as fh:
         back = load_retweets(fh, g, seeds2)
     assert [c.seed.tweet_id for c in back] == ["t0", "t1"]
-    assert back[0].events[0].user == 1
-    assert back[0].events[0].day == DAY0 + timedelta(days=1)
-    assert back[1].events == ()
+    assert back[0].events[0]["user"] == 1
+    assert back[0].events[0]["day"] == (DAY0 + timedelta(days=1)).toordinal()
+    assert len(back[1].events) == 0
 
 
 def test_load_seed_tweets_errors():
@@ -559,6 +580,34 @@ def test_load_retweets_rejects_seq_before_its_tweet():
         retweets_of_two_seeds("u1,t1,2020-02-22,-5\n")
 
 
+@pytest.mark.parametrize(
+    "rows, want",
+    [
+        # within one cascade
+        ("u1,t0,2020-02-23,3\nu2,t0,2020-02-22,4\n",
+         "line 3: seq 4 on 2020-02-22 is above seq 3 of line 2, a retweet on the later day "
+         "2020-02-23"),
+        # across cascades, the later-read row holding the smaller seq
+        ("u0,t1,2020-02-22,7\nu1,t0,2020-02-23,6\n",
+         "line 2: seq 7 on 2020-02-22 is above seq 6 of line 3, a retweet on the later day "
+         "2020-02-23"),
+        ("u1,t0,2020-02-22,9223372036854775808\n",
+         "line 2: seq 9223372036854775808 does not fit in 64 bits"),
+    ],
+)
+def test_load_retweets_rejects_seq_out_of_day_order(rows, want):
+    with pytest.raises(CascadeError, match=f"^{re.escape(want)}$"):
+        retweets_of_two_seeds(rows)
+
+
+def test_load_retweets_orders_cascades_by_seq():
+    # the file order is not the seq order; a day holds seqs in any order
+    rows = "u2,t0,2020-02-22,9\nu1,t0,2020-02-22,4\nu0,t1,2020-02-23,12\nu1,t1,2020-02-23,10\n"
+    t0, t1 = retweets_of_two_seeds(rows)
+    assert t0.events.tolist() == [(1, DAY0.toordinal() + 1, 4), (2, DAY0.toordinal() + 1, 9)]
+    assert t1.events["seq"].tolist() == [10, 12]
+
+
 def test_load_retweets_counts_physical_lines():
     g = SocialGraph(2, [(1, 0)], external_ids=["u0", "u\n1"])
     seeds = [seed(author=0, tid="t0", seq=-1)]
@@ -585,9 +634,9 @@ def id_cascades(draw):
                  seq=i - len(dated), cat=draw(st.sampled_from(list(TweetCategory))))
         events = []
         for u in draw(st.lists(st.integers(0, len(users) - 1), unique=True, max_size=3)):
-            events.append(ev(u, seq, day=day + timedelta(days=1), tid=tid))
+            events.append(ev(u, seq, day=day + timedelta(days=1)))
             seq += draw(st.integers(1, 3))
-        cascades.append(Cascade(s, tuple(events)))
+        cascades.append(Cascade(s, events))
     return g, cascades
 
 

@@ -145,6 +145,15 @@ def test_sweep_command_deterministic(pipeline, tmp_path):
         assert data_lines(os.path.join(d1, name)) == data_lines(os.path.join(d2, name))
 
 
+# retweets.csv digest -> the digest of the exposure.csv counted from it
+EXPOSURE_DIGESTS = {
+    "9dd3b6c42d79276fe3e5b0daf442834e60d286ceeaaad0c27cfb41ed940805b2":
+        "ac813e2e890c8bfdc1769e3822e193979363fad19c657e58874b9f439deb326f",
+    "0cb0ce2ccfc7c9cf75500ff6bebaad719a6f3cdc57cf0a90ec67b00ce6db1cd9":
+        "ed8a882c1c83c671e9024f67a7489c64d3f1efcd655c51b1d155de8ca7e4cae1",
+}
+
+
 @pytest.mark.parametrize(
     "rates, digest",
     [
@@ -155,19 +164,27 @@ def test_sweep_command_deterministic(pipeline, tmp_path):
         ),
     ],
 )
-def test_simulate_retweets_pinned(small_replica, tmp_path, rates, digest):
+def test_simulate_retweets_pinned(small_replica, tmp_path, monkeypatch, rates, digest):
     """retweets.csv of the 3000-user replica, as the per-tweet loop wrote it
-    (117 and 1173 retweets)."""
+    (117 and 1173 retweets), and the exposure.csv counted from it; paths are
+    relative, so the `#` header is the same in every run."""
     r = small_replica
-    edges, seeds = str(tmp_path / "edges.csv"), str(tmp_path / "seeds.csv")
-    save_edges(r.graph, edges)
-    save_cascades(r.cascades, seeds, tmp_path / "real_retweets.csv", r.graph)
+    monkeypatch.chdir(tmp_path)
+    save_edges(r.graph, "edges.csv")
+    save_cascades(r.cascades, "seeds.csv", "real_retweets.csv", r.graph)
     start, end = r.config.period
+    period = f"{start}..{end}"
     assert run(
-        "simulate", "--graph", edges, "--tweets", seeds, "--period", f"{start}..{end}",
-        "--seed", "3", "--out", str(tmp_path), *rates,
+        "simulate", "--graph", "edges.csv", "--tweets", "seeds.csv", "--period", period,
+        "--seed", "3", *rates,
     ) == 0
     assert hashlib.sha256((tmp_path / "retweets.csv").read_bytes()).hexdigest() == digest
+    assert run(
+        "exposure", "--graph", "edges.csv", "--tweets", "tweets.csv",
+        "--retweets", "retweets.csv", "--period", period,
+    ) == 0
+    got = hashlib.sha256((tmp_path / "exposure.csv").read_bytes()).hexdigest()
+    assert got == EXPOSURE_DIGESTS[digest]
 
 
 def test_config_file_merge_and_flag_override(pipeline, tmp_path):
@@ -199,6 +216,72 @@ def test_unknown_config_key_rejected(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"grpah": "oops.csv"}))
     assert run("exposure", "--config", str(p)) == 1
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("period", 5),
+        ("period", "2020-02-21"),
+        ("seed", [1]),
+        ("seed", 2.5),
+        ("seed", True),
+        ("n_users", "many"),
+        ("retention", None),
+        ("cumulative_exposure", 1),
+        ("include_authors", "no"),
+        ("graph", {"path": "edges.csv"}),
+    ],
+)
+def test_config_values_parse_as_their_flags(tmp_path, capsys, key, value):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({key: value}))
+    assert run("exposure", "--config", str(p), "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err.startswith(f"error: config key {key!r}: ")
+
+
+def test_config_file_and_flags_write_the_same_header(pipeline, tmp_path):
+    flags = [
+        "--graph", os.path.join(pipeline, "edges.csv"),
+        "--tweets", os.path.join(pipeline, "tweets.csv"),
+        "--retweets", os.path.join(pipeline, "retweets.csv"),
+        "--period", PERIOD, "--cumulative-exposure", "--exclude-authors",
+    ]
+    cfg = dict(zip(("graph", "tweets", "retweets", "period"), flags[1:8:2]))
+    cfg.update(cumulative_exposure=True, include_authors=False)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = str(tmp_path / "out")
+    assert run("exposure", *flags, "--out", out) == 0
+    by_flags = (tmp_path / "out" / "exposure.csv").read_bytes()
+    assert run("exposure", "--config", str(p), "--out", out) == 0
+    assert (tmp_path / "out" / "exposure.csv").read_bytes() == by_flags
+    assert b"# include_authors=False\n" in by_flags
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_honour_the_umask(pipeline, tmp_path, umask, mode):
+    d = str(tmp_path)
+    edges = os.path.join(d, "edges.csv")
+    dataset = ["--graph", edges, "--tweets", os.path.join(d, "tweets.csv"),
+               "--retweets", os.path.join(d, "retweets.csv"), "--period", PERIOD]
+    old = os.umask(umask)
+    try:
+        # the pipeline's graph and cascades again, so that its sales fit
+        assert run("gen-graph", "--n-users", "400", "--min-degree", "2", "--seed", "3",
+                   "--out", d) == 0
+        assert run("simulate", "--graph", edges, "--tweets", os.path.join(pipeline, "seeds.csv"),
+                   "--period", PERIOD, "--corrective-rate", "0.3", "--misinfo-rate", "0.2",
+                   "--soldout-rate", "0.2", "--seed", "1", "--out", d) == 0
+        assert run("fit", *dataset, "--sales", os.path.join(pipeline, "sales.csv"),
+                   "--out", d) == 0
+    finally:
+        os.umask(old)
+    names = ["edges.csv", "edges.csv.csr", "tweets.csv", "retweets.csv", "model.json",
+             "diagnostics.csv"]
+    assert {n: oct(os.stat(os.path.join(d, n)).st_mode & 0o777) for n in names} == dict.fromkeys(
+        names, oct(mode)
+    )
 
 
 def test_missing_required_flag_is_input_error(tmp_path):
@@ -356,8 +439,8 @@ README_RETWEETS = """\
 user_id,tweet_id,day,seq
 bob,c1,2020-02-22,1
 "carol, jr",c1,2020-02-22,2
-frank,c2,2020-02-24,3
-erin,m1,2020-02-23,4
+erin,m1,2020-02-23,3
+frank,c2,2020-02-24,4
 bob,m2,2020-02-26,5
 frank,c3,2020-02-27,6
 """

@@ -6,7 +6,6 @@ import pytest
 from infodemic._rng import derive_seed
 from infodemic.cascade import (
     Cascade,
-    RetweetEvent,
     SeedTweet,
     TweetCategory,
     prune_cascade,
@@ -69,6 +68,39 @@ def test_full_retention_is_baseline(small_replica, fitted):
     assert res.corrective_retweeters_kept == total_rts
 
 
+# (seed, corrective rate level) -> (corrective_retweeters_kept, totals) on
+# the 3000-user replica; integers, so they hold on every numpy build
+REDUCE_PINS = {
+    (0, 0.0079): (101, [9957, 371, 1759, 153, 1068, 15, 48]),
+    (0, 0.0063): (90, [9900, 374, 1761, 150, 1066, 15, 48]),
+    (0, 0.0047): (70, [9740, 374, 1766, 150, 1061, 16, 47]),
+    (0, 0.0032): (21, [9591, 376, 1774, 148, 1053, 17, 46]),
+    (0, 0.0016): (5, [9552, 376, 1775, 148, 1052, 17, 46]),
+    (0, 0.0): (0, [9512, 377, 1779, 147, 1048, 17, 46]),
+    (42, 0.0079): (101, [9957, 371, 1759, 153, 1068, 15, 48]),
+    (42, 0.0063): (91, [9903, 374, 1760, 150, 1067, 15, 48]),
+    (42, 0.0047): (73, [9853, 374, 1761, 150, 1066, 15, 48]),
+    (42, 0.0032): (26, [9677, 376, 1771, 148, 1056, 17, 46]),
+    (42, 0.0016): (8, [9630, 377, 1773, 147, 1054, 17, 46]),
+    (42, 0.0): (0, [9512, 377, 1779, 147, 1048, 17, 46]),
+}
+
+
+@pytest.mark.parametrize("seed, level", sorted(REDUCE_PINS))
+def test_reduce_corrective_pinned(small_replica, fitted, seed, level):
+    r = small_replica
+    retention = level / CORRECTIVE_RATE_LEVELS[0]
+    res = reduce_corrective(r.graph, r.cascades, fitted, retention, seed, r.config.period)
+    assert (res.corrective_retweeters_kept, res.totals.tolist()) == REDUCE_PINS[seed, level]
+
+
+def test_guideline_pinned(small_replica, fitted):
+    r = small_replica
+    res = guideline_experiment(r.graph, r.cascades, fitted, 0.05, 3, r.config.period)
+    assert res.corrective_retweeters_kept == 15
+    assert res.totals.tolist() == [9444, 542, 1768, 249, 1020, 21, 81]
+
+
 def test_zero_retention_drops_all_corrective_retweets(small_replica, fitted):
     r = small_replica
     res = reduce_corrective(r.graph, r.cascades, fitted, 0.0, 0, r.config.period)
@@ -122,17 +154,17 @@ def test_guideline_gate_is_exact(small_replica, fitted):
 
     mis = [c for c in r.cascades if c.seed.category is TweetCategory.MISINFORMATION]
     for c in mis:
-        mark(c.seed.author, (c.seed.day, c.seed.seq))
-        for e in c.events:
-            mark(e.user, (e.day, e.seq))
+        mark(c.seed.author, (c.seed.day.toordinal(), c.seed.seq))
+        for user, day, seq in c.events.tolist():
+            mark(user, (day, seq))
 
     out_by_id = {}
     for c in r.cascades:
         if c.seed.category is TweetCategory.CORRECTIVE:
             gate = {
-                e.user
-                for e in c.events
-                if e.user in first_mis and first_mis[e.user] < (e.day, e.seq)
+                user
+                for user, day, seq in c.events.tolist()
+                if user in first_mis and first_mis[user] < (day, seq)
             }
             out_by_id[c.seed.tweet_id] = prune_cascade(r.graph, c, gate)
     kept_total = sum(len(c.events) for c in out_by_id.values())
@@ -148,7 +180,7 @@ def test_guideline_orders_by_day_before_snowflake_seq():
 
     def corrective(tweet_id, seed_seq, user, day, seq):
         seed = SeedTweet(tweet_id, 2, TweetCategory.CORRECTIVE, date(2020, 2, 24), seed_seq)
-        return Cascade(seed, (RetweetEvent(user, tweet_id, day, seq),))
+        return Cascade(seed, [(user, day.toordinal(), seq)])
 
     cascades = [
         mis,
@@ -252,7 +284,7 @@ def test_sweep_gates_misinfo_from_the_day_after_correction():
     c, m, m2 = simulate_cascades(
         g, seeds, rates, REAL_PERIOD, derive_seed(0, "trial", 0), corrective_blocks_misinfo=True
     )
-    assert m.retweeters == (1, 3) and m2.retweeters == ()
+    assert m.retweeters.tolist() == [1, 3] and m2.retweeters.tolist() == []
     model = reference_model(4)
     grid = sweep(g, seeds, model, [0.0], [0.0, 1.0], 1, 0, REAL_PERIOD)
     for cell in grid.cells:

@@ -3,14 +3,15 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import DAY0, random_graph
-from infodemic.cascade import Cascade, RetweetEvent, SeedTweet, TweetCategory
+from conftest import DAY0, NOT_A_VALUE, random_graph, table_with_bad_row
+from infodemic.cascade import Cascade, SeedTweet, TweetCategory
 from infodemic.exposure import (
     CLASS_CATEGORIES,
     ExposureError,
     ExposureMatrix,
-    daily_exposures,
     exposure_matrix,
     total_exposures,
 )
@@ -20,6 +21,11 @@ from infodemic.graph import SocialGraph
 def seed(author, cat, day=DAY0, tid=None, seq=0):
     tid = tid or f"{cat.value[:1]}{author}-{seq}"
     return SeedTweet(tweet_id=tid, author=author, category=cat, day=day, seq=seq)
+
+
+def daily_exposures(graph, cascades, day, **kw):
+    """The seven class counts of `day` alone: a one-day `exposure_matrix`."""
+    return tuple(exposure_matrix(graph, cascades, (day, day), **kw).counts[0].tolist())
 
 
 def oracle_daily(graph, cascades, day, *, cumulative=False, include_actors=True):
@@ -35,9 +41,9 @@ def oracle_daily(graph, cascades, day, *, cumulative=False, include_actors=True)
     for c in cascades:
         if c.seed.day == day or (cumulative and c.seed.day <= day):
             mark(c.seed.author, c.seed.category)
-        for e in c.events:
-            if e.day == day or (cumulative and e.day <= day):
-                mark(e.user, c.seed.category)
+        for user, d, _ in c.events.tolist():
+            if d == day.toordinal() or (cumulative and d <= day.toordinal()):
+                mark(user, c.seed.category)
     counts = [0] * 7
     for cats in per_user:
         if cats:
@@ -55,14 +61,12 @@ def _random_cascades(rng, g):
             seq += 1
             events = []
             for u in rng.permutation(g.n_users)[: rng.integers(0, 4)]:
-                if int(u) == s.author or any(e.user == int(u) for e in events):
+                if int(u) == s.author or any(e[0] == int(u) for e in events):
                     continue
-                events.append(
-                    RetweetEvent(int(u), s.tweet_id, day + timedelta(days=int(rng.integers(0, 3))), seq)
-                )
+                d = day + timedelta(days=int(rng.integers(0, 3)))
+                events.append((int(u), d.toordinal(), seq))
                 seq += 1
-            events.sort(key=lambda e: e.seq)
-            out.append(Cascade(s, tuple(events)))
+            out.append(Cascade(s, events))
     return out
 
 
@@ -77,7 +81,7 @@ def test_daily_exposures_matches_per_user_oracle(cumulative, include_actors):
             day = DAY0 + timedelta(days=d)
             got = daily_exposures(
                 g, cascades, day, cumulative=cumulative, include_actors=include_actors
-            ).counts
+            )
             want = oracle_daily(
                 g, cascades, day, cumulative=cumulative, include_actors=include_actors
             )
@@ -107,17 +111,17 @@ def test_classes_partition_exposed_users():
     d = daily_exposures(g, cascades, DAY0)
     # user 3 sees all three (x7), user 4 and authors 0..2 see corrective only
     # (authors count as viewers of their own tweet), 1 and 2 see their own
-    assert d.counts == (2, 1, 1, 0, 0, 0, 1)
-    assert d.total_exposed == 5
+    assert d == (2, 1, 1, 0, 0, 0, 1)
+    assert sum(d) == 5
 
 
 def test_no_exposure_outside_event_days():
     g = SocialGraph(2, [(1, 0)])
     cascades = [Cascade(seed(0, TweetCategory.CORRECTIVE), ())]
     later = daily_exposures(g, cascades, DAY0 + timedelta(days=1))
-    assert later.counts == (0,) * 7
+    assert later == (0,) * 7
     cum = daily_exposures(g, cascades, DAY0 + timedelta(days=1), cumulative=True)
-    assert cum.counts == (2, 0, 0, 0, 0, 0, 0)
+    assert cum == (2, 0, 0, 0, 0, 0, 0)
 
 
 def test_exposure_matrix_and_totals():
@@ -177,4 +181,48 @@ def test_matrix_csv_rejects_garbage():
 )
 def test_matrix_csv_errors_are_line_numbered(text, line, what):
     with pytest.raises(ExposureError, match=f"^line {line}: .*{what}"):
+        ExposureMatrix.from_csv(io.StringIO(text))
+
+
+@st.composite
+def exposure_matrices(draw):
+    start = draw(st.dates())
+    n = draw(st.integers(0, min(8, (date.max - start).days + 1)))
+    counts = draw(st.lists(st.integers(0, 2**63 - 1), min_size=7 * n, max_size=7 * n))
+    days = tuple(start + timedelta(days=i) for i in range(n))
+    return ExposureMatrix(days, np.array(counts, dtype=np.int64).reshape(n, 7))
+
+
+@given(exposure_matrices())
+@settings(max_examples=100, deadline=None)
+def test_matrix_csv_roundtrip_any_counts(tmp_path_factory, m):
+    path = tmp_path_factory.mktemp("exposure") / "exposure.csv"
+    m.to_csv(path, header_comments=["generated"])
+    with open(path, encoding="utf-8", newline="") as fh:
+        back = ExposureMatrix.from_csv(fh)
+    assert back.days == m.days
+    assert np.array_equal(back.counts, m.counts)
+
+
+DAY = "2020-02-21"
+BAD_EXPOSURE_ROW = st.one_of(
+    st.integers(1, 12).filter(lambda k: k != 8).map(lambda k: ",".join([DAY] + ["1"] * (k - 1))),
+    NOT_A_VALUE.map(lambda t: t + ",1,2,3,4,5,6,7"),
+    st.tuples(st.integers(0, 6), st.one_of(NOT_A_VALUE, st.just("1.5"))).map(
+        lambda c: ",".join([DAY] + ["1"] * c[0] + [c[1]] + ["1"] * (6 - c[0]))
+    ),
+    st.tuples(st.integers(0, 6), st.integers(max_value=-1)).map(
+        lambda c: ",".join([DAY] + ["1"] * c[0] + [str(c[1])] + ["1"] * (6 - c[0]))
+    ),
+)
+
+
+@given(table_with_bad_row(
+    "day,x1,x2,x3,x4,x5,x6,x7",
+    ["2020-02-20,0,1,2,3,4,5,6", "2020-02-22,6,5,4,3,2,1,0"],
+    BAD_EXPOSURE_ROW,
+))
+def test_matrix_csv_bad_row_fails_at_its_line(case):
+    text, line = case
+    with pytest.raises(ExposureError, match=f"^line {line}: "):
         ExposureMatrix.from_csv(io.StringIO(text))

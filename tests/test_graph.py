@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infodemic import _table as table_module
 from infodemic import graph as graph_module
 from infodemic.graph import (
     EDGE_HEADER,
@@ -675,7 +676,8 @@ def test_unwritable_directory_still_loads(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise PermissionError("read-only directory")
 
-    monkeypatch.setattr("tempfile.mkstemp", refuse)
+    # the package creates every file it writes through `_table.open`
+    monkeypatch.setattr(table_module, "open", refuse, raising=False)
     for _ in range(2):
         assert_same_graph(load_edges_file(path), load_edges(io.StringIO(CSV)))
     assert not sidecar_of(path).exists()

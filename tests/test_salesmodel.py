@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DAY0
+from conftest import DAY0, NOT_A_VALUE, table_with_bad_row
 from infodemic.exposure import ExposureMatrix
 from infodemic.salesmodel import (
     FittedSalesModel,
@@ -101,6 +101,51 @@ def test_series_csv_raw_form():
 )
 def test_series_csv_errors_are_line_numbered(text, line, what):
     with pytest.raises(SalesModelError, match=f"^line {line}: .*{what}"):
+        SalesSeries.from_csv(io.StringIO(text))
+
+
+@st.composite
+def sales_series(draw):
+    days = sorted(draw(st.lists(st.dates(), unique=True, max_size=12)))
+    return SalesSeries(tuple(days), np.array(draw(st.lists(st.floats(), min_size=len(days),
+                                                         max_size=len(days))), dtype=float))
+
+
+@given(sales_series())
+@settings(max_examples=100, deadline=None)
+def test_series_csv_roundtrip_any_values(tmp_path_factory, s):
+    p = tmp_path_factory.mktemp("sales") / "sales.csv"
+    s.to_csv(p, header_comments=["generated"])
+    with open(p, encoding="utf-8", newline="") as fh:
+        back = SalesSeries.from_csv(fh)
+    assert back.days == s.days
+    assert np.array_equal(back.values, s.values, equal_nan=True)
+
+
+GOOD_SALES = ["2020-02-20,0.25", "2020-02-22,-0.5"]
+DAY = "2020-02-21"
+BAD_SALES = {
+    "date,sales_index": st.one_of(
+        st.integers(1, 5).filter(lambda k: k != 2).map(lambda k: ",".join([DAY] + ["1"] * (k - 1))),
+        NOT_A_VALUE.map(lambda t: f"{t},0.1"),
+        NOT_A_VALUE.map(lambda t: f"{DAY},{t}"),
+    ),
+    "date,sales,sales_prev_year": st.one_of(
+        NOT_A_VALUE.map(lambda t: f"{DAY},{t},100"),
+        st.floats(max_value=0).map(lambda p: f"{DAY},5,{p!r}"),
+    ),
+}
+
+
+@given(st.sampled_from(sorted(BAD_SALES)).flatmap(
+    lambda header: table_with_bad_row(
+        header, GOOD_SALES if header == "date,sales_index" else ["2020-02-20,5,4"],
+        BAD_SALES[header],
+    )
+))
+def test_series_csv_bad_row_fails_at_its_line(case):
+    text, line = case
+    with pytest.raises(SalesModelError, match=f"^line {line}: "):
         SalesSeries.from_csv(io.StringIO(text))
 
 
