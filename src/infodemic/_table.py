@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import os
 import re
-from itertools import chain, islice
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 # builds the exception for malformed input: (physical line, message)
@@ -24,82 +24,53 @@ ErrorAtLine = Callable[[int, str], Exception]
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
 
-class TableReader:
-    """A table's csv records, its prologue and header already consumed.
-
-    `header` is the one of `headers` the table starts with, or None when
-    the stream holds nothing but a prologue.
-    """
-
-    def __init__(self, stream: Iterable[str], headers: Sequence[Sequence[str]], error: ErrorAtLine):
-        self.error = error
-        self.headers = [list(h) for h in headers]
-        self._prologue = 0  # lines the csv reader never sees
-        rest = iter(stream)
-        for line in rest:
-            if line.strip() and not line.lstrip().startswith("#"):
-                rest = chain([line], rest)
-                break
-            self._prologue += 1
-        self.reader = csv.reader(rest)
-        self.header: list[str] | None = None
-        first = self.records(1)
-        if first:
-            self.header = [c.strip() for c in first[0]]
-            if self.header not in self.headers:
-                raise error(self._prologue + 1, self.expected())
-
-    @property
-    def line_num(self) -> int:
-        """Physical line number of the last line read."""
-        return self._prologue + self.reader.line_num
-
-    def expected(self) -> str:
-        return "expected header " + " or ".join(repr(",".join(h)) for h in self.headers)
-
-    def records(self, n: int) -> list[list[str]]:
-        """Up to `n` more records as the csv module parses them, blank ones
-        included; text it rejects fails at the line where it stopped."""
-        try:
-            return list(islice(self.reader, n))
-        except csv.Error as e:
-            raise self.error(self.line_num, str(e)) from None
-
-
-def is_blank(row: list[str]) -> bool:
-    """Whether `row` was parsed from an empty or whitespace-only line."""
-    return not row or len(row) == 1 and not row[0].strip()
-
-
-def record_lines(row: list[str]) -> int:
-    """Physical lines a parsed record spans: one plus the line breaks
-    (`\\n`, `\\r\\n`, bare `\\r`) its quoted fields hold."""
-    return 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
+def at_line(cls: type[Exception]) -> ErrorAtLine:
+    """An `ErrorAtLine` that raises `cls("line N: message")`."""
+    return lambda line_no, message: cls(f"line {line_no}: {message}")
 
 
 def read_table(
-    stream: Iterable[str], headers: Sequence[Sequence[str]], error: type[Exception]
+    stream: Iterable[str],
+    headers: Sequence[Sequence[str]],
+    error: ErrorAtLine,
+    *,
+    record: str = "record",
+    headerless_empty: bool = False,
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield (physical line, stripped fields) for each record of a table
     whose header is one of `headers`; every record has its header's width.
 
-    A missing or unknown header, a record of another width and text the
-    csv module rejects raise `error("line N: ...")`.
+    An unknown header, a record of another width (`malformed {record}`)
+    and text the csv module rejects raise `error(line, message)`; so does
+    a missing header, unless `headerless_empty` makes it an empty table.
     """
-    table = TableReader(stream, headers, lambda n, msg: error(f"line {n}: {msg}"))
-    if table.header is None:
-        raise table.error(table.line_num + 1, table.expected())
-    width = len(table.header)
-    while True:
-        line_no = table.line_num + 1
-        rows = table.records(1)
-        if not rows:
+    headers = [list(h) for h in headers]
+    prologue = 0  # lines the csv module never parses
+    rest = iter(stream)
+    for line in rest:
+        if line.strip() and not line.lstrip().startswith("#"):
+            rest = chain([line], rest)
+            break
+        prologue += 1
+    expected = "expected header " + " or ".join(repr(",".join(h)) for h in headers)
+    reader = csv.reader(rest)
+    try:
+        first = next(reader, None)
+        if first is None and headerless_empty:
             return
-        (row,) = rows
-        if len(row) == width:
-            yield line_no, [c.strip() for c in row]
-        elif not is_blank(row):
-            raise table.error(line_no, f"malformed record {row!r}")
+        header = None if first is None else [c.strip() for c in first]
+        if header not in headers:
+            raise error(prologue + 1, expected)
+        width = len(header)
+        line_no = prologue + reader.line_num + 1
+        for row in reader:
+            if len(row) == width:
+                yield line_no, [c.strip() for c in row]
+            elif len(row) > 1 or row and row[0].strip():  # not a blank line
+                raise error(line_no, f"malformed {record} {row!r}")
+            line_no = prologue + reader.line_num + 1
+    except csv.Error as e:
+        raise error(prologue + reader.line_num, str(e)) from None
 
 
 def write_table(

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 import numpy as np
 
 from ._rng import derive_seed, uniform_for_users
-from ._table import read_table, write_table
+from ._table import at_line, read_table, write_table
 from .graph import SocialGraph, _Csr, _sorted_unique
 
 log = logging.getLogger("infodemic.cascade")
@@ -331,7 +331,7 @@ def load_seed_tweets(stream: TextIO | Iterable[str], graph: SocialGraph) -> list
     """
     parsed = []
     first_line: dict[str, int] = {}
-    for line_no, row in read_table(stream, [TWEET_HEADER], CascadeError):
+    for line_no, row in read_table(stream, [TWEET_HEADER], at_line(CascadeError)):
         if (prev := first_line.setdefault(row[0], line_no)) != line_no:
             raise CascadeError(f"line {line_no}: tweet id {row[0]!r} repeats line {prev}")
         try:
@@ -365,7 +365,7 @@ def load_retweets(
     first_line: dict[int, int] = {}
     retweet_line: dict[tuple[str, int], int] = {}
     rows: list[tuple[int, int, int, int, int]] = []  # tweet, user, day, seq, line
-    for line_no, row in read_table(stream, [RETWEET_HEADER], CascadeError):
+    for line_no, row in read_table(stream, [RETWEET_HEADER], at_line(CascadeError)):
         tid = row[1]
         if (t := by_tweet.get(tid)) is None:
             raise CascadeError(f"line {line_no}: retweet of unknown tweet {tid!r}")

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from ._table import read_table, write_table
+from ._table import at_line, read_table, write_table
 from .cascade import Cascade, TweetCategory, _actors, _audience
 from .graph import SocialGraph
 
@@ -66,7 +66,7 @@ class ExposureMatrix:
     def from_csv(cls, stream: TextIO | Iterable[str]) -> "ExposureMatrix":
         days: list[date] = []
         rows: list[list[int]] = []
-        for line_no, row in read_table(stream, [MATRIX_HEADER], ExposureError):
+        for line_no, row in read_table(stream, [MATRIX_HEADER], at_line(ExposureError)):
             try:
                 days.append(date.fromisoformat(row[0]))
                 rows.append([int(x) for x in row[1:]])
@@ -74,6 +74,11 @@ class ExposureMatrix:
                 raise ExposureError(f"line {line_no}: {e}") from None
             if min(rows[-1]) < 0:
                 raise ExposureError(f"line {line_no}: negative class count {min(rows[-1])}")
+            if len(days) > 1 and (days[-1] - days[-2]).days != 1:
+                raise ExposureError(
+                    f"line {line_no}: days must be contiguous and increasing "
+                    f"({days[-1]} after {days[-2]})"
+                )
         return cls(tuple(days), np.array(rows, dtype=np.int64).reshape(len(days), 7))
 
 

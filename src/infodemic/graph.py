@@ -14,19 +14,15 @@ import io
 import logging
 import os
 from dataclasses import dataclass
-from itertools import chain, compress
-from operator import ne
 from typing import BinaryIO, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from ._table import TableReader, atomic_write, csv_field, is_blank, record_lines
+from ._table import atomic_write, csv_field, read_table
 
 log = logging.getLogger("infodemic.graph")
 
 EDGE_HEADER = ["follower_id", "followee_id"]
-# edge records parsed per step of load_edges
-_CHUNK_ROWS = 1 << 12
 # `<edges csv>.csr` holds the parsed graph of that CSV: this header, the
 # CSV's sha256, then the arrays of `_sidecar_bytes`, each in `np.save`
 # format; the header's number is the layout's version
@@ -306,46 +302,26 @@ def load_edges(stream: TextIO | Iterable[str]) -> SocialGraph:
     to one; self-edges are dropped and counted (exposed as
     `SocialGraph.self_edges_dropped`, with a logged warning) before ids are
     assigned, so an id seen only in self-edges gets none.  External ids are
-    remapped to dense integers in first-appearance order.  An empty stream
-    is an empty graph.
+    remapped to dense integers in first-appearance order.  A stream with
+    no header record (empty, or only blank and `#` lines) is an empty graph.
     """
-    table = TableReader(stream, [EDGE_HEADER], EdgeParseError)
     index: dict[str, int] = {}
-    codes: list[np.ndarray] = []
+    codes: list[int] = []
     self_edges = 0
-    # bounded chunks keep only a slice of the parsed rows alive at once
-    while True:
-        line_no = table.line_num + 1
-        rows = table.records(_CHUNK_ROWS)
-        if not rows:
-            break
-        # the records that are not `is_blank`, inlined: a call per row adds ~2% to a load
-        records = [row for row in rows if len(row) > 1 or row and row[0].strip()]
-        if set(map(len, records)) - {2}:
-            _raise_malformed(rows, line_no)
-        fields = list(map(str.strip, chain.from_iterable(records)))
-        if "" in fields:
-            _raise_malformed(rows, line_no)
-        distinct = list(map(ne, fields[0::2], fields[1::2]))
-        if not all(distinct):
-            self_edges += len(distinct) - sum(distinct)
-            fields = list(compress(fields, chain.from_iterable(zip(distinct, distinct))))
-        new = [x for x in dict.fromkeys(fields) if x not in index]
-        index.update(zip(new, range(len(index), len(index) + len(new))))
-        codes.append(np.fromiter(map(index.__getitem__, fields), np.int64, len(fields)))
+    rows = read_table(
+        stream, [EDGE_HEADER], EdgeParseError, record="edge record", headerless_empty=True
+    )
+    for line_no, (a, b) in rows:
+        if not a or not b:
+            raise EdgeParseError(line_no, f"malformed edge record {[a, b]!r}")
+        if a == b:
+            self_edges += 1
+        else:
+            codes += index.setdefault(a, len(index)), index.setdefault(b, len(index))
     if self_edges:
         log.warning("dropped %d self-follow edge(s)", self_edges)
-    edges = np.concatenate(codes).reshape(-1, 2) if codes else []
+    edges = np.array(codes, dtype=np.int64).reshape(-1, 2)
     return SocialGraph(len(index), edges, external_ids=list(index), self_edges_dropped=self_edges)
-
-
-def _raise_malformed(rows: list[list[str]], line_no: int) -> None:
-    """Raise for the first malformed record of a chunk whose first record
-    starts on physical line `line_no`."""
-    for row in rows:
-        if not is_blank(row) and (len(row) != 2 or not row[0].strip() or not row[1].strip()):
-            raise EdgeParseError(line_no, f"malformed edge record {row!r}")
-        line_no += record_lines(row)
 
 
 def load_edges_file(path: str | os.PathLike) -> SocialGraph:

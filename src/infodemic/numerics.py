@@ -110,6 +110,8 @@ def ols(x: np.ndarray, y: np.ndarray) -> OlsResult:
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != len(y):
         raise NumericsError("x must be 2-D with one row per response value")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NumericsError("x and y must be finite")
     n, k = x.shape
     if n <= k + 1:
         raise NumericsError(f"need more than {k + 1} rows to fit {k} coefficients")

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from ._table import atomic_write, read_table, write_table
+from ._table import at_line, atomic_write, read_table, write_table
 from .exposure import ExposureMatrix
 from .numerics import NumericsError, OlsResult, PcaResult, ols, pca, project
 
@@ -65,15 +65,23 @@ class SalesSeries:
 
     @classmethod
     def from_csv(cls, stream: TextIO | Iterable[str]) -> "SalesSeries":
-        """Accepts `date,sales_index` or `date,sales,sales_prev_year`."""
+        """Accepts `date,sales_index` or `date,sales,sales_prev_year`; days
+        must increase and values must be finite."""
         days: list[date] = []
         vals: list[float] = []
-        for line_no, row in read_table(stream, SALES_HEADERS, SalesModelError):
+        for line_no, row in read_table(stream, SALES_HEADERS, at_line(SalesModelError)):
             try:
                 days.append(date.fromisoformat(row[0]))
-                vals.append(float(row[1]) if len(row) == 2 else sales_index(*map(float, row[1:])))
+                nums = [float(x) for x in row[1:]]
+                if not np.isfinite(nums).all():
+                    raise ValueError(f"non-finite value in {','.join(row[1:])!r}")
+                vals.append(nums[0] if len(nums) == 1 else sales_index(*nums))
             except ValueError as e:
                 raise SalesModelError(f"line {line_no}: {e}") from None
+            if len(days) > 1 and days[-1] <= days[-2]:
+                raise SalesModelError(
+                    f"line {line_no}: days must be strictly increasing ({days[-1]} after {days[-2]})"
+                )
         return cls(tuple(days), np.array(vals))
 
 

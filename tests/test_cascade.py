@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DAY0, random_graph
+from conftest import DAY0, NOT_A_VALUE, random_graph, table_with_bad_row
 from infodemic._rng import derive_seed, uniform_for_users
 from infodemic.cascade import (
     Cascade,
@@ -614,6 +614,41 @@ def test_load_retweets_counts_physical_lines():
     text = 'user_id,tweet_id,day,seq\n"u\n1",t0,2020-02-22,1\nu0,phantom,2020-02-22,2\n'
     with pytest.raises(CascadeError, match="^line 4: retweet of unknown tweet"):
         load_retweets(io.StringIO(text), g, seeds)
+
+
+TWEETS_HEADER = "tweet_id,author_id,category,day"
+GOOD_TWEETS = ["t0,u0,corrective,2020-02-21", "t1,u2,soldout,2020-02-22"]
+BAD_TWEET = st.one_of(
+    st.integers(1, 6).filter(lambda k: k != 4).map(lambda k: ",".join(["tb"] * k)),
+    NOT_A_VALUE.map(lambda t: f"tb,u1,misinformation,{t}"),  # day
+    NOT_A_VALUE.map(lambda t: f"tb,u1,{t},2020-02-21"),  # category
+    NOT_A_VALUE.map(lambda t: f"tb,{t},corrective,2020-02-21"),  # user
+)
+GOOD_RETWEETS = ["u1,t0,2020-02-22,1", "u0,t1,2020-02-23,2"]
+BAD_RETWEET = st.one_of(
+    st.integers(1, 6).filter(lambda k: k != 4).map(lambda k: ",".join(["u1"] * k)),
+    NOT_A_VALUE.map(lambda t: f"u2,t0,{t},5"),  # day
+    NOT_A_VALUE.map(lambda t: f"{t},t0,2020-02-22,5"),  # user
+    NOT_A_VALUE.map(lambda t: f"u2,{t},2020-02-22,5"),  # tweet
+    NOT_A_VALUE.map(lambda t: f"u2,t0,2020-02-22,{t}"),  # seq
+)
+THREE_USERS = SocialGraph(3, [(1, 0), (2, 1)], external_ids=["u0", "u1", "u2"])
+
+
+@given(table_with_bad_row(TWEETS_HEADER, GOOD_TWEETS, BAD_TWEET))
+def test_seed_tweets_bad_row_fails_at_its_line(case):
+    text, line = case
+    with pytest.raises(CascadeError, match=f"^line {line}: "):
+        load_seed_tweets(io.StringIO(text), THREE_USERS)
+
+
+@given(table_with_bad_row("user_id,tweet_id,day,seq", GOOD_RETWEETS, BAD_RETWEET))
+def test_retweets_bad_row_fails_at_its_line(case):
+    text, line = case
+    tweets = "".join(r + "\n" for r in [TWEETS_HEADER, *GOOD_TWEETS])
+    seeds = load_seed_tweets(io.StringIO(tweets), THREE_USERS)
+    with pytest.raises(CascadeError, match=f"^line {line}: "):
+        load_retweets(io.StringIO(text), THREE_USERS, seeds)
 
 
 # ids holding every character the table format treats specially

@@ -177,6 +177,10 @@ def test_matrix_csv_rejects_garbage():
         ("day,x1,x2,x3,x4,x5,x6,x7\nFeb 21,1,2,3,4,5,6,7\n", 2, "isoformat"),
         ("day,x1,x2,x3,x4,x5,x6,x7\n2020-02-20,0,0,0,0,0,0,0\n2020-02-21,-5,0,0,0,0,0,0\n",
          3, "negative class count -5"),
+        ("day,x1,x2,x3,x4,x5,x6,x7\n2020-02-20,0,0,0,0,0,0,0\n2020-02-22,0,0,0,0,0,0,0\n",
+         3, r"days must be contiguous and increasing \(2020-02-22 after 2020-02-20\)"),
+        ("day,x1,x2,x3,x4,x5,x6,x7\n2020-02-20,0,0,0,0,0,0,0\n\n2020-02-20,0,0,0,0,0,0,0\n",
+         4, "contiguous and increasing"),
     ],
 )
 def test_matrix_csv_errors_are_line_numbered(text, line, what):
@@ -219,7 +223,7 @@ BAD_EXPOSURE_ROW = st.one_of(
 
 @given(table_with_bad_row(
     "day,x1,x2,x3,x4,x5,x6,x7",
-    ["2020-02-20,0,1,2,3,4,5,6", "2020-02-22,6,5,4,3,2,1,0"],
+    ["2020-02-19,0,1,2,3,4,5,6", "2020-02-20,6,5,4,3,2,1,0"],
     BAD_EXPOSURE_ROW,
 ))
 def test_matrix_csv_bad_row_fails_at_its_line(case):

@@ -181,15 +181,32 @@ def test_load_edges_duplicates_and_self_edges():
 
 
 def test_load_edges_empty_stream():
-    g = load_edges(io.StringIO(""))
-    assert g.n_users == 0
-    assert g.n_edges == 0
+    # a prologue with no header record is an empty graph too
+    for text in ("", "\n  \n", "# exported 2020-03-10\n\n"):
+        g = load_edges(io.StringIO(text))
+        assert g.n_users == 0
+        assert g.n_edges == 0
 
 
 def test_load_edges_bad_header():
     with pytest.raises(EdgeParseError) as exc:
         load_edges(io.StringIO("src,dst\na,b\n"))
     assert exc.value.line_no == 1
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("# c\nsrc,dst\na,b\n", (2, "expected header 'follower_id,followee_id'")),
+        ("follower_id,followee_id\na,b\n\nc\n", (4, "malformed edge record ['c']")),
+        ("follower_id,followee_id\na,b,c\n", (2, "malformed edge record ['a', 'b', 'c']")),
+        ("follower_id,followee_id\n,b\n", (2, "malformed edge record ['', 'b']")),
+    ],
+)
+def test_load_edges_error_text(text, want):
+    with pytest.raises(EdgeParseError) as exc:
+        load_edges(io.StringIO(text))
+    assert (exc.value.line_no, str(exc.value)) == (want[0], f"line {want[0]}: {want[1]}")
 
 
 def test_load_edges_malformed_record_line_number():
@@ -455,29 +472,23 @@ def edge_csvs(draw, malformed=False):
     return buf.getvalue()
 
 
-# record counts per loader step: tiny ones split every input across steps
-CHUNK_ROWS = st.sampled_from([1, 2, 3, graph_module._CHUNK_ROWS])
-
-
-@given(edge_csvs(), CHUNK_ROWS)
+@given(edge_csvs())
 @settings(max_examples=150, deadline=None)
-def test_load_edges_matches_reference_loader(text, chunk_rows):
+def test_load_edges_matches_reference_loader(text):
     ids, pairs, self_edges = reference_load(text)
-    with mock.patch.object(graph_module, "_CHUNK_ROWS", chunk_rows):
-        g = load_edges(io.StringIO(text, newline=""))
+    g = load_edges(io.StringIO(text, newline=""))
     assert g.external_ids == ids
     assert g.self_edges_dropped == self_edges
     assert_csr_equal(g, reference_csr(len(ids), pairs))
 
 
-@given(edge_csvs(malformed=True), CHUNK_ROWS)
+@given(edge_csvs(malformed=True))
 @settings(max_examples=100, deadline=None)
-def test_load_edges_malformed_line_matches_reference(text, chunk_rows):
+def test_load_edges_malformed_line_matches_reference(text):
     with pytest.raises(EdgeParseError) as want:
         reference_load(text)
-    with mock.patch.object(graph_module, "_CHUNK_ROWS", chunk_rows):
-        with pytest.raises(EdgeParseError) as got:
-            load_edges(io.StringIO(text, newline=""))
+    with pytest.raises(EdgeParseError) as got:
+        load_edges(io.StringIO(text, newline=""))
     assert got.value.line_no == want.value.line_no
 
 

@@ -231,6 +231,15 @@ def test_ols_constant_response():
     assert r.f_value == 0.0
 
 
+@pytest.mark.parametrize("where, bad", [("x", np.nan), ("x", -np.inf), ("y", np.nan), ("y", np.inf)])
+def test_ols_rejects_non_finite(where, bad):
+    rng = np.random.default_rng(5)
+    data = {"x": rng.normal(size=(10, 2)), "y": rng.normal(size=10)}
+    data[where].flat[4] = bad
+    with pytest.raises(NumericsError, match="finite"):
+        ols(data["x"], data["y"])
+
+
 def test_ols_rank_deficiency_names_columns():
     rng = np.random.default_rng(7)
     a = rng.normal(size=10)

@@ -97,6 +97,13 @@ def test_series_csv_raw_form():
         ("date,sales_index\n2020-02-21,0.1\n2020-02-22,abc\n", 3, "could not convert"),
         ("date,sales_index\nFeb 21,0.1\n", 2, "isoformat"),
         ("date,sales,sales_prev_year\n2020-02-21,5,0\n", 2, "must be positive"),
+        ("date,sales_index\n2020-02-21,0.1\n2020-02-22,nan\n", 3, "non-finite value in 'nan'"),
+        ("date,sales_index\n2020-02-21,-inf\n", 2, "non-finite"),
+        ("date,sales,sales_prev_year\n2020-02-21,inf,100\n", 2, "non-finite"),
+        ("date,sales,sales_prev_year\n2020-02-21,5,nan\n", 2, "non-finite"),
+        ("date,sales_index\n2020-02-22,0.1\n2020-02-21,0.2\n", 3,
+         r"days must be strictly increasing \(2020-02-21 after 2020-02-22\)"),
+        ("date,sales_index\n2020-02-21,0.1\n2020-02-21,0.2\n", 3, "strictly increasing"),
     ],
 )
 def test_series_csv_errors_are_line_numbered(text, line, what):
@@ -107,8 +114,9 @@ def test_series_csv_errors_are_line_numbered(text, line, what):
 @st.composite
 def sales_series(draw):
     days = sorted(draw(st.lists(st.dates(), unique=True, max_size=12)))
-    return SalesSeries(tuple(days), np.array(draw(st.lists(st.floats(), min_size=len(days),
-                                                         max_size=len(days))), dtype=float))
+    values = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=len(days),
+                      max_size=len(days))
+    return SalesSeries(tuple(days), np.array(draw(values), dtype=float))
 
 
 @given(sales_series())
@@ -124,14 +132,17 @@ def test_series_csv_roundtrip_any_values(tmp_path_factory, s):
 
 GOOD_SALES = ["2020-02-20,0.25", "2020-02-22,-0.5"]
 DAY = "2020-02-21"
+NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
 BAD_SALES = {
     "date,sales_index": st.one_of(
         st.integers(1, 5).filter(lambda k: k != 2).map(lambda k: ",".join([DAY] + ["1"] * (k - 1))),
         NOT_A_VALUE.map(lambda t: f"{t},0.1"),
         NOT_A_VALUE.map(lambda t: f"{DAY},{t}"),
+        NON_FINITE.map(lambda t: f"{DAY},{t}"),
     ),
     "date,sales,sales_prev_year": st.one_of(
         NOT_A_VALUE.map(lambda t: f"{DAY},{t},100"),
+        NON_FINITE.map(lambda t: f"{DAY},{t},100"),
         st.floats(max_value=0).map(lambda p: f"{DAY},5,{p!r}"),
     ),
 }
@@ -174,6 +185,15 @@ def test_fit_day_mismatch():
     other = SalesSeries(tuple(d + timedelta(days=1) for d in sales.days), sales.values)
     with pytest.raises(SalesModelError):
         fit(matrix, other)
+
+
+def test_fit_rejects_non_finite_sales():
+    matrix, sales, _ = planted_dataset()
+    for bad in (np.nan, np.inf):
+        values = sales.values.copy()
+        values[3] = bad
+        with pytest.raises(SalesModelError, match="finite"):
+            fit(matrix, SalesSeries(sales.days, values))
 
 
 def test_fit_needs_enough_days():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infodemic._table import csv_field, read_table, write_table
+from infodemic._table import at_line, csv_field, read_table, write_table
 
 
 class TableError(ValueError):
@@ -13,7 +13,7 @@ class TableError(ValueError):
 
 def read(text: str, headers=(["a", "b"],), newline=""):
     """Records of `text`, its lines split as a file opened with `newline` splits them."""
-    return list(read_table(io.StringIO(text, newline=newline), headers, TableError))
+    return list(read_table(io.StringIO(text, newline=newline), headers, at_line(TableError)))
 
 
 # field text with every character the format treats specially; fields are
@@ -38,7 +38,7 @@ def test_write_read_roundtrip(tmp_path_factory, table, comments):
     path = tmp_path_factory.mktemp("table") / "t.csv"
     write_table(path, header, rows, comments)
     with open(path, encoding="utf-8", newline="") as fh:
-        back = list(read_table(fh, [header], TableError))
+        back = list(read_table(fh, [header], at_line(TableError)))
     assert [fields for _, fields in back] == rows
     # each record starts on the physical line its line number names
     with open(path, encoding="utf-8", newline="") as fh:
