@@ -23,7 +23,6 @@ from . import __version__
 from ._rng import derive_seed
 from ._table import write_table
 from .cascade import (
-    CascadeError,
     TweetCategory,
     load_retweets,
     load_seed_tweets,
@@ -33,7 +32,6 @@ from .cascade import (
 from .counterfactual import (
     CORRECTIVE_RATE_LEVELS,
     MISINFO_RATE_LEVELS,
-    ExperimentError,
     REAL_CORRECTIVE_RT_RATE,
     REAL_MISINFO_RT_RATE,
     compare,
@@ -43,30 +41,14 @@ from .counterfactual import (
     sweep_summary_csv,
     sweep_trials_csv,
 )
-from .exposure import ExposureError, exposure_matrix, total_exposures
-from .graph import GraphError, GraphGenConfig, generate_graph, load_edges_file, save_edges
-from .numerics import NumericsError
-from .salesmodel import (
-    SalesModelError,
-    SalesSeries,
-    fit,
-    group_impacts,
-    load_model,
-    save_model,
-)
+from .exposure import exposure_matrix, total_exposures
+from .graph import GraphGenConfig, generate_graph, load_edges_file, save_edges
+from .salesmodel import SalesSeries, fit, group_impacts, load_model, save_model
 
 log = logging.getLogger("infodemic.cli")
 
-_INPUT_ERRORS = (
-    GraphError,
-    CascadeError,
-    ExposureError,
-    SalesModelError,
-    NumericsError,
-    ExperimentError,
-    FileNotFoundError,
-    ValueError,
-)
+# every package error subclasses ValueError
+_INPUT_ERRORS = (ValueError, FileNotFoundError)
 
 
 class CliError(Exception):

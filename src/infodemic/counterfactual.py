@@ -62,15 +62,11 @@ class ExperimentConfig:
     corrective_rt_rate: float = REAL_CORRECTIVE_RT_RATE
     misinfo_rt_rate: float = REAL_MISINFO_RT_RATE
     soldout_rt_rate: float = 0.004
-    trials: int = 10
-    base_seed: int = 0
 
     def __post_init__(self):
         for r in (self.corrective_rt_rate, self.misinfo_rt_rate, self.soldout_rt_rate):
             if not 0.0 <= r <= 1.0:
                 raise ExperimentError("RT rates must be in [0, 1]")
-        if self.trials < 1:
-            raise ExperimentError("trials must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -275,9 +271,11 @@ def sweep(
     """
     if not corrective_rates or not misinfo_rates:
         raise ExperimentError("rate lists must be non-empty")
+    if trials < 1:
+        raise ExperimentError("trials must be >= 1")
     for m_rate in misinfo_rates:
         for c_rate in corrective_rates:  # each cell's config checks its rates
-            ExperimentConfig(c_rate, m_rate, soldout_rt_rate, trials, base_seed)
+            ExperimentConfig(c_rate, m_rate, soldout_rt_rate)
     start, end = period
     n_days = (end - start).days + 1
     by_cat = {cat: [s for s in seed_tweets if s.category is cat] for cat in TweetCategory}

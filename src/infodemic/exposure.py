@@ -55,7 +55,7 @@ class ExposureMatrix:
         if c.shape != (len(self.days), 7):
             raise ExposureError("counts shape must be (n_days, 7)")
         for a, b in zip(self.days, self.days[1:]):
-            if b != a + timedelta(days=1):
+            if (b - a).days != 1:  # `a + 1 day` overflows past date.max
                 raise ExposureError("days must be contiguous and increasing")
 
     def to_csv(self, path: str | os.PathLike, header_comments: Sequence[str] = ()) -> None:

@@ -26,7 +26,7 @@ EDGE_HEADER = ["follower_id", "followee_id"]
 # `<edges csv>.csr` holds the parsed graph of that CSV: this header, the
 # CSV's sha256, then the arrays of `_sidecar_bytes`, each in `np.save`
 # format; the header's number is the layout's version
-_SIDECAR_HEAD = b"infodemic edge csr 1\n"
+_SIDECAR_HEAD = b"infodemic edge csr 2\n"
 
 
 class GraphError(ValueError):
@@ -44,18 +44,18 @@ class _Csr:
 
     __slots__ = ("indptr", "indices")
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
-        self.indptr, self.indices = indptr, indices
-        indptr.setflags(write=False)
+    def __init__(self, n: int, rows: np.ndarray, indices: np.ndarray):
+        """From each entry's row (any order) and the entries' neighbors,
+        sorted by (row, neighbor)."""
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
+        self.indices = indices
+        self.indptr.setflags(write=False)
         indices.setflags(write=False)
 
-    @classmethod
-    def from_keys(cls, n: int, keys: np.ndarray) -> "_Csr":
-        """From sorted, distinct `src * n + dst` edge keys."""
-        src, indices = np.divmod(keys, n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return cls(indptr, indices)
+    def rows(self) -> np.ndarray:
+        """The row of each entry of `indices`."""
+        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u] : self.indptr[u + 1]]
@@ -89,7 +89,7 @@ class SocialGraph:
         self_edges_dropped: int = 0,
     ):
         """`edges` is an (m, 2) array of (follower, followee) dense ids;
-        duplicates collapse and self-edges are dropped and counted."""
+        duplicates collapse and self-edges are dropped, each row counted."""
         n = int(n_users)
         arr = np.asarray(edges, dtype=np.int64)
         if arr.size == 0:
@@ -97,40 +97,43 @@ class SocialGraph:
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise GraphError("edges must be (follower, followee) pairs")
         loops = arr[:, 0] == arr[:, 1]
-        dropped = len(_sorted_unique(arr[loops, 0]))
         arr = arr[~loops]
         if len(arr) and (arr.min() < 0 or arr.max() >= n):
             raise GraphError("edge endpoint outside 0..n_users-1")
-        keys = _sorted_unique(arr[:, 0] * n + arr[:, 1])
         if external_ids is None:
             external_ids = [str(i) for i in range(n)]
-        self._assign(
-            _Csr.from_keys(n, keys),
-            _Csr.from_keys(n, np.sort(keys % n * n + keys // n)),
-            external_ids,
-            self_edges_dropped + dropped,
-        )
+        keys = _sorted_unique(arr[:, 0] * n + arr[:, 1])
+        self._assign(n, keys, external_ids, self_edges_dropped + np.count_nonzero(loops))
 
     @classmethod
-    def _from_csr(
-        cls, follows: _Csr, followers: _Csr, external_ids: Sequence[str], self_edges_dropped: int
+    def _from_keys(
+        cls, n: int, keys: np.ndarray, external_ids: Sequence[str], self_edges_dropped: int
     ) -> "SocialGraph":
-        """A graph over adjacency already sorted, deduplicated and free of
-        self-edges, `followers` the transpose of `follows`; taken as is."""
+        """The graph of edge keys `follower * n + followee` that are already
+        sorted and distinct, without the constructor's deduplication."""
         g = cls.__new__(cls)
-        g._assign(follows, followers, external_ids, self_edges_dropped)
+        g._assign(n, keys, external_ids, self_edges_dropped)
         return g
 
     def _assign(
-        self, follows: _Csr, followers: _Csr, external_ids: Sequence[str], self_edges_dropped: int
+        self, n: int, keys: np.ndarray, external_ids: Sequence[str], self_edges_dropped: int
     ) -> None:
-        n = len(follows.indptr) - 1
+        """Every graph is built here, from edge keys `follower * n +
+        followee`; a `GraphError` unless they strictly increase within
+        [0, n*n) and hold no self-edge."""
         if len(external_ids) != n:
             raise GraphError("external_ids length must equal n_users")
+        if len(keys) and (keys[0] < 0 or int(keys[-1]) >= n * n or np.any(keys[1:] <= keys[:-1])):
+            raise GraphError("edge keys not strictly increasing within [0, n_users**2)")
+        src, dst = np.divmod(keys, n)
+        if np.any(src == dst):
+            raise GraphError("self-edge")
         self.n_users = n
-        self.n_edges = len(follows.indices)
+        self.n_edges = len(keys)
         self.self_edges_dropped = self_edges_dropped
-        self._follows, self._followers = follows, followers
+        self._follows = _Csr(n, src, dst)
+        # the transpose: (followee, follower) keys sorted
+        self._followers = _Csr(n, dst, np.sort(dst * n + src) % n)
         self.external_ids = tuple(external_ids)
         self._id_index = {x: i for i, x in enumerate(self.external_ids)}
 
@@ -359,9 +362,8 @@ def save_edges(graph: SocialGraph, path: str | os.PathLike) -> None:
     (follower, followee) dense-id order, then the sidecar `load_edges_file`
     reads for it when every id reloads as it is."""
     fields = np.array([csv_field(x) for x in graph.external_ids], dtype=object)
-    follows = graph._follows
-    src = np.repeat(np.arange(graph.n_users), np.diff(follows.indptr))
-    rows = map("{},{}\n".format, fields[src], fields[follows.indices])
+    src, dst = graph._follows.rows(), graph._follows.indices
+    rows = map("{},{}\n".format, fields[src], fields[dst])
     data = (",".join(EDGE_HEADER) + "\n" + "".join(rows)).encode("utf-8")
     atomic_write(path, data)
     if _ids_reload_intact(graph):
@@ -386,25 +388,23 @@ def _ids_reload_intact(graph: SocialGraph) -> bool:
 def _reloaded(graph: SocialGraph, src: np.ndarray) -> SocialGraph:
     """The graph `load_edges` parses from `save_edges`' CSV of `graph`, whose
     ids reload intact and are distinct: dense ids renumbered by first
-    appearance over the rows, isolated users gone."""
-    n, m, dst = graph.n_users, graph.n_edges, graph._follows.indices
-    # a user's first position in the interleaved (src, dst) rows: twice its
-    # first row as a follower, or twice its first row as a followee plus one;
-    # that row holds its smallest follower
-    first = np.full(n, 2 * m)
-    follower = np.flatnonzero(np.diff(graph._follows.indptr))
-    first[follower] = 2 * graph._follows.indptr[follower]
+    appearance over the rows (`src` their followers), isolated users gone."""
+    n, m = graph.n_users, graph.n_edges
+    indptr, dst = graph._follows.indptr, graph._follows.indices
+    # each user's first position in the interleaved (src, dst) rows: twice
+    # its first row as a follower, or twice its first row as a followee plus
+    # one; that row holds its smallest follower
+    first = np.where(np.diff(indptr) > 0, 2 * indptr[:-1], 2 * m)
     followers = graph._followers
     followee = np.flatnonzero(np.diff(followers.indptr))
     key = followers.indices[followers.indptr[followee]] * n + followee
-    row = np.searchsorted(src * n + dst, key)
-    first[followee] = np.minimum(first[followee], 2 * row + 1)
+    first[followee] = np.minimum(first[followee], 2 * np.searchsorted(src * n + dst, key) + 1)
     order = np.argsort(first)[: np.count_nonzero(first < 2 * m)]
     dense = np.empty(n, dtype=np.int64)
     dense[order] = np.arange(len(order))
+    keys = np.sort(dense[src] * len(order) + dense[dst])
     ids = graph.external_ids
-    edges = np.column_stack((dense[src], dense[dst]))
-    return SocialGraph(len(order), edges, [ids[u] for u in order.tolist()])
+    return SocialGraph._from_keys(len(order), keys, [ids[u] for u in order.tolist()], 0)
 
 
 def _sidecar_path(path: str | os.PathLike) -> str:
@@ -412,16 +412,13 @@ def _sidecar_path(path: str | os.PathLike) -> str:
 
 
 def _sidecar_bytes(graph: SocialGraph, digest: bytes) -> bytes:
-    """Header, CSV digest, then meta, both CSRs, per-id code-point lengths
-    and the UTF-8 id blob.  `np.save` output carries no timestamp, so equal
-    graphs give equal bytes."""
-    ids = graph.external_ids
+    """Header, CSV digest, then meta, the sorted edge keys, per-id
+    code-point lengths and the UTF-8 id blob.  `np.save` output carries no
+    timestamp, so equal graphs give equal bytes."""
+    n, ids, follows = graph.n_users, graph.external_ids, graph._follows
     arrays = (
-        np.array([graph.n_users, graph.n_edges, graph.self_edges_dropped], dtype=np.int64),
-        graph._follows.indptr,
-        graph._follows.indices,
-        graph._followers.indptr,
-        graph._followers.indices,
+        np.array([n, graph.self_edges_dropped], dtype=np.int64),
+        follows.rows() * n + follows.indices,
         np.fromiter(map(len, ids), np.int64, len(ids)),
         np.frombuffer("".join(ids).encode("utf-8"), dtype=np.uint8),
     )
@@ -447,17 +444,17 @@ def _read_sidecar(path: str, digest: bytes) -> SocialGraph:
     with open(path, "rb") as fh:
         if fh.read(len(_SIDECAR_HEAD) + len(digest)) != _SIDECAR_HEAD + digest:
             raise ValueError("made for another version or other bytes")
-        n, m, dropped = _load_array(fh, np.int64, 3).tolist()
-        if min(n, m, dropped) < 0:
+        n, dropped = _load_array(fh, np.int64, 2).tolist()
+        if min(n, dropped) < 0:
             raise ValueError("negative size")
-        follows, followers = _load_csr(fh, n, m), _load_csr(fh, n, m)
+        keys = _load_array(fh, np.int64)
         lengths = _load_array(fh, np.int64, n)
         text = _load_array(fh, np.uint8).tobytes().decode("utf-8")
     if np.any(lengths < 0) or int(lengths.sum()) != len(text):
         raise ValueError("id lengths do not match the id blob")
     ends = np.cumsum(lengths).tolist()
     ids = [text[a:b] for a, b in zip([0] + ends[:-1], ends)]
-    graph = SocialGraph._from_csr(follows, followers, ids, dropped)
+    graph = SocialGraph._from_keys(n, keys, ids, dropped)  # a GraphError on bad keys
     if len(graph._id_index) != n:
         raise ValueError("repeated id")
     return graph
@@ -475,12 +472,3 @@ def _load_array(fh: BinaryIO, dtype: type, length: int | None = None) -> np.ndar
     if nbytes > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError("truncated")
     return np.frombuffer(fh.read(nbytes), dtype=dt)
-
-
-def _load_csr(fh: BinaryIO, n: int, m: int) -> _Csr:
-    indptr, indices = _load_array(fh, np.int64, n + 1), _load_array(fh, np.int64, m)
-    if indptr[0] != 0 or indptr[-1] != m or np.any(indptr[1:] < indptr[:-1]):
-        raise ValueError("indptr not monotone from 0 to the edge count")
-    if m and (indices.min() < 0 or indices.max() >= n):
-        raise ValueError("neighbor index out of range")
-    return _Csr(indptr, indices)

@@ -45,8 +45,6 @@ def test_rate_levels_shapes():
 def test_experiment_config_validation():
     with pytest.raises(ExperimentError):
         ExperimentConfig(corrective_rt_rate=1.5)
-    with pytest.raises(ExperimentError):
-        ExperimentConfig(trials=0)
 
 
 def test_compare_reduction():
@@ -207,7 +205,7 @@ def test_guideline_with_resimulated_misinfo(small_replica, fitted):
 
 def test_simulate_trial_runs_and_counts(small_replica, fitted):
     r = small_replica
-    cfg = ExperimentConfig(trials=1)
+    cfg = ExperimentConfig()
     res = simulate_trial(
         r.graph, r.seed_tweets, fitted, cfg, r.config.period, derive_seed(0, "t", 0)
     )
@@ -233,6 +231,8 @@ def test_sweep_grid_shape_and_stats(small_replica, fitted):
         grid.cell(0.123, 0.456)
     with pytest.raises(ExperimentError):
         sweep(r.graph, r.seed_tweets, fitted, [], [0.0], 1, 0, r.config.period)
+    with pytest.raises(ExperimentError):
+        sweep(r.graph, r.seed_tweets, fitted, [0.0], [0.0], 0, 0, r.config.period)
 
 
 def misinfo_retweets(r, rates, trial_seed, blocks):

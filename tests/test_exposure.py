@@ -142,6 +142,8 @@ def test_exposure_matrix_validation():
         ExposureMatrix((DAY0, DAY0 + timedelta(days=2)), np.zeros((2, 7), dtype=int))
     with pytest.raises(ExposureError):
         ExposureMatrix((DAY0,), np.zeros((1, 6), dtype=int))
+    with pytest.raises(ExposureError):
+        ExposureMatrix((date.max, date(2020, 1, 1)), np.zeros((2, 7), dtype=int))
     g = SocialGraph(1, [])
     with pytest.raises(ExposureError):
         exposure_matrix(g, [], (DAY0, DAY0 - timedelta(days=1)))

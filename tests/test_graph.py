@@ -50,6 +50,10 @@ def test_self_edges_dropped_and_counted():
     g = SocialGraph(3, [(0, 0), (1, 1), (0, 2)])
     assert g.n_edges == 1
     assert g.self_edges_dropped == 2
+    # each row counts, as in a parsed CSV
+    g = SocialGraph(2, [(0, 0), (0, 0), (0, 1)])
+    assert g.self_edges_dropped == 2
+    assert load_edges(io.StringIO("follower_id,followee_id\na,a\na,a\na,b\n")).self_edges_dropped == 2
 
 
 def test_edge_endpoint_out_of_range():
@@ -629,34 +633,34 @@ def test_truncated_sidecar_reparses(tmp_path):
         assert sidecar_of(path).read_bytes() == full
 
 
-def write_sidecar(path, text: bytes, arrays) -> None:
+def write_sidecar(path, text: bytes, arrays, head=graph_module._SIDECAR_HEAD) -> None:
     """A sidecar for CSV bytes `text` holding `arrays` in the file format."""
     buf = io.BytesIO()
-    buf.write(graph_module._SIDECAR_HEAD + hashlib.sha256(text).digest())
+    buf.write(head + hashlib.sha256(text).digest())
     for a in arrays:
         np.save(buf, np.asarray(a), allow_pickle=False)
     sidecar_of(path).write_bytes(buf.getvalue())
 
 
-# the sidecar arrays of "alice,bob / carol,bob / alice,carol"
-GOOD_ARRAYS = [
-    [3, 3, 0], [0, 2, 2, 3], [1, 2, 1], [0, 0, 2, 3], [0, 2, 0], [5, 3, 5],
-    np.frombuffer(b"alicebobcarol", dtype=np.uint8),
-]
+# the sidecar arrays of "alice,bob / carol,bob / alice,carol": meta (users,
+# self-edges dropped), edge keys follower * 3 + followee, id lengths, ids
+GOOD_ARRAYS = [[3, 0], [1, 2, 7], [5, 3, 5], np.frombuffer(b"alicebobcarol", dtype=np.uint8)]
 
 
 @pytest.mark.parametrize(
     "index, value",
     [
-        (0, [3, 3]),  # meta of the wrong shape
-        (0, [3, 3, -1]),  # negative count
-        (1, [0, 2, 1, 3]),  # indptr not monotone
-        (1, [0, 2, 2, 2]),  # indptr not ending at the edge count
-        (2, [1, 3, 1]),  # index out of range
-        (2, np.array([1, 2, 1], dtype=np.int32)),  # wrong dtype
-        (5, [5, 3, 4]),  # id lengths not summing to the blob
-        (6, np.frombuffer(b"alice\xffbobcaro", dtype=np.uint8)),  # not UTF-8
-        (6, "alicebobcarol"),  # a string array, not bytes
+        (0, [3, 0, 0]),  # meta of the wrong shape
+        (0, [3, -1]),  # negative count
+        (1, [2, 1, 7]),  # keys not sorted
+        (1, [1, 2, 2, 7]),  # a repeated key
+        (1, [1, 4, 7]),  # a self-edge key: bob follows bob
+        (1, [1, 2, 9]),  # a key past n * n
+        (1, [-1, 2, 7]),  # a negative key
+        (1, np.array([1, 2, 7], dtype=np.int32)),  # wrong dtype
+        (2, [5, 3, 4]),  # id lengths not summing to the blob
+        (3, np.frombuffer(b"alice\xffbobcaro", dtype=np.uint8)),  # not UTF-8
+        (3, "alicebobcarol"),  # a string array, not bytes
     ],
 )
 def test_inconsistent_sidecar_reparses(tmp_path, index, value):
@@ -668,15 +672,21 @@ def test_inconsistent_sidecar_reparses(tmp_path, index, value):
     assert_same_graph(load_edges_file(path), load_edges(io.StringIO(CSV)))
 
 
+# the same graph in the version-1 layout: meta (users, edges, self-edges
+# dropped), the follows and followers CSRs, id lengths, ids
+V1_ARRAYS = [[3, 3, 0], [0, 2, 2, 3], [1, 2, 1], [0, 0, 2, 3], [0, 2, 0], *GOOD_ARRAYS[2:]]
+
+
 def test_stale_or_other_version_sidecar_reparses(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text(CSV)
     want = load_edges(io.StringIO(CSV))
     write_sidecar(path, b"other bytes", GOOD_ARRAYS)
     assert_same_graph(load_edges_file(path), want)
-    with mock.patch.object(graph_module, "_SIDECAR_HEAD", b"infodemic edge csr 0\n"):
-        write_sidecar(path, CSV.encode(), GOOD_ARRAYS)
+    write_sidecar(path, CSV.encode(), V1_ARRAYS, head=b"infodemic edge csr 1\n")
     assert_same_graph(load_edges_file(path), want)
+    # the parse rewrote it in the current layout
+    assert sidecar_of(path).read_bytes().startswith(graph_module._SIDECAR_HEAD)
     assert_same_graph(load_from_sidecar(path), want)
 
 
