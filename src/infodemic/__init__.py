@@ -4,12 +4,10 @@ from .cascade import (
     Cascade,
     SeedTweet,
     TweetCategory,
-    prune_cascade,
     sample_keep_set,
     simulate_cascades,
 )
 from .counterfactual import (
-    ExperimentConfig,
     SweepGrid,
     TrialResult,
     compare,

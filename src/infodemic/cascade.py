@@ -110,23 +110,19 @@ def _actors(cascades: Sequence[Cascade]) -> np.ndarray:
 # -- visibility ------------------------------------------------------------
 
 
-def prune_cascade(graph: SocialGraph, cascade: Cascade, keep: Iterable[int]) -> Cascade:
-    """Counterfactually remove retweeters, then close under visibility.
+def _prune(
+    graph: SocialGraph, cascades: Sequence[Cascade], keeps: Sequence[np.ndarray]
+) -> list[Cascade]:
+    """Counterfactually remove retweeters, then close under visibility, in
+    all cascades at once: each keeps the users in its int64 array of
+    `keeps`, a `CascadeError` if one of them is not its retweeter.
 
     Every surviving event's user must be visible at the event's seq given
     only the surviving upstream events.  So the survivors are the kept
     events that a chain of kept events, each exposing the next at a later
     seq, links to the seed: the fixpoint of iterated removal in any order.
+    One round per link of the longest kept chain.
     """
-    keep = np.asarray(keep if isinstance(keep, np.ndarray) else list(keep), dtype=np.int64)
-    return _prune(graph, [cascade], [keep])[0]
-
-
-def _prune(
-    graph: SocialGraph, cascades: Sequence[Cascade], keeps: Sequence[np.ndarray]
-) -> list[Cascade]:
-    """`prune_cascade` of each cascade with its kept retweeters, over all
-    the cascades at once: one round per link of the longest kept chain."""
     n, g = graph.n_users, len(cascades)
     if not g:
         return []

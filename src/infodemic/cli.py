@@ -261,8 +261,12 @@ def cmd_impacts(args) -> None:
     _require(cfg, "model")
     imp = load_model(cfg["model"]).per_viewer_impacts
     rows = [(f"x{i + 1}", v) for i, v in enumerate(imp.tolist())]
+    # group impacts need the whole dataset, once any of it is given
+    groups = any(cfg.get(k) is not None for k in _DATASET)
+    if groups:
+        _require(cfg, *_DATASET)
     paths = [_write(cfg, "per_viewer_impacts.csv", ["class", "per_viewer_impact"], rows)]
-    if cfg.get("graph") and cfg.get("tweets") and cfg.get("retweets") and cfg.get("period"):
+    if groups:
         graph, _, cascades = _load_dataset(cfg)
         totals = total_exposures(exposure_matrix(graph, cascades, cfg["period"]))
         gi = group_impacts(imp, totals)
@@ -275,10 +279,12 @@ def cmd_impacts(args) -> None:
 def cmd_whatif(args) -> None:
     cfg = _effective(args)
     _require(cfg, "model", "graph", "tweets", "retweets", "period")
+    trials = cfg.get("trials", 10)
+    if trials < 1:
+        raise CliError("trials must be >= 1")
     model = load_model(cfg["model"])
     graph, _, cascades = _load_dataset(cfg)
     period = cfg["period"]
-    trials = cfg.get("trials", 10)
     seed = cfg.get("seed", 0)
     baseline = reduce_corrective(graph, cascades, model, 1.0, derive_seed(seed, "w", 0), period)
     retentions = (

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 from datetime import date
 from statistics import mean, pstdev
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -55,18 +55,6 @@ REAL_MISINFO_RT_RATE = 0.00186
 
 class ExperimentError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    corrective_rt_rate: float = REAL_CORRECTIVE_RT_RATE
-    misinfo_rt_rate: float = REAL_MISINFO_RT_RATE
-    soldout_rt_rate: float = 0.004
-
-    def __post_init__(self):
-        for r in (self.corrective_rt_rate, self.misinfo_rt_rate, self.soldout_rt_rate):
-            if not 0.0 <= r <= 1.0:
-                raise ExperimentError("RT rates must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -216,27 +204,18 @@ def simulate_trial(
     graph: SocialGraph,
     seed_tweets: Sequence[SeedTweet],
     model: FittedSalesModel,
-    config: ExperimentConfig,
+    rt_rates: Mapping[TweetCategory, float],
     period: tuple[date, date],
     trial_seed: int,
     trial: int = 0,
 ) -> TrialResult:
-    """One fully regenerated stochastic trial at the config's RT rates.
+    """One fully regenerated stochastic trial at `simulate_cascades`' rates.
 
     Corrective exposure suppresses misinformation retweets (a user who
     already saw a correction does not pass the misinformation on).
     """
     cascades = simulate_cascades(
-        graph,
-        seed_tweets,
-        {
-            TweetCategory.MISINFORMATION: config.misinfo_rt_rate,
-            TweetCategory.CORRECTIVE: config.corrective_rt_rate,
-            TweetCategory.SOLDOUT: config.soldout_rt_rate,
-        },
-        period,
-        trial_seed,
-        corrective_blocks_misinfo=True,
+        graph, seed_tweets, rt_rates, period, trial_seed, corrective_blocks_misinfo=True
     )
     return _result(graph, cascades, model, period, trial)
 
@@ -273,9 +252,8 @@ def sweep(
         raise ExperimentError("rate lists must be non-empty")
     if trials < 1:
         raise ExperimentError("trials must be >= 1")
-    for m_rate in misinfo_rates:
-        for c_rate in corrective_rates:  # each cell's config checks its rates
-            ExperimentConfig(c_rate, m_rate, soldout_rt_rate)
+    if not all(0.0 <= r <= 1.0 for r in (*corrective_rates, *misinfo_rates, soldout_rt_rate)):
+        raise ExperimentError("RT rates must be in [0, 1]")
     start, end = period
     n_days = (end - start).days + 1
     by_cat = {cat: [s for s in seed_tweets if s.category is cat] for cat in TweetCategory}

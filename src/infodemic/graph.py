@@ -1,8 +1,9 @@
-"""Follower graphs: ingestion, synthesis, and adjacency queries.
+"""Follower graphs: ingestion, synthesis, and their two adjacency CSRs.
 
 Edge direction convention: an edge (u, v) means "u follows v", so
-information posted by v flows to u.  `follows` is the forward adjacency
-(who a user follows) and `followers` the reverse one (the user's audience).
+information posted by v flows to u.  A graph holds two read-only CSRs
+with sorted rows: `_follows` (row u: who u follows) and its transpose
+`_followers` (row v: v's audience), read a batch of rows at a time.
 Graphs are immutable after construction and safe for concurrent reads.
 """
 
@@ -56,9 +57,6 @@ class _Csr:
     def rows(self) -> np.ndarray:
         """The row of each entry of `indices`."""
         return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
-
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u] : self.indptr[u + 1]]
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
@@ -137,24 +135,6 @@ class SocialGraph:
         self.external_ids = tuple(external_ids)
         self._id_index = {x: i for i, x in enumerate(self.external_ids)}
 
-    # -- queries -----------------------------------------------------------
-
-    def _check(self, u: int) -> int:
-        if not 0 <= u < self.n_users:
-            raise GraphError(f"user id {u} out of range 0..{self.n_users - 1}")
-        return int(u)
-
-    def follows(self, u: int) -> np.ndarray:
-        """Users that u follows (sorted, read-only)."""
-        return self._follows.neighbors(self._check(u))
-
-    def followers_array(self, u: int) -> np.ndarray:
-        """Followers of u as a sorted read-only array (hot path)."""
-        return self._followers.neighbors(self._check(u))
-
-    def out_degrees(self) -> np.ndarray:
-        return np.diff(self._follows.indptr)
-
     def in_degrees(self) -> np.ndarray:
         return np.diff(self._followers.indptr)
 
@@ -206,9 +186,10 @@ def generate_graph(config: GraphGenConfig) -> SocialGraph:
 
     Each user u with out-degree d draws 2d+4 popularity-weighted
     candidates and follows the first d distinct ones other than u.  A user
-    left short retries with 2*need+4 fresh candidates, up to 20 attempts in
-    all.  The draws for a run of users are taken in one call; only a short
-    user, who consumes extra draws, is replayed on its own.
+    left short draws further rounds of 2*need+4 candidates, need being the
+    followees it lacks, up to 20 rounds in all, and follows the first d
+    distinct ones other than u of all its draws.  The first rounds of a run
+    of users are drawn in one call, a short user's further rounds alone.
     """
     n = config.n_users
     if n == 0:
@@ -253,12 +234,22 @@ def generate_graph(config: GraphGenConfig) -> SocialGraph:
         head = src < u
         srcs.append(src[head])
         dsts.append(dst[head])
-        # replay u from the start of its draws, then resume after them
+        # u's further rounds come after its first, before the next users' draws
         rng.bit_generator.state = state
-        rng.bit_generator.advance(int(takes[pos:u].sum()))
-        chosen = _retry_followees(rng, cum, u, int(degrees[u]))
+        rng.bit_generator.advance(int(takes[pos : u + 1].sum()))
+        chosen = dst[src == u]
+        taken = np.zeros(n, dtype=bool)
+        taken[chosen] = taken[u] = True
+        for _ in range(19):
+            if (need := int(degrees[u]) - len(chosen)) == 0:
+                break
+            more = np.searchsorted(cum, rng.random(2 * need + 4))
+            more = more[~taken[more]]
+            new = more[np.sort(np.unique(more, return_index=True)[1])[:need]]
+            taken[new] = True
+            chosen = np.concatenate([chosen, new])
         srcs.append(np.full(len(chosen), u, dtype=np.int64))
-        dsts.append(np.fromiter(chosen, np.int64, len(chosen)))
+        dsts.append(chosen)
         pos, window = u + 1, max(2 * (u - pos), 1)
     return SocialGraph(n, np.column_stack((np.concatenate(srcs), np.concatenate(dsts))))
 
@@ -278,23 +269,6 @@ def _first_distinct(
     rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
     take = rank < degrees[owner]
     return owner[take], cand[take]
-
-
-def _retry_followees(rng: np.random.Generator, cum: np.ndarray, u: int, d: int) -> set[int]:
-    """One user's draw loop: rounds of 2*need+4 candidates, at most 20."""
-    chosen: set[int] = set()
-    attempts = 0
-    while len(chosen) < d and attempts < 20:
-        need = d - len(chosen)
-        cand = np.searchsorted(cum, rng.random(need * 2 + 4))
-        for v in cand:
-            v = int(v)
-            if v != u and v not in chosen:
-                chosen.add(v)
-                if len(chosen) == d:
-                    break
-        attempts += 1
-    return chosen
 
 
 def load_edges(stream: TextIO | Iterable[str]) -> SocialGraph:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from infodemic.cascade import Cascade, _prune
 from infodemic.graph import SocialGraph, GraphGenConfig, generate_graph
 from infodemic.replica import ReplicaConfig, build_replica
 
@@ -32,6 +33,21 @@ def random_graph(rng: np.random.Generator, max_nodes: int = 12) -> SocialGraph:
         if u != v and rng.random() < density
     ]
     return SocialGraph(n, edges)
+
+
+def followees(g: SocialGraph, u: int) -> np.ndarray:
+    """Users that u follows, sorted: row u of the follows CSR."""
+    return g._follows.indices[g._follows.indptr[u] : g._follows.indptr[u + 1]]
+
+
+def followers(g: SocialGraph, u: int) -> np.ndarray:
+    """u's followers, sorted: row u of the followers CSR."""
+    return g._followers.indices[g._followers.indptr[u] : g._followers.indptr[u + 1]]
+
+
+def prune(g: SocialGraph, c: Cascade, keep) -> Cascade:
+    """The one cascade `c` pruned to the retweeters in `keep`."""
+    return _prune(g, [c], [np.asarray(list(keep), dtype=np.int64)])[0]
 
 
 DAY0 = date(2020, 2, 21)

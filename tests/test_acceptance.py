@@ -35,7 +35,7 @@ from test_cascade import _random_cascade, brute_force_prune
 from test_exposure import _random_cascades, daily_exposures, oracle_daily
 from test_numerics import T_CDF_ORACLE
 import conftest
-from conftest import random_graph
+from conftest import prune, random_graph
 
 # Retained principal components of the daily class counts in the reference
 # study (rows) and the regression coefficients fitted to their scores.
@@ -264,7 +264,6 @@ def test_criterion_6_numerics_suite():
 
 
 def test_criterion_7_brute_force_oracles():
-    from infodemic.cascade import prune_cascade
     from datetime import timedelta
 
     rng = np.random.default_rng(777)
@@ -274,7 +273,7 @@ def test_criterion_7_brute_force_oracles():
         g = random_graph(rng, max_nodes=12)
         c = _random_cascade(rng, g)
         keep = {u for u in c.retweeters.tolist() if rng.random() < 0.5}
-        assert prune_cascade(g, c, keep) == brute_force_prune(g, c, keep)
+        assert prune(g, c, keep) == brute_force_prune(g, c, keep)
         cascades = _random_cascades(rng, g)
         for d in range(5):
             day = day0 + timedelta(days=d)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DAY0, NOT_A_VALUE, random_graph, table_with_bad_row
+from conftest import DAY0, NOT_A_VALUE, followers, prune, random_graph, table_with_bad_row
 from infodemic._rng import derive_seed, uniform_for_users
 from infodemic.cascade import (
     Cascade,
@@ -16,7 +16,6 @@ from infodemic.cascade import (
     TweetCategory,
     load_retweets,
     load_seed_tweets,
-    prune_cascade,
     sample_keep_set,
     save_cascades,
     simulate_cascades,
@@ -84,12 +83,12 @@ def visible_set(graph, cascade, seq_limit):
     if cascade.seed.seq >= seq_limit:
         return set()
     out = {cascade.seed.author}
-    out.update(int(x) for x in graph.followers_array(cascade.seed.author))
+    out.update(int(x) for x in followers(graph, cascade.seed.author))
     for user, _, seq in cascade.events.tolist():
         if seq >= seq_limit:
             break
         out.add(user)
-        out.update(int(x) for x in graph.followers_array(user))
+        out.update(int(x) for x in followers(graph, user))
     return out
 
 
@@ -111,29 +110,29 @@ def test_prune_removes_invisible_chain():
     # 1 sees the author; 2 only sees 1; drop 1 and 2's retweet must go too
     g = SocialGraph(3, [(1, 0), (2, 1)])
     c = cascade([ev(1, 1), ev(2, 2)])
-    pruned = prune_cascade(g, c, keep=[2])
+    pruned = prune(g, c, keep=[2])
     assert len(pruned.events) == 0
 
 
 def test_prune_keep_everyone_is_identity():
     g = SocialGraph(3, [(1, 0), (2, 1)])
     c = cascade([ev(1, 1), ev(2, 2)])
-    assert prune_cascade(g, c, keep=[1, 2]) == c
+    assert prune(g, c, keep=[1, 2]) == c
 
 
 def test_prune_keeps_an_author_retweeting_its_own_tweet():
     g = SocialGraph(3, [(1, 0), (2, 1)])
     c = cascade([ev(0, 1), ev(1, 2), ev(2, 3)])
     for keep in ([0, 1, 2], [0, 2], [1, 2]):
-        assert prune_cascade(g, c, keep) == brute_force_prune(g, c, keep)
-    assert prune_cascade(g, c, [0, 1, 2]) == c
+        assert prune(g, c, keep) == brute_force_prune(g, c, keep)
+    assert prune(g, c, [0, 1, 2]) == c
 
 
 def test_prune_rejects_non_retweeters():
     g = SocialGraph(3, [(1, 0)])
     c = cascade([ev(1, 1)])
     with pytest.raises(CascadeError):
-        prune_cascade(g, c, keep=[2])
+        prune(g, c, keep=[2])
 
 
 def test_prune_matches_fixpoint_oracle_randomized():
@@ -143,7 +142,7 @@ def test_prune_matches_fixpoint_oracle_randomized():
         c = _random_cascade(rng, g)
         users = c.retweeters.tolist()
         keep = {u for u in users if rng.random() < 0.6}
-        assert prune_cascade(g, c, keep) == brute_force_prune(g, c, keep)
+        assert prune(g, c, keep) == brute_force_prune(g, c, keep)
 
 
 def _random_cascade(rng, g, cat=TweetCategory.CORRECTIVE):
@@ -327,11 +326,11 @@ def reference_simulate(graph, seeds, rt_rates, period, rng_seed, *,
         for i, s in enumerate(seeds):
             fresh = []
             if s.day == day:
-                fresh.append(np.concatenate([[s.author], graph.followers_array(s.author)]))
+                fresh.append(np.concatenate([[s.author], followers(graph, s.author)]))
             for u in pending[i]:
                 events[i].append((int(u), day.toordinal(), seq))
                 seq += 1
-                fresh.append(np.concatenate([[u], graph.followers_array(int(u))]))
+                fresh.append(np.concatenate([[u], followers(graph, int(u))]))
             if fresh:
                 cand = np.unique(np.concatenate(fresh))
                 new = cand[~exposed[i][cand]]
@@ -403,7 +402,7 @@ def first_correction_days(graph, cascades, period):
         for day, actor in posts + [(day, user) for user, day, _ in c.events.tolist()]:
             d = day - start.toordinal()
             if 0 <= d < n_days:
-                for u in [actor, *graph.followers_array(actor).tolist()]:
+                for u in [actor, *followers(graph, actor).tolist()]:
                     first[u] = min(first[u], d)
     return first
 

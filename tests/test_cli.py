@@ -125,6 +125,39 @@ def test_whatif_command(pipeline, tmp_path):
     assert scenarios == {"retention=0.5", "guideline"}
 
 
+@pytest.mark.parametrize("command", ["whatif", "sweep"])
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_experiments_reject_fewer_than_one_trial(pipeline, tmp_path, capsys, command, trials):
+    code = run(
+        command, "--model", os.path.join(pipeline, "model.json"),
+        "--graph", os.path.join(pipeline, "edges.csv"),
+        "--tweets", os.path.join(pipeline, "tweets.csv"),
+        *(["--retweets", os.path.join(pipeline, "retweets.csv")] if command == "whatif" else []),
+        "--period", PERIOD, "--trials", trials, "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: trials must be >= 1\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("given", ["graph", "tweets", "retweets", "period"])
+def test_impacts_with_part_of_the_dataset_names_the_rest(pipeline, tmp_path, capsys, given):
+    dataset = {
+        "graph": os.path.join(pipeline, "edges.csv"),
+        "tweets": os.path.join(pipeline, "tweets.csv"),
+        "retweets": os.path.join(pipeline, "retweets.csv"),
+        "period": PERIOD,
+    }
+    code = run(
+        "impacts", "--model", os.path.join(pipeline, "model.json"),
+        f"--{given}", dataset[given], "--out", str(tmp_path),
+    )
+    assert code == 1
+    missing = ", ".join(f"--{k}" for k in dataset if k != given)
+    assert capsys.readouterr().err == f"error: missing required option(s): {missing}\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_sweep_command_deterministic(pipeline, tmp_path):
     args = [
         "sweep", "--model", os.path.join(pipeline, "model.json"),

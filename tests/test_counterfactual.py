@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from infodemic._rng import derive_seed
+from conftest import followers, prune
 from infodemic.cascade import (
     Cascade,
+    CascadeError,
     SeedTweet,
     TweetCategory,
-    prune_cascade,
     simulate_cascades,
 )
 from infodemic.counterfactual import (
     CORRECTIVE_RATE_LEVELS,
     MISINFO_RATE_LEVELS,
-    ExperimentConfig,
+    REAL_CORRECTIVE_RT_RATE,
+    REAL_MISINFO_RT_RATE,
     ExperimentError,
     compare,
     guideline_experiment,
@@ -35,6 +37,15 @@ def fitted(small_replica):
     return fit(small_replica.matrix, small_replica.sales, k=4)
 
 
+def rt_rates(misinfo=REAL_MISINFO_RT_RATE, corrective=REAL_CORRECTIVE_RT_RATE, soldout=0.004):
+    """A `simulate_trial` rates mapping; the soldout rate is `sweep`'s default."""
+    return {
+        TweetCategory.MISINFORMATION: misinfo,
+        TweetCategory.CORRECTIVE: corrective,
+        TweetCategory.SOLDOUT: soldout,
+    }
+
+
 def test_rate_levels_shapes():
     assert len(CORRECTIVE_RATE_LEVELS) == 6
     assert len(MISINFO_RATE_LEVELS) == 7
@@ -42,9 +53,10 @@ def test_rate_levels_shapes():
     assert CORRECTIVE_RATE_LEVELS[-1] == 0.0
 
 
-def test_experiment_config_validation():
-    with pytest.raises(ExperimentError):
-        ExperimentConfig(corrective_rt_rate=1.5)
+def test_simulate_trial_rate_validation(small_replica, fitted):
+    r = small_replica
+    with pytest.raises(CascadeError):
+        simulate_trial(r.graph, r.seed_tweets, fitted, rt_rates(corrective=1.5), r.config.period, 0)
 
 
 def test_compare_reduction():
@@ -127,7 +139,7 @@ def test_zero_retention_matches_seed_only_exposure(small_replica, fitted):
     res = reduce_corrective(r.graph, r.cascades, fitted, 0.0, 0, r.config.period)
     stripped = [
         c if c.seed.category is not TweetCategory.CORRECTIVE
-        else prune_cascade(r.graph, c, keep=[])
+        else prune(r.graph, c, keep=[])
         for c in r.cascades
     ]
     want = exposure_matrix(r.graph, stripped, r.config.period)
@@ -146,7 +158,7 @@ def test_guideline_gate_is_exact(small_replica, fitted):
     first_mis: dict[int, tuple] = {}
 
     def mark(user, key):
-        for f in r.graph.followers_array(user):
+        for f in followers(r.graph, user):
             first_mis[int(f)] = min(first_mis.get(int(f), key), key)
         first_mis[user] = min(first_mis.get(user, key), key)
 
@@ -164,7 +176,7 @@ def test_guideline_gate_is_exact(small_replica, fitted):
                 for user, day, seq in c.events.tolist()
                 if user in first_mis and first_mis[user] < (day, seq)
             }
-            out_by_id[c.seed.tweet_id] = prune_cascade(r.graph, c, gate)
+            out_by_id[c.seed.tweet_id] = prune(r.graph, c, gate)
     kept_total = sum(len(c.events) for c in out_by_id.values())
     assert res.corrective_retweeters_kept == kept_total
 
@@ -205,9 +217,8 @@ def test_guideline_with_resimulated_misinfo(small_replica, fitted):
 
 def test_simulate_trial_runs_and_counts(small_replica, fitted):
     r = small_replica
-    cfg = ExperimentConfig()
     res = simulate_trial(
-        r.graph, r.seed_tweets, fitted, cfg, r.config.period, derive_seed(0, "t", 0)
+        r.graph, r.seed_tweets, fitted, rt_rates(), r.config.period, derive_seed(0, "t", 0)
     )
     assert res.totals.shape == (7,)
     assert res.totals.sum() > 0
@@ -233,6 +244,8 @@ def test_sweep_grid_shape_and_stats(small_replica, fitted):
         sweep(r.graph, r.seed_tweets, fitted, [], [0.0], 1, 0, r.config.period)
     with pytest.raises(ExperimentError):
         sweep(r.graph, r.seed_tweets, fitted, [0.0], [0.0], 0, 0, r.config.period)
+    with pytest.raises(ExperimentError):
+        sweep(r.graph, r.seed_tweets, fitted, [0.0], [0.0, 1.5], 1, 0, r.config.period)
 
 
 def misinfo_retweets(r, rates, trial_seed, blocks):
@@ -252,18 +265,13 @@ def test_sweep_equals_per_cell_trials(small_replica, fitted):
     assert len(grid.cells) == 9
     blocked = 0
     for c in grid.cells:
-        cfg = ExperimentConfig(misinfo_rt_rate=c.misinfo_rate, corrective_rt_rate=c.corrective_rate)
+        rates = rt_rates(c.misinfo_rate, c.corrective_rate)
         want = []
         for t in range(2):
             ts = derive_seed(9, "trial", t)
             want.append(
-                simulate_trial(r.graph, r.seed_tweets, fitted, cfg, r.config.period, ts, t).sum_index
+                simulate_trial(r.graph, r.seed_tweets, fitted, rates, r.config.period, ts, t).sum_index
             )
-            rates = {
-                TweetCategory.MISINFORMATION: c.misinfo_rate,
-                TweetCategory.CORRECTIVE: c.corrective_rate,
-                TweetCategory.SOLDOUT: cfg.soldout_rt_rate,
-            }
             blocked += misinfo_retweets(r, rates, ts, False) - misinfo_retweets(r, rates, ts, True)
         assert c.sums == tuple(want)
     # corrective exposure gates misinformation somewhere on this grid
@@ -288,8 +296,8 @@ def test_sweep_gates_misinfo_from_the_day_after_correction():
     model = reference_model(4)
     grid = sweep(g, seeds, model, [0.0], [0.0, 1.0], 1, 0, REAL_PERIOD)
     for cell in grid.cells:
-        cfg = ExperimentConfig(misinfo_rt_rate=cell.misinfo_rate, corrective_rt_rate=0.0)
-        want = simulate_trial(g, seeds, model, cfg, REAL_PERIOD, derive_seed(0, "trial", 0))
+        rates = rt_rates(cell.misinfo_rate, 0.0)
+        want = simulate_trial(g, seeds, model, rates, REAL_PERIOD, derive_seed(0, "trial", 0))
         assert cell.sums == (want.sum_index,)
     assert grid.cells[0].sums != grid.cells[1].sums
 
@@ -297,14 +305,10 @@ def test_sweep_gates_misinfo_from_the_day_after_correction():
 def test_sweep_coupled_trials_monotone_exposure(small_replica, fitted):
     """Within one trial, raising the misinformation rate adds exposure."""
     r = small_replica
-    cfgs = [
-        ExperimentConfig(misinfo_rt_rate=m, corrective_rt_rate=0.0079)
-        for m in (0.01, 0.05)
-    ]
     ts = derive_seed(2, "trial", 0)
     lo, hi = (
-        simulate_trial(r.graph, r.seed_tweets, fitted, c, r.config.period, ts)
-        for c in cfgs
+        simulate_trial(r.graph, r.seed_tweets, fitted, rt_rates(m, 0.0079), r.config.period, ts)
+        for m in (0.01, 0.05)
     )
     mis_cols = [1, 3, 5, 6]
     assert hi.totals[mis_cols].sum() >= lo.totals[mis_cols].sum()

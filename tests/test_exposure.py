@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DAY0, NOT_A_VALUE, random_graph, table_with_bad_row
+from conftest import DAY0, NOT_A_VALUE, followers, random_graph, table_with_bad_row
 from infodemic.cascade import Cascade, SeedTweet, TweetCategory
 from infodemic.exposure import (
     CLASS_CATEGORIES,
@@ -33,7 +33,7 @@ def oracle_daily(graph, cascades, day, *, cumulative=False, include_actors=True)
     per_user = [set() for _ in range(graph.n_users)]
 
     def mark(actor, cat):
-        for f in graph.followers_array(actor):
+        for f in followers(graph, actor):
             per_user[int(f)].add(cat)
         if include_actors:
             per_user[actor].add(cat)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import followees, followers
 from infodemic import _table as table_module
 from infodemic import graph as graph_module
 from infodemic.graph import (
@@ -28,17 +29,17 @@ from infodemic.replica import ReplicaConfig, build_replica
 
 def edges_of(g: SocialGraph) -> list[tuple[int, int]]:
     """All (follower, followee) pairs, sorted."""
-    return [(u, int(v)) for u in range(g.n_users) for v in g.follows(u)]
+    return [(u, int(v)) for u in range(g.n_users) for v in followees(g, u)]
 
 
 def test_basic_adjacency():
     g = SocialGraph(4, [(0, 1), (2, 1), (1, 3)])
     assert g.n_users == 4
     assert g.n_edges == 3
-    assert list(g.follows(0)) == [1]
-    assert list(g.followers_array(1)) == [0, 2]
-    assert list(g.followers_array(3)) == [1]
-    assert list(g.follows(3)) == []
+    assert list(followees(g, 0)) == [1]
+    assert list(followers(g, 1)) == [0, 2]
+    assert list(followers(g, 3)) == [1]
+    assert list(followees(g, 3)) == []
 
 
 def test_duplicate_edges_collapse():
@@ -63,25 +64,18 @@ def test_edge_endpoint_out_of_range():
         SocialGraph(2, [(-1, 0)])
 
 
-def test_query_out_of_range():
-    g = SocialGraph(2, [(0, 1)])
-    with pytest.raises(GraphError):
-        g.follows(2)
-    with pytest.raises(GraphError):
-        g.followers_array(-1)
-
-
 def test_degrees_match_edge_list():
     g = SocialGraph(5, [(0, 1), (0, 2), (3, 2), (4, 2), (2, 0)])
-    assert list(g.out_degrees()) == [2, 0, 1, 1, 1]
+    assert list(np.diff(g._follows.indptr)) == [2, 0, 1, 1, 1]
     assert list(g.in_degrees()) == [1, 1, 3, 0, 0]
     assert edges_of(g) == [(0, 1), (0, 2), (2, 0), (3, 2), (4, 2)]
 
 
 def test_neighbor_arrays_read_only():
     g = SocialGraph(3, [(0, 1), (0, 2)])
-    with pytest.raises(ValueError):
-        g.follows(0)[0] = 9
+    for csr in (g._follows, g._followers):
+        with pytest.raises(ValueError):
+            csr.indices[0] = 9
 
 
 @given(
@@ -93,10 +87,10 @@ def test_follows_followers_are_transposes(n, raw):
     edges = [(a % n, b % n) for a, b in raw if a % n != b % n]
     g = SocialGraph(n, edges)
     for u in range(n):
-        for v in g.follows(u):
-            assert u in g.followers_array(int(v))
-        for w in g.followers_array(u):
-            assert u in set(int(x) for x in g.follows(int(w)))
+        for v in followees(g, u):
+            assert u in followers(g, int(v))
+        for w in followers(g, u):
+            assert u in set(int(x) for x in followees(g, int(w)))
 
 
 # -- synthesis ---------------------------------------------------------------
@@ -116,14 +110,14 @@ def test_generate_seed_changes_graph():
 
 def test_generate_degree_bounds():
     g = generate_graph(GraphGenConfig(n_users=300, seed=3, min_degree=2, max_degree=9))
-    deg = g.out_degrees()
+    deg = np.diff(g._follows.indptr)
     assert deg.min() >= 2
     assert deg.max() <= 9
 
 
 def test_generate_fixed_degree():
     g = generate_graph(GraphGenConfig(n_users=50, seed=0, fixed_degree=4))
-    assert list(g.out_degrees()) == [4] * 50
+    assert list(np.diff(g._follows.indptr)) == [4] * 50
 
 
 def test_generate_heavy_tailed_follower_counts():
@@ -172,7 +166,7 @@ def test_load_edges_dense_remap():
     g = load_edges(io.StringIO(CSV))
     assert g.n_users == 3
     assert g.external_ids == ("alice", "bob", "carol")
-    assert list(g.followers_array(g.dense_id("bob"))) == sorted(
+    assert list(followers(g, g.dense_id("bob"))) == sorted(
         [g.dense_id("alice"), g.dense_id("carol")]
     )
 
