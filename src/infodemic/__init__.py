@@ -29,7 +29,6 @@ from .salesmodel import (
     fit,
     group_impacts,
     impacts_from,
-    per_viewer_impacts,
     predict,
     sales_index,
     sum_index,

@@ -34,6 +34,7 @@ from .counterfactual import (
     MISINFO_RATE_LEVELS,
     REAL_CORRECTIVE_RT_RATE,
     REAL_MISINFO_RT_RATE,
+    REAL_SOLDOUT_RT_RATE,
     compare,
     guideline_experiment,
     reduce_corrective,
@@ -47,8 +48,8 @@ from .salesmodel import SalesSeries, fit, group_impacts, load_model, save_model
 
 log = logging.getLogger("infodemic.cli")
 
-# every package error subclasses ValueError
-_INPUT_ERRORS = (ValueError, FileNotFoundError)
+# every package error subclasses ValueError; an unreadable input path, OSError
+_INPUT_ERRORS = (ValueError, OSError)
 
 
 class CliError(Exception):
@@ -160,13 +161,16 @@ def _require(cfg: dict, *keys: str) -> None:
         raise CliError(f"missing required option(s): {', '.join('--' + m.replace('_', '-') for m in missing)}")
 
 
-def _load_dataset(cfg: dict):
+def _load_seeds(cfg: dict):
     graph = load_edges_file(cfg["graph"])
     with open(cfg["tweets"], encoding="utf-8", newline="") as fh:
-        seeds = load_seed_tweets(fh, graph)
+        return graph, load_seed_tweets(fh, graph)
+
+
+def _load_dataset(cfg: dict):
+    graph, seeds = _load_seeds(cfg)
     with open(cfg["retweets"], encoding="utf-8", newline="") as fh:
-        cascades = load_retweets(fh, graph, seeds)
-    return graph, seeds, cascades
+        return graph, seeds, load_retweets(fh, graph, seeds)
 
 
 # -- commands --------------------------------------------------------------
@@ -192,16 +196,14 @@ def cmd_gen_graph(args) -> None:
 def cmd_simulate(args) -> None:
     cfg = _effective(args)
     _require(cfg, "graph", "tweets", "period")
-    graph = load_edges_file(cfg["graph"])
-    with open(cfg["tweets"], encoding="utf-8", newline="") as fh:
-        seeds = load_seed_tweets(fh, graph)
+    graph, seeds = _load_seeds(cfg)
     cascades = simulate_cascades(
         graph,
         seeds,
         {
             TweetCategory.MISINFORMATION: cfg.get("misinfo_rate", REAL_MISINFO_RT_RATE),
             TweetCategory.CORRECTIVE: cfg.get("corrective_rate", REAL_CORRECTIVE_RT_RATE),
-            TweetCategory.SOLDOUT: cfg.get("soldout_rate", 0.004),
+            TweetCategory.SOLDOUT: cfg.get("soldout_rate", REAL_SOLDOUT_RT_RATE),
         },
         cfg["period"],
         derive_seed(cfg.get("seed", 0), "cli-simulate"),
@@ -295,7 +297,7 @@ def cmd_whatif(args) -> None:
     rows = []
     for r in retentions:
         for t in range(trials):
-            res = reduce_corrective(graph, cascades, model, r, derive_seed(seed, "w", t), period, t)
+            res = reduce_corrective(graph, cascades, model, r, derive_seed(seed, "w", t), period)
             reduction = compare(baseline.sum_index, res.sum_index)
             rows.append((f"retention={r:g}", t, res.sum_index, reduction))
     mis_rate = cfg.get("misinfo_rate", REAL_MISINFO_RT_RATE)
@@ -311,9 +313,7 @@ def cmd_sweep(args) -> None:
     cfg = _effective(args)
     _require(cfg, "model", "graph", "tweets", "period")
     model = load_model(cfg["model"])
-    graph = load_edges_file(cfg["graph"])
-    with open(cfg["tweets"], encoding="utf-8", newline="") as fh:
-        seeds = load_seed_tweets(fh, graph)
+    graph, seeds = _load_seeds(cfg)
     corrective = (
         [cfg["corrective_rate"]]
         if cfg.get("corrective_rate") is not None
@@ -333,7 +333,7 @@ def cmd_sweep(args) -> None:
         trials=cfg.get("trials", 10),
         base_seed=cfg.get("seed", 0),
         period=cfg["period"],
-        soldout_rt_rate=cfg.get("soldout_rate", 0.004),
+        soldout_rt_rate=cfg.get("soldout_rate", REAL_SOLDOUT_RT_RATE),
     )
     p1, p2 = _outpath(cfg, "sweep_trials.csv"), _outpath(cfg, "sweep_summary.csv")
     sweep_trials_csv(grid, p1, _comments(cfg))

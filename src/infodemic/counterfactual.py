@@ -41,7 +41,7 @@ from .exposure import (
     total_exposures,
 )
 from .graph import SocialGraph
-from .salesmodel import FittedSalesModel, SalesSeries, predict, sum_index
+from .salesmodel import FittedSalesModel, predict, sum_index
 
 log = logging.getLogger("infodemic.counterfactual")
 
@@ -51,6 +51,7 @@ CORRECTIVE_RATE_LEVELS: tuple[float, ...] = (0.0079, 0.0063, 0.0047, 0.0032, 0.0
 MISINFO_RATE_LEVELS: tuple[float, ...] = (0.0, 0.00186, 0.01, 0.02, 0.03, 0.04, 0.05)
 REAL_CORRECTIVE_RT_RATE = 0.0079
 REAL_MISINFO_RT_RATE = 0.00186
+REAL_SOLDOUT_RT_RATE = 0.004
 
 
 class ExperimentError(ValueError):
@@ -59,17 +60,13 @@ class ExperimentError(ValueError):
 
 @dataclass(frozen=True)
 class TrialResult:
-    trial: int
     matrix: ExposureMatrix
-    series: SalesSeries
     sum_index: float
-    totals: np.ndarray
     corrective_retweeters_kept: int | None = None
 
-    def __post_init__(self):
-        t = np.asarray(self.totals, dtype=np.int64)
-        t.setflags(write=False)
-        object.__setattr__(self, "totals", t)
+    @property
+    def totals(self) -> np.ndarray:
+        return total_exposures(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -115,19 +112,10 @@ def _result(
     cascades: Sequence[Cascade],
     model: FittedSalesModel,
     period: tuple[date, date],
-    trial: int,
     kept: int | None = None,
 ) -> TrialResult:
     matrix = exposure_matrix(graph, cascades, period)
-    series = predict(model, matrix)
-    return TrialResult(
-        trial=trial,
-        matrix=matrix,
-        series=series,
-        sum_index=sum_index(series),
-        totals=total_exposures(matrix),
-        corrective_retweeters_kept=kept,
-    )
+    return TrialResult(matrix, sum_index(predict(model, matrix)), kept)
 
 
 def reduce_corrective(
@@ -137,7 +125,6 @@ def reduce_corrective(
     retention: float,
     seed: int,
     period: tuple[date, date],
-    trial: int = 0,
 ) -> TrialResult:
     """Keep a random `retention` fraction of each corrective cascade's
     retweeters, close under visibility, and re-predict the index sum.
@@ -146,31 +133,32 @@ def reduce_corrective(
     `sample_keep_set`, so for one seed the kept sets are nested across
     levels and the resulting index sums are noise-free monotone.
     """
+    if not 0.0 <= retention <= 1.0:
+        raise ExperimentError("retention must be in [0, 1]")
     corrective = [c for c in real_cascades if c.seed.category is TweetCategory.CORRECTIVE]
     others = [c for c in real_cascades if c.seed.category is not TweetCategory.CORRECTIVE]
     pruned = _prune(graph, corrective, [sample_keep_set(c, retention, seed) for c in corrective])
     kept = sum(len(c.events) for c in pruned)
-    return _result(graph, others + pruned, model, period, trial, kept)
+    return _result(graph, others + pruned, model, period, kept)
 
 
 def guideline_experiment(
     graph: SocialGraph,
     real_cascades: Sequence[Cascade],
     model: FittedSalesModel,
-    misinfo_rt_rate: float | None = None,
-    seed: int = 0,
-    period: tuple[date, date] = None,
+    misinfo_rt_rate: float | None,
+    seed: int,
+    period: tuple[date, date],
     trial: int = 0,
 ) -> TrialResult:
     """Apply the policy: a corrective retweet survives only if its user
     had been exposed to misinformation strictly before retweeting.
 
-    By default the gate uses the misinformation cascades as recorded in
-    `real_cascades` (whose spread already embodies the observed
-    misinformation RT rate).  Passing `misinfo_rt_rate` instead
-    re-simulates misinformation diffusion at that rate from the real
-    misinformation seed tweets; the simulated cascades then both gate the
-    corrective events and replace the real ones in the exposure counts.
+    With `misinfo_rt_rate` None the gate uses the recorded misinformation
+    cascades (whose spread already embodies the observed RT rate).  A rate
+    instead re-simulates them at that rate from their seed tweets, in the
+    stream of (`seed`, `trial`); the simulated cascades then both gate the
+    corrective events and replace the recorded ones in the exposure counts.
     """
     mis_cascades = [c for c in real_cascades if c.seed.category is TweetCategory.MISINFORMATION]
     if misinfo_rt_rate is not None:
@@ -197,7 +185,7 @@ def guideline_experiment(
     gates = np.split(gated, np.cumsum([len(c.events) for c in corrective])[:-1])
     pruned = _prune(graph, corrective, [c.retweeters[ok] for c, ok in zip(corrective, gates)])
     kept = sum(len(c.events) for c in pruned)
-    return _result(graph, mis_cascades + soldout + pruned, model, period, trial, kept)
+    return _result(graph, mis_cascades + soldout + pruned, model, period, kept)
 
 
 def simulate_trial(
@@ -207,7 +195,6 @@ def simulate_trial(
     rt_rates: Mapping[TweetCategory, float],
     period: tuple[date, date],
     trial_seed: int,
-    trial: int = 0,
 ) -> TrialResult:
     """One fully regenerated stochastic trial at `simulate_cascades`' rates.
 
@@ -217,7 +204,7 @@ def simulate_trial(
     cascades = simulate_cascades(
         graph, seed_tweets, rt_rates, period, trial_seed, corrective_blocks_misinfo=True
     )
-    return _result(graph, cascades, model, period, trial)
+    return _result(graph, cascades, model, period)
 
 
 def sweep(
@@ -229,7 +216,7 @@ def sweep(
     trials: int,
     base_seed: int,
     period: tuple[date, date],
-    soldout_rt_rate: float = 0.004,
+    soldout_rt_rate: float = REAL_SOLDOUT_RT_RATE,
 ) -> SweepGrid:
     """Full rate grid; per cell, `trials` regenerated runs and their
     index-sum statistics.

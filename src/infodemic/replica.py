@@ -12,14 +12,14 @@ labeled as synthetic wherever they are written to disk.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 
 import numpy as np
 
 from ._rng import derive_seed
 from .cascade import Cascade, SeedTweet, TweetCategory, simulate_cascades
-from .counterfactual import REAL_CORRECTIVE_RT_RATE, REAL_MISINFO_RT_RATE
+from .counterfactual import REAL_CORRECTIVE_RT_RATE, REAL_MISINFO_RT_RATE, REAL_SOLDOUT_RT_RATE
 from .exposure import ExposureMatrix, exposure_matrix
 from .graph import GraphGenConfig, SocialGraph, generate_graph
 from .numerics import OlsResult, PcaResult
@@ -45,6 +45,17 @@ REFERENCE_IMPACTS = np.array(
     [5.35e-8, 624.00e-8, 44.80e-8, 309.00e-8, 79.20e-8, 2.88e-8, 43.10e-8]
 )
 REFERENCE_INTERCEPT = 0.9919
+SALES_NOISE = 0.005  # standard deviation of the synthesized index's noise
+
+# follower-graph shape; the out-degree cap keeps the overlap between
+# misinformation and corrective audiences near the observed scale
+GRAPH_EXPONENT = 2.2
+GRAPH_MAX_DEGREE = 150
+GRAPH_POPULARITY_EXPONENT = 1.2
+
+# author placement: follower-count rank bands as fractions of n_users
+CORRECTIVE_AUTHOR_RANKS = (0.0, 0.003)
+SOLDOUT_AUTHOR_RANKS = (0.003, 0.03)
 
 
 @dataclass(frozen=True)
@@ -52,22 +63,10 @@ class ReplicaConfig:
     n_users: int = 100_000
     seed: int = 2
     period: tuple[date, date] = REAL_PERIOD
-    corrective_rt_rate: float = REAL_CORRECTIVE_RT_RATE
-    misinfo_rt_rate: float = REAL_MISINFO_RT_RATE
-    soldout_rt_rate: float = 0.004
-    # follower-graph shape; the out-degree cap keeps the overlap between
-    # misinformation and corrective audiences near the observed scale
-    exponent: float = 2.2
     min_degree: int = 3
-    max_degree: int | None = 150
-    popularity_exponent: float = 1.2
-    # author placement: follower-count rank bands as fractions of n_users
-    corrective_author_ranks: tuple[float, float] = (0.0, 0.003)
-    soldout_author_ranks: tuple[float, float] = (0.003, 0.03)
     misinfo_author_ranks: tuple[float, float] = (0.003, 0.025)
     # earliest misinformation posting day, as a fraction of the period
     misinfo_day_fraction: float = 0.7
-    sales_noise: float = 0.005
 
 
 def reference_model(
@@ -137,8 +136,8 @@ def _place_seeds(
     start, end = config.period
     n_days = (end - start).days + 1
     bands = {
-        TweetCategory.CORRECTIVE: config.corrective_author_ranks,
-        TweetCategory.SOLDOUT: config.soldout_author_ranks,
+        TweetCategory.CORRECTIVE: CORRECTIVE_AUTHOR_RANKS,
+        TweetCategory.SOLDOUT: SOLDOUT_AUTHOR_RANKS,
         TweetCategory.MISINFORMATION: config.misinfo_author_ranks,
     }
     seeds: list[tuple[date, str, int, TweetCategory]] = []
@@ -167,10 +166,10 @@ def build_replica(config: ReplicaConfig = ReplicaConfig()) -> Replica:
     graph = generate_graph(
         GraphGenConfig(
             n_users=config.n_users,
-            exponent=config.exponent,
+            exponent=GRAPH_EXPONENT,
             min_degree=config.min_degree,
-            max_degree=config.max_degree,
-            popularity_exponent=config.popularity_exponent,
+            max_degree=GRAPH_MAX_DEGREE,
+            popularity_exponent=GRAPH_POPULARITY_EXPONENT,
             seed=derive_seed(config.seed, "replica-graph"),
         )
     )
@@ -179,13 +178,12 @@ def build_replica(config: ReplicaConfig = ReplicaConfig()) -> Replica:
         graph,
         seeds,
         {
-            TweetCategory.MISINFORMATION: config.misinfo_rt_rate,
-            TweetCategory.CORRECTIVE: config.corrective_rt_rate,
-            TweetCategory.SOLDOUT: config.soldout_rt_rate,
+            TweetCategory.MISINFORMATION: REAL_MISINFO_RT_RATE,
+            TweetCategory.CORRECTIVE: REAL_CORRECTIVE_RT_RATE,
+            TweetCategory.SOLDOUT: REAL_SOLDOUT_RT_RATE,
         },
         config.period,
         derive_seed(config.seed, "replica-cascades"),
-        seq_start=len(seeds) * 1000,
     )
     matrix = exposure_matrix(graph, cascades, config.period)
     scale = REAL_ACCOUNT_COUNT / config.n_users
@@ -193,7 +191,7 @@ def build_replica(config: ReplicaConfig = ReplicaConfig()) -> Replica:
     values = (
         REFERENCE_INTERCEPT
         + matrix.counts @ impacts
-        + rng.normal(0.0, config.sales_noise, size=len(matrix.days))
+        + rng.normal(0.0, SALES_NOISE, size=len(matrix.days))
     )
     sales = SalesSeries(matrix.days, values)
     log.info(

@@ -106,7 +106,8 @@ class FittedSalesModel:
 
     @property
     def per_viewer_impacts(self) -> np.ndarray:
-        return per_viewer_impacts(self)
+        """Impact of one extra class member on the daily index (7-vector)."""
+        return impacts_from(self.pca.eigenvectors[: self.k], self.coefficients)
 
 
 def fit(
@@ -147,11 +148,6 @@ def fit(
     )
 
 
-def per_viewer_impacts(model: FittedSalesModel) -> np.ndarray:
-    """Impact of one extra class member on the daily index (7-vector)."""
-    return impacts_from(model.pca.eigenvectors[: model.k], model.coefficients)
-
-
 def impacts_from(eigenvectors: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """impact_j = sum_i a_i * e_ij over the retained components."""
     e = np.asarray(eigenvectors, dtype=np.float64)
@@ -161,16 +157,12 @@ def impacts_from(eigenvectors: np.ndarray, coefficients: np.ndarray) -> np.ndarr
     return e.T @ a
 
 
-def group_impacts(model_or_impacts, totals: np.ndarray) -> np.ndarray:
+def group_impacts(impacts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Per-class contribution to the period index: totals * impacts."""
-    if isinstance(model_or_impacts, FittedSalesModel):
-        imp = model_or_impacts.per_viewer_impacts
-    else:
-        imp = np.asarray(model_or_impacts, dtype=np.float64)
     t = np.asarray(totals, dtype=np.float64)
     if np.any(t < 0):
         raise SalesModelError("totals must be non-negative")
-    return t * imp
+    return t * np.asarray(impacts, dtype=np.float64)
 
 
 def predict(model: FittedSalesModel, matrix: ExposureMatrix) -> SalesSeries:

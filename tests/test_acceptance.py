@@ -151,7 +151,7 @@ def test_criterion_4_guideline_ordering():
                 [
                     reduce_corrective(
                         replica.graph, replica.cascades, model, r,
-                        derive_seed(cfg.seed, "acceptance", t), cfg.period, t,
+                        derive_seed(cfg.seed, "acceptance", t), cfg.period,
                     ).sum_index
                     for t in range(trials)
                 ]

@@ -125,6 +125,54 @@ def test_whatif_command(pipeline, tmp_path):
     assert scenarios == {"retention=0.5", "guideline"}
 
 
+def test_whatif_default_retention_levels(pipeline, tmp_path):
+    """Full and zero retention do not depend on the keep draw: every
+    full-retention trial equals the baseline, and every zero-retention
+    trial has the same index sum."""
+    d = str(tmp_path)
+    code = run(
+        "whatif", "--model", os.path.join(pipeline, "model.json"),
+        "--graph", os.path.join(pipeline, "edges.csv"),
+        "--tweets", os.path.join(pipeline, "tweets.csv"),
+        "--retweets", os.path.join(pipeline, "retweets.csv"),
+        "--period", PERIOD, "--trials", "3", "--out", d,
+    )
+    assert code == 0
+    with open(os.path.join(d, "whatif.csv")) as fh:
+        rows = [l.strip().split(",") for l in fh if not l.startswith("#")][1:]
+    full = [float(r[3]) for r in rows if r[0] == "retention=1"]
+    zero = {float(r[2]) for r in rows if r[0] == "retention=0"}
+    assert full == [0.0, 0.0, 0.0]
+    assert len(zero) == 1
+    assert len({r[0] for r in rows}) == 7  # six retention levels and the guideline
+
+
+@pytest.mark.parametrize("retention", ["1.5", "-0.1", "nan"])
+def test_whatif_rejects_retention_out_of_range_without_corrective_tweets(
+    pipeline, tmp_path, capsys, retention
+):
+    # the pipeline's dataset without its corrective tweets and their retweets
+    paths = {}
+    for name in ("tweets.csv", "retweets.csv"):
+        with open(os.path.join(pipeline, name)) as fh:
+            lines = fh.readlines()
+        tweet_col = lines[0].strip().split(",").index("tweet_id")
+        kept = [l for l in lines[1:] if not l.split(",")[tweet_col].startswith("c")]
+        paths[name] = str(tmp_path / name)
+        with open(paths[name], "w") as fh:
+            fh.writelines([lines[0], *kept])
+    out = tmp_path / "out"
+    code = run(
+        "whatif", "--model", os.path.join(pipeline, "model.json"),
+        "--graph", os.path.join(pipeline, "edges.csv"),
+        "--tweets", paths["tweets.csv"], "--retweets", paths["retweets.csv"],
+        "--period", PERIOD, "--retention", retention, "--trials", "1", "--out", str(out),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: retention must be in [0, 1]\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["whatif", "sweep"])
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_experiments_reject_fewer_than_one_trial(pipeline, tmp_path, capsys, command, trials):
@@ -327,6 +375,16 @@ def test_missing_file_is_input_error(tmp_path):
         "--period", PERIOD, "--out", str(tmp_path),
     )
     assert code == 1
+
+
+def test_directory_as_input_is_input_error(pipeline, tmp_path, capsys):
+    code = run(
+        "exposure", "--graph", str(tmp_path), "--tweets", os.path.join(pipeline, "tweets.csv"),
+        "--retweets", os.path.join(pipeline, "retweets.csv"),
+        "--period", PERIOD, "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_bad_period_is_usage_error():

@@ -117,6 +117,15 @@ def test_zero_retention_drops_all_corrective_retweets(small_replica, fitted):
     assert res.corrective_retweeters_kept == 0
 
 
+@pytest.mark.parametrize("retention", [1.5, -0.1, float("nan")])
+def test_reduce_corrective_rejects_retention_without_corrective_tweets(retention):
+    # user 1 follows the misinformation author 0; nothing is corrective
+    g = SocialGraph(2, [(1, 0)])
+    mis = Cascade(SeedTweet("m", 0, TweetCategory.MISINFORMATION, date(2020, 3, 5), 0), ())
+    with pytest.raises(ExperimentError, match=r"retention must be in \[0, 1\]"):
+        reduce_corrective(g, [mis], reference_model(2), retention, 0, REAL_PERIOD)
+
+
 def test_retention_exposure_monotone_for_shared_seed(small_replica, fitted):
     """For one sampling seed the kept sets are nested across retention
     levels, so corrective reach can only grow with retention."""
@@ -222,7 +231,7 @@ def test_simulate_trial_runs_and_counts(small_replica, fitted):
     )
     assert res.totals.shape == (7,)
     assert res.totals.sum() > 0
-    assert len(res.series.values) == len(res.matrix.days)
+    assert len(predict(fitted, res.matrix).values) == len(res.matrix.days)
 
 
 def test_sweep_grid_shape_and_stats(small_replica, fitted):
@@ -270,7 +279,7 @@ def test_sweep_equals_per_cell_trials(small_replica, fitted):
         for t in range(2):
             ts = derive_seed(9, "trial", t)
             want.append(
-                simulate_trial(r.graph, r.seed_tweets, fitted, rates, r.config.period, ts, t).sum_index
+                simulate_trial(r.graph, r.seed_tweets, fitted, rates, r.config.period, ts).sum_index
             )
             blocked += misinfo_retweets(r, rates, ts, False) - misinfo_retweets(r, rates, ts, True)
         assert c.sums == tuple(want)

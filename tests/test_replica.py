@@ -11,6 +11,7 @@ from infodemic.replica import (
     REAL_SEED_COUNTS,
     REFERENCE_IMPACTS,
     REFERENCE_INTERCEPT,
+    SALES_NOISE,
     Replica,
     ReplicaConfig,
     build_replica,
@@ -43,7 +44,7 @@ def test_sales_follow_reference_impacts(small_replica):
     r = small_replica
     clean = REFERENCE_INTERCEPT + r.matrix.counts @ (REFERENCE_IMPACTS * r.impact_scale)
     noise = r.sales.values - clean
-    assert np.abs(noise).max() < 5 * r.config.sales_noise
+    assert np.abs(noise).max() < 5 * SALES_NOISE
 
 
 def test_build_is_deterministic():

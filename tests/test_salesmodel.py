@@ -20,7 +20,6 @@ from infodemic.salesmodel import (
     load_model,
     model_from_json,
     model_to_json,
-    per_viewer_impacts,
     predict,
     sales_index,
     save_model,
@@ -166,7 +165,7 @@ def test_series_csv_bad_row_fails_at_its_line(case):
 def test_fit_recovers_planted_impacts_noise_free():
     matrix, sales, impacts = planted_dataset()
     model = fit(matrix, sales, k=7)
-    assert np.abs(per_viewer_impacts(model) - impacts).max() < 1e-10
+    assert np.abs(model.per_viewer_impacts - impacts).max() < 1e-10
     assert model.diagnostics.r_squared == pytest.approx(1.0, abs=1e-10)
     pred = predict(model, matrix)
     assert np.abs(pred.values - sales.values).max() < 1e-10
@@ -234,7 +233,7 @@ def test_group_impacts_accepts_model():
     matrix, sales, impacts = planted_dataset()
     model = fit(matrix, sales, k=7)
     totals = matrix.counts.sum(axis=0)
-    gi = group_impacts(model, totals)
+    gi = group_impacts(model.per_viewer_impacts, totals)
     assert np.abs(gi - totals * impacts).max() < 1e-6
 
 
