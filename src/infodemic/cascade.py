@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from typing import Iterable, Mapping, Sequence, TextIO
@@ -110,60 +110,62 @@ def _actors(cascades: Sequence[Cascade]) -> np.ndarray:
 # -- visibility ------------------------------------------------------------
 
 
-def _prune(
-    graph: SocialGraph, cascades: Sequence[Cascade], keeps: Sequence[np.ndarray]
-) -> list[Cascade]:
-    """Counterfactually remove retweeters, then close under visibility, in
-    all cascades at once: each keeps the users in its int64 array of
-    `keeps`, a `CascadeError` if one of them is not its retweeter.
+def _prune(graph: SocialGraph, cascades: Sequence[Cascade], want: np.ndarray) -> np.ndarray:
+    """Counterfactually remove retweets, then close under visibility, in
+    all cascades and lanes at once.  `want` is an (events, lanes) bool
+    array over the events of `cascades`, one cascade after another: lane
+    l offers the events set in column l.  Returns the same shape, set
+    where an offered event survives.
 
     Every surviving event's user must be visible at the event's seq given
-    only the surviving upstream events.  So the survivors are the kept
-    events that a chain of kept events, each exposing the next at a later
-    seq, links to the seed: the fixpoint of iterated removal in any order.
-    One round per link of the longest kept chain.
+    only the surviving upstream events.  So the survivors are the offered
+    events that a chain of surviving events, each exposing the next at a
+    later seq, links to the seed: the fixpoint of iterated removal in any
+    order.  The exposing edges do not depend on the lane, so every lane
+    shares one edge list; one round per link of the longest kept chain.
     """
     n, g = graph.n_users, len(cascades)
-    if not g:
-        return []
     ev = _events(cascades)
+    if want.ndim != 2 or len(want) != len(ev):
+        raise CascadeError(f"want must have one row per event ({len(ev)}), got shape {want.shape}")
     owner = np.repeat(np.arange(g), [len(c.events) for c in cascades])
-    # each event's (cascade, user) key; a user retweets a tweet at most once
-    key = owner * n + ev["user"]
-    wanted = np.concatenate([i * n + k for i, k in enumerate(keeps)])
-    if not (found := np.isin(wanted, key)).all():
-        extras = np.unique(wanted[~found] % n)
-        raise CascadeError(f"keep contains non-retweeters: {extras[:5].tolist()}")
-    rows = np.flatnonzero(np.isin(key, wanted))  # the kept retweeters' events
-    # actor i < g is cascade i's seed author, actor g + j the user of rows[j]
+    # actor i < g is cascade i's seed author, actor g + j the user of event j;
+    # each is keyed (cascade, user), and a user retweets a tweet at most once
     authors = [c.seed.author for c in cascades]
-    actor = np.concatenate([np.arange(g) * n + authors, key[rows]])
-    # an actor exposes the kept row j when the row's user is the actor or
-    # follows it: look each row's user and followees up among the actors
-    row_keys = np.arange(len(rows)) * n + ev["user"][rows]
+    actor = np.concatenate([np.arange(g) * n + authors, owner * n + ev["user"]])
+    # an actor exposes event j when its user is the actor or follows it:
+    # look each event's user and followees up among the actors
+    row_keys = np.arange(len(ev)) * n + ev["user"]
     dst, followed = np.divmod(_with_neighbors(graph._follows, row_keys, n), n)
-    followed += owner[rows][dst] * n
+    followed += owner[dst] * n
     # stable, so a seed author who also retweets is found as the seed
     by_actor = np.argsort(actor, kind="stable")
     src = by_actor[np.minimum(np.searchsorted(actor[by_actor], followed), len(actor) - 1)]
-    # a cascade's rows are in seq order after its seed, so an actor exposes
-    # only the rows after its own
+    # a cascade's events are in seq order after its seed, so an actor
+    # exposes only the events after its own
     dst += g
     edge = (actor[src] == followed) & (src < dst)
-    src, dst = src[edge], dst[edge]
-    kept = np.arange(len(actor)) < g
+    if not edge.any():
+        return np.zeros_like(want)
+    # edges grouped by the event they expose, one group per exposed event
+    order = np.argsort(dst[edge], kind="stable")
+    src, dst = src[edge][order], dst[edge][order]
+    heads = np.flatnonzero(np.diff(dst, prepend=-1))
+    exposed = dst[heads]
+    offered = want[exposed - g]
+    kept = np.zeros((len(actor), want.shape[1]), dtype=bool)
+    kept[:g] = True
     while True:
-        new = np.zeros_like(kept)
-        new[dst[kept[src]]] = True
-        if not (new & ~kept).any():
-            break
-        kept |= new
-    rows = rows[kept[g:]]
-    bounds = np.searchsorted(owner[rows], np.arange(g + 1))
-    return [
-        c if b - a == len(c.events) else replace(c, events=ev[rows[a:b]])
-        for c, a, b in zip(cascades, bounds[:-1], bounds[1:])
-    ]
+        reached = np.logical_or.reduceat(kept[src], heads, axis=0) & offered
+        if not (reached & ~kept[exposed]).any():
+            return kept[g:]
+        kept[exposed] |= reached
+
+
+def _keep_size(retention, count):
+    """How many of `count` retweeters a `retention` level keeps:
+    round(retention * count), halves up; broadcasts over arrays."""
+    return np.floor(np.multiply(retention, count) + 0.5).astype(np.int64)
 
 
 def sample_keep_set(cascade: Cascade, retention: float, rng_seed: int) -> np.ndarray:
@@ -171,15 +173,17 @@ def sample_keep_set(cascade: Cascade, retention: float, rng_seed: int) -> np.nda
 
     Retention levels are nested for a fixed seed: one random permutation
     ranks the retweeters and each level keeps a prefix, so keep(r1) is a
-    subset of keep(r2) whenever r1 <= r2.
+    subset of keep(r2) whenever r1 <= r2.  At full retention the result
+    is every retweeter in that rank order.
     """
     if not 0.0 <= retention <= 1.0:
         raise CascadeError("retention must be in [0, 1]")
     users = cascade.retweeters
+    size = int(_keep_size(retention, len(users)))
+    if len(users) < 2:  # one order only: skip seeding a generator
+        return users[:size].copy()
     rng = np.random.default_rng(derive_seed(rng_seed, "keep", cascade.seed.tweet_id))
-    perm = rng.permutation(len(users))
-    size = int(np.floor(retention * len(users) + 0.5))
-    return users[perm[:size]]
+    return users[rng.permutation(len(users))[:size]]
 
 
 # -- simulation ------------------------------------------------------------

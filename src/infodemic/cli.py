@@ -288,18 +288,21 @@ def cmd_whatif(args) -> None:
     graph, _, cascades = _load_dataset(cfg)
     period = cfg["period"]
     seed = cfg.get("seed", 0)
-    baseline = reduce_corrective(graph, cascades, model, 1.0, derive_seed(seed, "w", 0), period)
     retentions = (
         [cfg["retention"]]
         if cfg.get("retention") is not None
         else [r / CORRECTIVE_RATE_LEVELS[0] for r in CORRECTIVE_RATE_LEVELS]
     )
-    rows = []
-    for r in retentions:
-        for t in range(trials):
-            res = reduce_corrective(graph, cascades, model, r, derive_seed(seed, "w", t), period)
-            reduction = compare(baseline.sum_index, res.sum_index)
-            rows.append((f"retention={r:g}", t, res.sum_index, reduction))
+    # full retention, the baseline, does not depend on the seed
+    levels = list(dict.fromkeys([1.0, *retentions]))
+    seeds = [derive_seed(seed, "w", t) for t in range(trials)]
+    results = reduce_corrective(graph, cascades, model, levels, seeds, period)
+    baseline = results[0][0]
+    rows = [
+        (f"retention={r:g}", t, res.sum_index, compare(baseline.sum_index, res.sum_index))
+        for r in retentions
+        for t, res in enumerate(trial[levels.index(r)] for trial in results)
+    ]
     mis_rate = cfg.get("misinfo_rate", REAL_MISINFO_RT_RATE)
     for t in range(trials):
         res = guideline_experiment(graph, cascades, model, mis_rate, derive_seed(seed, "g", t), period, t)

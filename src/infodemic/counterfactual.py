@@ -26,6 +26,7 @@ from .cascade import (
     _actors,
     _audience,
     _events,
+    _keep_size,
     _prune,
     sample_keep_set,
     simulate_cascades,
@@ -33,6 +34,7 @@ from .cascade import (
 from .exposure import (
     ExposureMatrix,
     _add_reach,
+    _category_code,
     _code,
     _code_counts,
     _matrix,
@@ -107,39 +109,79 @@ def _time_ranks(events: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _result(
+def _replay(
     graph: SocialGraph,
-    cascades: Sequence[Cascade],
     model: FittedSalesModel,
     period: tuple[date, date],
-    kept: int | None = None,
-) -> TrialResult:
-    matrix = exposure_matrix(graph, cascades, period)
-    return TrialResult(matrix, sum_index(predict(model, matrix)), kept)
+    fixed: Sequence[Cascade],
+    corrective: Sequence[Cascade],
+    kept: np.ndarray,
+) -> list[TrialResult]:
+    """One result per lane of `_prune`'s (events, lanes) mask `kept`: the
+    exposure of the `fixed` cascades, none of them corrective, and of the
+    `corrective` cascades holding only the events kept in that lane.
+
+    The category code of `fixed` is built once, and each lane adds its
+    corrective reach, marked in one reused buffer, to that code's counts.
+    """
+    start = period[0]
+    code = _category_code(graph, fixed, period)
+    counts = _code_counts(code)
+    acts = _actors(corrective)
+    # every lane's posts: each seed author, then the kept retweets
+    posts = np.concatenate([np.ones((len(corrective), kept.shape[1]), dtype=bool), kept])
+    reach = np.empty(code.shape, dtype=bool)
+    results = []
+    for lane, rows in zip(posts.T, kept.T):
+        reach.fill(False)
+        _reach(graph, acts[lane], start, reach)
+        matrix = _matrix(start, _add_reach(code, counts, reach, TweetCategory.CORRECTIVE))
+        results.append(TrialResult(matrix, sum_index(predict(model, matrix)), int(rows.sum())))
+    return results
 
 
 def reduce_corrective(
     graph: SocialGraph,
     real_cascades: Sequence[Cascade],
     model: FittedSalesModel,
-    retention: float,
-    seed: int,
+    retentions: Sequence[float],
+    seeds: Sequence[int],
     period: tuple[date, date],
-) -> TrialResult:
-    """Keep a random `retention` fraction of each corrective cascade's
-    retweeters, close under visibility, and re-predict the index sum.
+) -> list[list[TrialResult]]:
+    """Keep a random fraction of each corrective cascade's retweeters,
+    close under visibility, and re-predict the index sum: `results[t][i]`
+    keeps the fraction `retentions[i]`, drawn with `seeds[t]`.
 
-    Retention levels share the coupled prefix sampling of
-    `sample_keep_set`, so for one seed the kept sets are nested across
-    levels and the resulting index sums are noise-free monotone.
+    Each seed draws one keep order per cascade (`sample_keep_set` at full
+    retention) and each level keeps its first round(retention * count)
+    retweeters, so for one seed the kept sets are nested across levels
+    and the index sums are noise-free monotone; levels 0 and 1 do not
+    depend on the seed.  All levels of all seeds are pruned in one
+    fixpoint and share the exposure code of the other categories.
     """
-    if not 0.0 <= retention <= 1.0:
+    if not all(0.0 <= r <= 1.0 for r in retentions):
         raise ExperimentError("retention must be in [0, 1]")
     corrective = [c for c in real_cascades if c.seed.category is TweetCategory.CORRECTIVE]
     others = [c for c in real_cascades if c.seed.category is not TweetCategory.CORRECTIVE]
-    pruned = _prune(graph, corrective, [sample_keep_set(c, retention, seed) for c in corrective])
-    kept = sum(len(c.events) for c in pruned)
-    return _result(graph, others + pruned, model, period, kept)
+    counts = np.array([len(c.events) for c in corrective], dtype=np.int64)
+    owner = np.repeat(np.arange(len(corrective)), counts)
+    # each event's rank in its cascade's keep order, one column per seed;
+    # events are found by their (cascade, user) key
+    key = owner * graph.n_users + _events(corrective)["user"]
+    by_key = np.argsort(key)
+    rank = np.arange(len(key)) - (np.cumsum(counts) - counts)[owner]
+    ranks = np.empty((len(key), len(seeds)), dtype=np.int64)
+    for t, seed in enumerate(seeds):
+        order = [np.zeros(0, np.int64), *(sample_keep_set(c, 1.0, seed) for c in corrective)]
+        found = np.searchsorted(key, owner * graph.n_users + np.concatenate(order), sorter=by_key)
+        ranks[by_key[found], t] = rank
+    sizes = _keep_size(np.asarray(retentions, dtype=np.float64), counts[:, None])
+    # lane t * len(retentions) + i offers the events ranked below level i's size
+    want = ranks[:, :, None] < sizes[owner][:, None, :]
+    kept = _prune(graph, corrective, want.reshape(len(key), len(seeds) * len(retentions)))
+    results = _replay(graph, model, period, others, corrective, kept)
+    k = len(retentions)
+    return [results[t * k : (t + 1) * k] for t in range(len(seeds))]
 
 
 def guideline_experiment(
@@ -182,10 +224,8 @@ def guideline_experiment(
     rank, user = np.divmod(_audience(graph, ranks[: len(mis)] * n + mis["user"]), n)
     np.minimum.at(first_mis, user, rank)
     gated = first_mis[retweets["user"]] < ranks[len(mis) :]
-    gates = np.split(gated, np.cumsum([len(c.events) for c in corrective])[:-1])
-    pruned = _prune(graph, corrective, [c.retweeters[ok] for c, ok in zip(corrective, gates)])
-    kept = sum(len(c.events) for c in pruned)
-    return _result(graph, mis_cascades + soldout + pruned, model, period, kept)
+    kept = _prune(graph, corrective, gated[:, None])
+    return _replay(graph, model, period, mis_cascades + soldout, corrective, kept)[0]
 
 
 def simulate_trial(
@@ -204,7 +244,8 @@ def simulate_trial(
     cascades = simulate_cascades(
         graph, seed_tweets, rt_rates, period, trial_seed, corrective_blocks_misinfo=True
     )
-    return _result(graph, cascades, model, period)
+    matrix = exposure_matrix(graph, cascades, period)
+    return TrialResult(matrix, sum_index(predict(model, matrix)))
 
 
 def sweep(
@@ -250,7 +291,7 @@ def sweep(
 
         def reached(cat: TweetCategory, rate: float, **kw) -> np.ndarray:
             cascades = simulate_cascades(graph, by_cat[cat], {cat: rate}, period, ts, **kw)
-            return _reach(graph, cascades, start, n_days)
+            return _reach(graph, _actors(cascades), start, np.zeros((n_days, graph.n_users), bool))
 
         soldout = _code(reached(TweetCategory.SOLDOUT, soldout_rt_rate), TweetCategory.SOLDOUT)
         for j, c_rate in enumerate(corrective_rates):

@@ -41,7 +41,7 @@ class ExposureError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExposureMatrix:
     """Contiguous per-day class counts, one row per day."""
 
@@ -57,6 +57,11 @@ class ExposureMatrix:
         for a, b in zip(self.days, self.days[1:]):
             if (b - a).days != 1:  # `a + 1 day` overflows past date.max
                 raise ExposureError("days must be contiguous and increasing")
+
+    def __eq__(self, other):
+        if not isinstance(other, ExposureMatrix):
+            return NotImplemented
+        return self.days == other.days and np.array_equal(self.counts, other.counts)
 
     def to_csv(self, path: str | os.PathLike, header_comments: Sequence[str] = ()) -> None:
         rows = ((d, *row) for d, row in zip(self.days, self.counts.tolist()))
@@ -94,27 +99,28 @@ _CLASS_CODES = np.array([sum(_CATEGORY_BITS[c] for c in cats) for cats in CLASS_
 
 def _reach(
     graph: SocialGraph,
-    cascades: Sequence[Cascade],
+    acts: np.ndarray,
     start: date,
-    n_days: int,
+    out: np.ndarray,
     *,
     cumulative: bool = False,
     include_actors: bool = True,
 ) -> np.ndarray:
-    """(n_days, n_users) bool: who the cascades reach on each period day.
+    """Mark in the all-False (n_days, n_users) bool `out` who the actor
+    rows `acts` (`_actors` of some cascades) reach on each day from
+    `start`, and return `out`.
 
     An actor (a seed author on the seed day, a retweeter on the retweet
     day) reaches its followers, and itself with `include_actors`.
     `cumulative` counts activity before the period on its first day and
     carries every day's reach forward.
     """
-    acts = _actors(cascades)
+    n_days = len(out)
     day = acts["day"] - start.toordinal()
     if cumulative:
         np.maximum(day, 0, out=day)
     inside = (day >= 0) & (day < n_days)
     actors = day[inside] * graph.n_users + acts["user"][inside]
-    out = np.zeros((n_days, graph.n_users), dtype=bool)
     keys = _audience(graph, actors)
     out.reshape(-1)[keys if include_actors else keys[len(actors) :]] = True
     if cumulative:
@@ -160,18 +166,25 @@ def exposure_matrix(
     include_actors: bool = True,
 ) -> ExposureMatrix:
     """Daily exposures for every day in the inclusive period."""
+    code = _category_code(
+        graph, cascades, period, cumulative=cumulative, include_actors=include_actors
+    )
+    return _matrix(period[0], _code_counts(code))
+
+
+def _category_code(
+    graph: SocialGraph, cascades: Sequence[Cascade], period: tuple[date, date], **reach
+) -> np.ndarray:
+    """(n_days, n_users) uint8 category code of who `cascades` reach on
+    each day of the inclusive period; `reach` is passed to `_reach`."""
     start, end = period
     if end < start:
         raise ExposureError("empty period")
-    n_days = (end - start).days + 1
-    code = np.zeros((n_days, graph.n_users), dtype=np.uint8)
+    code = np.zeros(((end - start).days + 1, graph.n_users), dtype=np.uint8)
     for cat in TweetCategory:
-        mine = [c for c in cascades if c.seed.category is cat]
-        seen = _reach(
-            graph, mine, start, n_days, cumulative=cumulative, include_actors=include_actors
-        )
-        code |= _code(seen, cat)
-    return _matrix(start, _code_counts(code))
+        mine = _actors([c for c in cascades if c.seed.category is cat])
+        code |= _code(_reach(graph, mine, start, np.zeros(code.shape, dtype=bool), **reach), cat)
+    return code
 
 
 def _matrix(start: date, per_code: np.ndarray) -> ExposureMatrix:

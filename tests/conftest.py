@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from infodemic.cascade import Cascade, _prune
+from infodemic.cascade import Cascade, CascadeError, _prune
 from infodemic.graph import SocialGraph, GraphGenConfig, generate_graph
 from infodemic.replica import ReplicaConfig, build_replica
 
@@ -46,8 +46,13 @@ def followers(g: SocialGraph, u: int) -> np.ndarray:
 
 
 def prune(g: SocialGraph, c: Cascade, keep) -> Cascade:
-    """The one cascade `c` pruned to the retweeters in `keep`."""
-    return _prune(g, [c], [np.asarray(list(keep), dtype=np.int64)])[0]
+    """The one cascade `c` pruned to the retweeters in `keep`, a
+    `CascadeError` if one of them is not its retweeter."""
+    keep = np.asarray(list(keep), dtype=np.int64)
+    if extras := sorted(set(keep.tolist()) - set(c.retweeters.tolist())):
+        raise CascadeError(f"keep contains non-retweeters: {extras[:5]}")
+    want = np.isin(c.retweeters, keep)
+    return Cascade(c.seed, c.events[_prune(g, [c], want[:, None])[:, 0]])
 
 
 DAY0 = date(2020, 2, 21)

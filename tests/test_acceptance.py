@@ -145,21 +145,13 @@ def test_criterion_4_guideline_ordering():
     trials = 10
     low_retention = CORRECTIVE_RATE_LEVELS[4] / CORRECTIVE_RATE_LEVELS[0]  # 0.16/0.79
 
-    def mean_retention(r):
-        return float(
-            np.mean(
-                [
-                    reduce_corrective(
-                        replica.graph, replica.cascades, model, r,
-                        derive_seed(cfg.seed, "acceptance", t), cfg.period,
-                    ).sum_index
-                    for t in range(trials)
-                ]
-            )
-        )
-
-    none_kept = mean_retention(0.0)
-    some_kept = mean_retention(low_retention)
+    results = reduce_corrective(
+        replica.graph, replica.cascades, model, [0.0, low_retention],
+        [derive_seed(cfg.seed, "acceptance", t) for t in range(trials)], cfg.period,
+    )
+    none_kept, some_kept = (
+        float(np.mean([trial[i].sum_index for trial in results])) for i in range(2)
+    )
     guideline = float(
         np.mean(
             [

@@ -14,6 +14,7 @@ from infodemic.cascade import (
     CascadeError,
     SeedTweet,
     TweetCategory,
+    _prune,
     load_retweets,
     load_seed_tweets,
     sample_keep_set,
@@ -135,6 +136,14 @@ def test_prune_rejects_non_retweeters():
         prune(g, c, keep=[2])
 
 
+@pytest.mark.parametrize("shape", [(2, 1), (0, 1), (1,), (1, 1, 1)])
+def test_prune_rejects_a_mask_without_one_row_per_event(shape):
+    g = SocialGraph(3, [(1, 0)])
+    c = cascade([ev(1, 1)])
+    with pytest.raises(CascadeError):
+        _prune(g, [c], np.ones(shape, dtype=bool))
+
+
 def test_prune_matches_fixpoint_oracle_randomized():
     rng = np.random.default_rng(99)
     for _ in range(100):
@@ -178,6 +187,31 @@ def test_sample_keep_set_deterministic_and_nested():
         assert set(k1.tolist()) <= set(k2.tolist())
     assert np.array_equal(sample_keep_set(c, 0.5, 7), sample_keep_set(c, 0.5, 7))
     assert not np.array_equal(sample_keep_set(c, 0.5, 7), sample_keep_set(c, 0.5, 8))
+
+
+# (retweet count, seed) -> `sample_keep_set` at full retention of a cascade
+# of users 1..count; under two retweets the keep order is the only one
+KEEP_ORDER_PINS = {
+    (0, 0): [],
+    (1, 0): [1],
+    (1, 5): [1],
+    (2, 0): [2, 1],
+    (2, 5): [1, 2],
+    (3, 0): [2, 1, 3],
+    (3, 5): [3, 2, 1],
+    (7, 0): [7, 5, 2, 1, 4, 6, 3],
+    (7, 5): [2, 7, 3, 6, 5, 1, 4],
+}
+
+
+@pytest.mark.parametrize("count, s", sorted(KEEP_ORDER_PINS))
+def test_sample_keep_set_pinned(count, s):
+    c = cascade([ev(u, u) for u in range(1, count + 1)])
+    order = KEEP_ORDER_PINS[count, s]
+    for r in (0.0, 0.5, 1.0):
+        got = sample_keep_set(c, r, s)
+        assert got.dtype == np.int64
+        assert got.tolist() == order[: int(np.floor(r * count + 0.5))]
 
 
 @given(st.floats(min_value=-5, max_value=5).filter(lambda r: not 0 <= r <= 1))

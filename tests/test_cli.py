@@ -147,6 +147,28 @@ def test_whatif_default_retention_levels(pipeline, tmp_path):
     assert len({r[0] for r in rows}) == 7  # six retention levels and the guideline
 
 
+# --seed -> sha256 of whatif.csv at the default retention levels and
+# --trials 3; paths are relative, so the `#` header is the same in every run
+WHATIF_DIGESTS = {
+    1: "4e6e63eee25be39b181ae010e7429f4ef10aab481a6c07451c1550cd8a355bd2",
+    2: "44809636103abed092536822f8c771b72cdb6bdd52917b454b80a18dca1d82f6",
+    3: "ce65184e12b7b5c24854cb921103987cf772ce39fb3ea5d2bbdd2a58e1b4df40",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(WHATIF_DIGESTS))
+def test_whatif_pinned(pipeline, tmp_path, monkeypatch, seed):
+    for name in ("edges.csv", "tweets.csv", "retweets.csv", "model.json"):
+        shutil.copy(os.path.join(pipeline, name), tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    assert run(
+        "whatif", "--model", "model.json", "--graph", "edges.csv", "--tweets", "tweets.csv",
+        "--retweets", "retweets.csv", "--period", PERIOD, "--trials", "3", "--seed", str(seed),
+    ) == 0
+    got = hashlib.sha256((tmp_path / "whatif.csv").read_bytes()).hexdigest()
+    assert got == WHATIF_DIGESTS[seed]
+
+
 @pytest.mark.parametrize("retention", ["1.5", "-0.1", "nan"])
 def test_whatif_rejects_retention_out_of_range_without_corrective_tweets(
     pipeline, tmp_path, capsys, retention

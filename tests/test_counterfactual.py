@@ -1,15 +1,19 @@
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
 import pytest
 
 from infodemic._rng import derive_seed
-from conftest import followers, prune
+from conftest import followers, prune, random_graph
 from infodemic.cascade import (
     Cascade,
     CascadeError,
     SeedTweet,
     TweetCategory,
+    _events,
+    _with_neighbors,
+    sample_keep_set,
     simulate_cascades,
 )
 from infodemic.counterfactual import (
@@ -18,6 +22,7 @@ from infodemic.counterfactual import (
     REAL_CORRECTIVE_RT_RATE,
     REAL_MISINFO_RT_RATE,
     ExperimentError,
+    TrialResult,
     compare,
     guideline_experiment,
     reduce_corrective,
@@ -30,6 +35,7 @@ from infodemic.exposure import exposure_matrix
 from infodemic.graph import SocialGraph
 from infodemic.replica import REAL_PERIOD, reference_model
 from infodemic.salesmodel import fit, predict, sum_index
+from test_cascade import _random_cascade
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +74,7 @@ def test_compare_reduction():
 
 def test_full_retention_is_baseline(small_replica, fitted):
     r = small_replica
-    res = reduce_corrective(r.graph, r.cascades, fitted, 1.0, 0, r.config.period)
+    [[res]] = reduce_corrective(r.graph, r.cascades, fitted, [1.0], [0], r.config.period)
     baseline = sum_index(predict(fitted, r.matrix))
     assert res.sum_index == pytest.approx(baseline, abs=1e-9)
     total_rts = sum(
@@ -100,7 +106,7 @@ REDUCE_PINS = {
 def test_reduce_corrective_pinned(small_replica, fitted, seed, level):
     r = small_replica
     retention = level / CORRECTIVE_RATE_LEVELS[0]
-    res = reduce_corrective(r.graph, r.cascades, fitted, retention, seed, r.config.period)
+    [[res]] = reduce_corrective(r.graph, r.cascades, fitted, [retention], [seed], r.config.period)
     assert (res.corrective_retweeters_kept, res.totals.tolist()) == REDUCE_PINS[seed, level]
 
 
@@ -113,7 +119,7 @@ def test_guideline_pinned(small_replica, fitted):
 
 def test_zero_retention_drops_all_corrective_retweets(small_replica, fitted):
     r = small_replica
-    res = reduce_corrective(r.graph, r.cascades, fitted, 0.0, 0, r.config.period)
+    [[res]] = reduce_corrective(r.graph, r.cascades, fitted, [0.0], [0], r.config.period)
     assert res.corrective_retweeters_kept == 0
 
 
@@ -123,17 +129,16 @@ def test_reduce_corrective_rejects_retention_without_corrective_tweets(retention
     g = SocialGraph(2, [(1, 0)])
     mis = Cascade(SeedTweet("m", 0, TweetCategory.MISINFORMATION, date(2020, 3, 5), 0), ())
     with pytest.raises(ExperimentError, match=r"retention must be in \[0, 1\]"):
-        reduce_corrective(g, [mis], reference_model(2), retention, 0, REAL_PERIOD)
+        reduce_corrective(g, [mis], reference_model(2), [retention], [0], REAL_PERIOD)
 
 
 def test_retention_exposure_monotone_for_shared_seed(small_replica, fitted):
     """For one sampling seed the kept sets are nested across retention
     levels, so corrective reach can only grow with retention."""
     r = small_replica
-    results = [
-        reduce_corrective(r.graph, r.cascades, fitted, ret, 42, r.config.period)
-        for ret in (0.0, 0.25, 0.5, 0.75, 1.0)
-    ]
+    [results] = reduce_corrective(
+        r.graph, r.cascades, fitted, (0.0, 0.25, 0.5, 0.75, 1.0), [42], r.config.period
+    )
     kept = [res.corrective_retweeters_kept for res in results]
     assert kept == sorted(kept)
     corrective_classes = [0, 3, 4, 6]
@@ -145,7 +150,7 @@ def test_zero_retention_matches_seed_only_exposure(small_replica, fitted):
     """Dropping every corrective retweet must equal re-counting exposure
     with pruned-to-empty corrective cascades."""
     r = small_replica
-    res = reduce_corrective(r.graph, r.cascades, fitted, 0.0, 0, r.config.period)
+    [[res]] = reduce_corrective(r.graph, r.cascades, fitted, [0.0], [0], r.config.period)
     stripped = [
         c if c.seed.category is not TweetCategory.CORRECTIVE
         else prune(r.graph, c, keep=[])
@@ -340,3 +345,153 @@ def test_sweep_csv_outputs(small_replica, fitted, tmp_path):
     s = p2.read_text().splitlines()
     assert s[1] == "misinfo_rate,corrective_rate,mean,stddev,trials"
     assert len(s) == 3
+
+
+# -- batched corrective reduction against the single-level reference ---------
+
+
+def single_level_prune(graph, cascades, keeps):
+    """`_prune` as it was before lanes: each cascade keeps the users in its
+    array of `keeps`, closed under visibility, as a pruned `Cascade`."""
+    n, g = graph.n_users, len(cascades)
+    if not g:
+        return []
+    ev = _events(cascades)
+    owner = np.repeat(np.arange(g), [len(c.events) for c in cascades])
+    key = owner * n + ev["user"]
+    wanted = np.concatenate([i * n + k for i, k in enumerate(keeps)])
+    rows = np.flatnonzero(np.isin(key, wanted))
+    authors = [c.seed.author for c in cascades]
+    actor = np.concatenate([np.arange(g) * n + authors, key[rows]])
+    row_keys = np.arange(len(rows)) * n + ev["user"][rows]
+    dst, followed = np.divmod(_with_neighbors(graph._follows, row_keys, n), n)
+    followed += owner[rows][dst] * n
+    by_actor = np.argsort(actor, kind="stable")
+    src = by_actor[np.minimum(np.searchsorted(actor[by_actor], followed), len(actor) - 1)]
+    dst += g
+    edge = (actor[src] == followed) & (src < dst)
+    src, dst = src[edge], dst[edge]
+    kept = np.arange(len(actor)) < g
+    while True:
+        new = np.zeros_like(kept)
+        new[dst[kept[src]]] = True
+        if not (new & ~kept).any():
+            break
+        kept |= new
+    rows = rows[kept[g:]]
+    bounds = np.searchsorted(owner[rows], np.arange(g + 1))
+    return [Cascade(c.seed, ev[rows[a:b]]) for c, a, b in zip(cascades, bounds[:-1], bounds[1:])]
+
+
+def single_level_reduce(graph, cascades, model, retention, seed, period):
+    """`reduce_corrective` at one level and seed, as it was before batching."""
+    corrective = [c for c in cascades if c.seed.category is TweetCategory.CORRECTIVE]
+    others = [c for c in cascades if c.seed.category is not TweetCategory.CORRECTIVE]
+    keeps = [sample_keep_set(c, retention, seed) for c in corrective]
+    pruned = single_level_prune(graph, corrective, keeps)
+    matrix = exposure_matrix(graph, others + pruned, period)
+    kept = sum(len(c.events) for c in pruned)
+    return TrialResult(matrix, sum_index(predict(model, matrix)), kept)
+
+
+def assert_batch_matches_reference(graph, cascades, model, retentions, seeds, period=REAL_PERIOD):
+    results = reduce_corrective(graph, cascades, model, retentions, seeds, period)
+    assert len(results) == len(seeds)
+    for t, seed in enumerate(seeds):
+        assert len(results[t]) == len(retentions)
+        for i, r in enumerate(retentions):
+            assert results[t][i] == single_level_reduce(graph, cascades, model, r, seed, period)
+    return results
+
+
+LEVELS = tuple(r / CORRECTIVE_RATE_LEVELS[0] for r in CORRECTIVE_RATE_LEVELS)
+
+
+def test_reduce_corrective_matches_single_level_reference(small_replica, fitted):
+    r = small_replica
+    results = assert_batch_matches_reference(
+        r.graph, r.cascades, fitted, (0.0, 0.2, 0.5, *LEVELS[:3]), [0, 1, 42, 7], r.config.period
+    )
+    assert len({res[0].sum_index for res in results}) == 1  # nothing kept, whatever the seed
+
+
+def special_cascades():
+    """Corrective cascades with 0 and 1 retweets, one whose author
+    retweets their own tweet, and one not closed under visibility, beside
+    a misinformation and a soldout cascade.
+
+    Users 1-4 follow the corrective author 0, 5 follows 1, 6 follows 5,
+    and 7 follows no one; 8 and 9 author the other categories and 3 and 4
+    follow them.
+    """
+    g = SocialGraph(10, [(1, 0), (2, 0), (3, 0), (4, 0), (5, 1), (6, 5), (3, 8), (4, 9)])
+    day = REAL_PERIOD[0].toordinal()
+
+    def tweet(tid, author, cat, seq, events):
+        return Cascade(SeedTweet(tid, author, cat, REAL_PERIOD[0], seq), events)
+
+    corrective = TweetCategory.CORRECTIVE
+    return g, [
+        tweet("none", 0, corrective, -6, ()),
+        tweet("one", 0, corrective, -5, [(1, day + 1, 1)]),
+        tweet("self", 0, corrective, -4, [(0, day + 1, 2), (1, day + 1, 3), (5, day + 2, 9)]),
+        # 7 follows no one and 5 follows no actor of this tweet, so even
+        # full retention drops their retweets
+        tweet("open", 0, corrective, -3, [(2, day, 4), (7, day + 1, 5), (5, day + 2, 6)]),
+        tweet("chain", 0, corrective, -2, [(1, day, 7), (5, day + 1, 8), (6, day + 2, 10)]),
+        tweet("mis", 8, TweetCategory.MISINFORMATION, -1, [(3, day + 1, 11)]),
+        tweet("sold", 9, TweetCategory.SOLDOUT, 0, [(4, day + 2, 12)]),
+    ]
+
+
+def test_reduce_corrective_special_cascades_over_64_lanes():
+    g, cascades = special_cascades()
+    seeds = list(range(12))
+    results = assert_batch_matches_reference(g, cascades, reference_model(10), LEVELS, seeds)
+    # the two invisible retweets go at full retention: 10 offered, 8 kept
+    assert {trial[0].corrective_retweeters_kept for trial in results} == {8}
+    assert len(LEVELS) * len(seeds) > 64
+
+
+def test_reduce_corrective_without_corrective_retweets():
+    g, cascades = special_cascades()
+    model = reference_model(10)
+    bare = [
+        Cascade(c.seed, ()) if c.seed.category is TweetCategory.CORRECTIVE else c
+        for c in cascades
+    ]
+    results = assert_batch_matches_reference(g, bare, model, (0.0, 0.5, 1.0), [3, 4])
+    assert {res.corrective_retweeters_kept for trial in results for res in trial} == {0}
+    # no corrective cascade at all, and no level or no seed
+    others = [c for c in cascades if c.seed.category is not TweetCategory.CORRECTIVE]
+    assert_batch_matches_reference(g, others, model, (0.0, 1.0), [3])
+    assert reduce_corrective(g, cascades, model, (), [3], REAL_PERIOD) == [[]]
+    assert reduce_corrective(g, cascades, model, (0.5,), [], REAL_PERIOD) == []
+
+
+def test_reduce_corrective_when_pruning_leaves_no_edges():
+    # no retweeter follows the author or another retweeter
+    g = SocialGraph(4, [(0, 1), (0, 2)])
+    day = REAL_PERIOD[0].toordinal()
+    seed_tweet = SeedTweet("c", 0, TweetCategory.CORRECTIVE, REAL_PERIOD[0], -1)
+    cascades = [Cascade(seed_tweet, [(1, day, 1), (2, day, 2), (3, day + 1, 3)])]
+    model = reference_model(4)
+    results = assert_batch_matches_reference(g, cascades, model, (0.0, 0.5, 1.0), [0, 9])
+    assert {res.corrective_retweeters_kept for trial in results for res in trial} == {0}
+
+
+def test_reduce_corrective_matches_reference_on_random_graphs():
+    rng = np.random.default_rng(2024)
+    categories = list(TweetCategory)
+    for _ in range(40):
+        g = random_graph(rng, max_nodes=10)
+        cascades = [
+            _random_cascade(rng, g, cat=categories[int(rng.integers(3))])
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        cascades = [
+            Cascade(replace(c.seed, tweet_id=f"t{i}", seq=-len(cascades) + i), c.events)
+            for i, c in enumerate(cascades)
+        ]
+        levels = sorted(rng.uniform(0, 1, 3).tolist()) + [0.0, 1.0]
+        assert_batch_matches_reference(g, cascades, reference_model(g.n_users), levels, [1, 2, 3])
