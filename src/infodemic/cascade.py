@@ -14,13 +14,14 @@ import os
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import Iterable, Mapping, Sequence, TextIO
+from functools import reduce
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from ._rng import derive_seed, uniform_for_users
 from ._table import at_line, read_table, write_table
-from .graph import SocialGraph, _Csr, _sorted_unique
+from .graph import SocialGraph, _Csr, _run_starts, _sorted_unique
 
 log = logging.getLogger("infodemic.cascade")
 
@@ -188,6 +189,41 @@ def sample_keep_set(cascade: Cascade, retention: float, rng_seed: int) -> np.nda
 
 # -- simulation ------------------------------------------------------------
 
+# the most rate lanes one `_spread` run carries: one bit each of a uint8 mask
+LANES = 8
+
+
+class _Run(NamedTuple):
+    """A `_spread` run.  Its retweets, in (day, tweet, user) order: each
+    one's day ordinal, tweet index and user, and `lanes`, the mask of the
+    lanes it happens in.  `first_correction[l]` holds, per user, the
+    period day index of the first corrective exposure in lane l (a value
+    past the period for never).  With `reach` asked for, `reach` holds the
+    sorted `day * n_users + user` keys of who the run's posts reach on
+    each period day, and `reach_lanes` the lanes in which they do."""
+
+    day: np.ndarray
+    tweet: np.ndarray
+    user: np.ndarray
+    lanes: np.ndarray
+    first_correction: np.ndarray
+    reach: np.ndarray
+    reach_lanes: np.ndarray
+
+    def lane_reach(self, lane: int) -> np.ndarray:
+        """The sorted reach keys of lane `lane`."""
+        return self.reach[np.flatnonzero((self.reach_lanes & (1 << lane)) > 0)]
+
+
+def _check_run(graph: SocialGraph, seeds: Iterable[SeedTweet], period: tuple[date, date]) -> None:
+    """Raise `CascadeError` unless the seeds can spread over the period."""
+    start, end = period
+    if end < start:
+        raise CascadeError("empty simulation period")
+    for s in seeds:
+        if not 0 <= s.author < graph.n_users:
+            raise CascadeError(f"seed author {s.author} not in graph")
+
 
 def simulate_cascades(
     graph: SocialGraph,
@@ -218,78 +254,173 @@ def simulate_cascades(
 
     Retweet decisions use one fixed uniform draw per (tweet, user) keyed
     off the seed, so runs with the same seed are coupled across rates:
-    raising a rate only ever adds events.
+    raising a rate only ever adds events.  This is the one-lane run of
+    `_spread`; seq numbers follow (day, tweet, user) order from
+    `seq_start`, by default one past the highest seed seq.
     """
     for cat, r in rt_rates.items():
         if not 0.0 <= r <= 1.0:
             raise CascadeError(f"rt_rate for {cat.value} must be in [0, 1]")
-    start, end = period
-    if end < start:
-        raise CascadeError("empty simulation period")
-    for s in seeds:
-        if not 0 <= s.author < graph.n_users:
-            raise CascadeError(f"seed author {s.author} not in graph")
-    n = graph.n_users
+    _check_run(graph, seeds, period)
+    if first_correction is not None and np.shape(first_correction) != (graph.n_users,):
+        raise CascadeError("first_correction must hold one day per user")
     seeds = sorted(seeds, key=lambda s: (s.day, s.seq))
     seq = (max((s.seq for s in seeds), default=0) + 1) if seq_start is None else seq_start
+    rates = np.array([rt_rates.get(s.category, 0.0) for s in seeds], dtype=np.float64)
+    run = _spread(
+        graph, seeds, rates[:, None], period, rng_seed,
+        blocks=corrective_blocks_misinfo, first_correction=first_correction,
+    )
+    events = np.empty(len(run.user), dtype=EVENT)
+    events["user"], events["day"], events["seq"] = run.user, run.day, seq + np.arange(len(run.user))
+    return _split(seeds, run.tweet, events)
 
+
+def _spread(
+    graph: SocialGraph,
+    seeds: Sequence[SeedTweet],
+    rates: np.ndarray,
+    period: tuple[date, date],
+    rng_seed: int,
+    *,
+    blocks: bool = False,
+    first_correction: np.ndarray | None = None,
+    reach: bool = False,
+) -> _Run:
+    """`simulate_cascades`' diffusion of `seeds` in up to `LANES` rate
+    lanes at once: lane l runs at the rates `rates[:, l]`, one per seed.
+    `blocks` is `corrective_blocks_misinfo`, and `first_correction`
+    holds one day per user for every lane.
+
+    Every lane uses each (tweet, user) key's one draw, so a key's state is
+    a uint8 mask of the lanes it holds in.  A day's audience keys carry
+    the union of their actors' lanes; a key decides in the lanes that
+    newly expose it, and retweets in those whose rate is above its draw
+    and that do not block it.  Each lane so gets exactly the run at its
+    own rates.
+    """
+    n, t = graph.n_users, len(seeds)
+    start, end = period
+    n_days = (end - start).days + 1
+    lanes = rates.shape[1]
+    every = np.uint8((1 << lanes) - 1)
     # per-tweet columns, indexed like `seeds`
     author = np.array([s.author for s in seeds], dtype=np.int64)
     seed_day = np.array([(s.day - start).days for s in seeds], dtype=np.int64)
-    rate = np.array([rt_rates.get(s.category, 0.0) for s in seeds], dtype=np.float64)
-    # masking out the keys of rate-0 tweets costs more than it saves when
-    # there are none
-    some_rate_zero = not rate.all()
     corrective = np.array([s.category is TweetCategory.CORRECTIVE for s in seeds], dtype=bool)
     blockable = np.array(
-        [corrective_blocks_misinfo and s.category is TweetCategory.MISINFORMATION for s in seeds],
-        dtype=bool,
+        [blocks and s.category is TweetCategory.MISINFORMATION for s in seeds], dtype=bool
     )
+    top = rates.max(axis=1, initial=0.0)
+    # masking out the keys of rate-0 tweets costs more than it saves when
+    # there are none
+    some_rate_zero = not top.all()
     skey = np.array([derive_seed(rng_seed, "rt", s.tweet_id) for s in seeds], dtype=np.uint64)
 
     # (tweet, user) state lives under the key tweet * n + user
-    exposed = np.zeros(len(seeds) * n, dtype=bool)
-    n_days = (end - start).days + 1
-    if first_correction is None:
-        first_corr = np.full(n, n_days, dtype=np.int64)
-    else:
-        first_corr = np.array(first_correction, dtype=np.int64)
-        if first_corr.shape != (n,):
-            raise CascadeError("first_correction must hold one day per user")
-    pending = np.zeros(0, dtype=np.int64)  # keys of retweets landing today
-    # each day's retweet keys, sorted, so seq follows (day, tweet, user)
-    # order; the empty first entry keeps the concatenation defined
-    landed, landed_day = [pending], [0]
+    exposed = np.zeros(t * n, dtype=np.uint8)
+    # per lane and user, the first day of corrective exposure
+    first = np.full((lanes, n), n_days, dtype=np.int64)
+    if first_correction is not None:
+        first[:] = first_correction
+    # keys and lanes of retweets landing today, sorted, so seq follows
+    # (day, tweet, user) order; the empty first entries keep the
+    # concatenations defined
+    pending, pending_lanes = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)
+    landed, landed_lanes, landed_day = [pending], [pending_lanes], [0]
+    reached, reached_lanes = [pending], [pending_lanes]
+    day_reach = np.zeros(n if reach else 0, dtype=np.uint8)  # lanes reaching each user today
     for d in range(n_days):
         seeded = np.flatnonzero(seed_day == d)
         if len(seeded) == 0 and len(pending) == 0:
             continue
         landed.append(pending)
+        landed_lanes.append(pending_lanes)
         landed_day.append(start.toordinal() + d)
-        # every actor (author or retweeter) exposes itself and its followers
+        # every actor (author or retweeter) exposes itself and its followers;
+        # a key holds in the union of its actors' lanes: they ride in the
+        # low byte, so one sort orders keys and lanes
         actors = np.concatenate([seeded * n + author[seeded], pending])
-        keys = _sorted_unique(_audience(graph, actors))
-        new = keys[~exposed[keys]]
-        exposed[new] = True
-        tweet, user = np.divmod(new, n)
-        # the newly exposed decide once, on their first exposure
-        hit = user != author[tweet]
-        if some_rate_zero:  # a tweet at rate 0 takes no draw
-            hit &= rate[tweet] > 0
-            live = np.flatnonzero(hit)
-            hit[live] = uniform_for_users(skey[tweet[live]], user[live]) < rate[tweet[live]]
+        actor_lanes = np.concatenate([np.full(len(seeded), every), pending_lanes])
+        all_lanes = (actor_lanes == every).all()
+        if all_lanes:
+            keys = _sorted_unique(_audience(graph, actors))
+            mask = every
         else:
-            hit &= uniform_for_users(skey[tweet], user) < rate[tweet]
+            packed = np.sort(_lane_audience(graph, actors, actor_lanes))
+            keys = packed >> 8
+            heads = np.flatnonzero(_run_starts(keys))
+            keys = keys[heads]
+            mask = np.bitwise_or.reduceat((packed & 0xFF).astype(np.uint8), heads)
+        if reach:
+            users = keys - keys // n * n
+            if all_lanes:
+                day_reach[users] = every
+            else:
+                np.bitwise_or.at(day_reach, users, mask)
+            users = np.flatnonzero(day_reach)
+            reached.append(d * n + users)
+            reached_lanes.append(day_reach[users])
+            day_reach[users] = 0
+        seen = exposed[keys]
+        new = mask & ~seen
+        fresh = np.flatnonzero(new > 0)
+        keys, new = keys[fresh], new[fresh]
+        exposed[keys] = every if all_lanes else seen[fresh] | new
+        tweet = keys // n
+        user = keys - tweet * n
+        # the newly exposed decide once, on their first exposure: they
+        # retweet in the lanes whose rate is above their draw
+        if some_rate_zero:  # a tweet at rate 0 in every lane takes no draw
+            draw = np.ones(len(keys))
+            live = np.flatnonzero(top[tweet] > 0)
+            draw[live] = uniform_for_users(skey[tweet[live]], user[live])
+        else:
+            draw = uniform_for_users(skey[tweet], user)
+        # a draw at or above the tweet's top rate hits in no lane
+        i = np.flatnonzero((draw < top[tweet]) & (user != author[tweet]))
+        tweet_i, user_i, draw = tweet[i], user[i], draw[i]
+        hit = new[i] & _lane_mask(draw < rate[tweet_i] for rate in rates.T)
         # corrective exposure counts from the next day on
-        hit &= ~(blockable[tweet] & (first_corr[user] < d))
-        corrected = user[corrective[tweet]]
-        first_corr[corrected] = np.minimum(first_corr[corrected], d)
-        pending = new[hit]
+        gated = np.flatnonzero(blockable[tweet_i] & (hit > 0))
+        hit[gated] &= ~_lane_mask(f[user_i[gated]] < d for f in first)
+        corrected = corrective[tweet]
+        for lane, f in enumerate(first if corrected.any() else ()):
+            # with one lane, every fresh key is new in it
+            u = user[corrected if lanes == 1 else corrected & ((new & (1 << lane)) > 0)]
+            f[u] = np.minimum(f[u], d)
+        retweets = np.flatnonzero(hit > 0)
+        pending, pending_lanes = keys[i[retweets]], hit[retweets]
     tweet, user = np.divmod(np.concatenate(landed), n)
-    run = np.empty(len(tweet), dtype=EVENT)
-    run["user"], run["seq"] = user, seq + np.arange(len(tweet))
-    run["day"] = np.repeat(landed_day, [len(k) for k in landed])
-    return _split(seeds, tweet, run)
+    day = np.repeat(landed_day, [len(k) for k in landed])
+    return _Run(
+        day, tweet, user, np.concatenate(landed_lanes), first,
+        np.concatenate(reached), np.concatenate(reached_lanes),
+    )
+
+
+def _lane_runs(
+    graph: SocialGraph,
+    seeds: Sequence[SeedTweet],
+    rates: Sequence[float] | np.ndarray,
+    period: tuple[date, date],
+    rng_seed: int,
+    **kw,
+) -> Iterator[tuple[_Run, int]]:
+    """`_spread` in one lane per column of `rates`, a (seeds, lanes) table
+    or one row for every seed: runs of up to `LANES` lanes each, with
+    their reach; one (run, lane) per column."""
+    rates = np.asarray(rates, dtype=np.float64)
+    rates = np.broadcast_to(rates, (len(seeds), rates.shape[-1]))
+    for group in range(0, rates.shape[1], LANES):
+        run = _spread(graph, seeds, rates[:, group : group + LANES], period, rng_seed, reach=True, **kw)
+        for lane in range(len(run.first_correction)):
+            yield run, lane
+
+
+def _lane_mask(lanes: Iterable[np.ndarray]) -> np.ndarray:
+    """uint8 masks with bit l set where the l-th bool array of `lanes` is."""
+    return reduce(np.bitwise_or, (b.view(np.uint8) << lane for lane, b in enumerate(lanes)))
 
 
 def _split(seeds: Sequence[SeedTweet], tweet: np.ndarray, run: np.ndarray) -> list[Cascade]:
@@ -308,15 +439,31 @@ def _audience(graph: SocialGraph, actors: np.ndarray) -> np.ndarray:
     return _with_neighbors(graph._followers, actors, graph.n_users)
 
 
+def _lane_audience(graph: SocialGraph, keys: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """For actor keys `g * n + u` posting in the uint8 masks `lanes`,
+    `(g * n + v) << 8 | lanes` for v the actor and each of its followers,
+    unsorted and with repeats."""
+    group, user = np.divmod(keys, graph.n_users)
+    reached, counts = _neighbors(graph._followers, user)
+    base = (group * graph.n_users) << 8 | lanes
+    return np.concatenate([keys << 8 | lanes, np.repeat(base, counts) + (reached << 8)])
+
+
 def _with_neighbors(csr: _Csr, keys: np.ndarray, n: int) -> np.ndarray:
     """`keys` followed by `g * n + v` for each key `g * n + u` and each
     neighbor v of u in `csr`."""
     group, user = np.divmod(keys, n)
-    first = csr.indptr[user]
-    counts = csr.indptr[user + 1] - first
-    ends = np.cumsum(counts)
-    reached = csr.indices[np.repeat(first - (ends - counts), counts) + np.arange(counts.sum())]
+    reached, counts = _neighbors(csr, user)
     return np.concatenate([keys, np.repeat(group * n, counts) + reached])
+
+
+def _neighbors(csr: _Csr, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbors in `csr` of each of `rows`, one row after another,
+    and how many each row has: one segment-gather."""
+    first = csr.indptr[rows]
+    counts = csr.indptr[rows + 1] - first
+    ends = np.cumsum(counts)
+    return csr.indices[np.repeat(first - (ends - counts), counts) + np.arange(counts.sum())], counts
 
 
 # -- CSV I/O ---------------------------------------------------------------

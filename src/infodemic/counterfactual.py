@@ -25,17 +25,19 @@ from .cascade import (
     TweetCategory,
     _actors,
     _audience,
+    _check_run,
     _events,
     _keep_size,
+    _lane_runs,
     _prune,
     sample_keep_set,
     simulate_cascades,
 )
 from .exposure import (
+    _CATEGORY_BITS,
     ExposureMatrix,
     _add_reach,
     _category_code,
-    _code,
     _code_counts,
     _matrix,
     _reach,
@@ -134,8 +136,8 @@ def _replay(
     results = []
     for lane, rows in zip(posts.T, kept.T):
         reach.fill(False)
-        _reach(graph, acts[lane], start, reach)
-        matrix = _matrix(start, _add_reach(code, counts, reach, TweetCategory.CORRECTIVE))
+        keys = np.flatnonzero(_reach(graph, acts[lane], start, reach))
+        matrix = _matrix(start, _add_reach(code, counts, keys, TweetCategory.CORRECTIVE))
         results.append(TrialResult(matrix, sum_index(predict(model, matrix)), int(rows.sum())))
     return results
 
@@ -269,12 +271,15 @@ def sweep(
 
     A tweet's cascade depends only on its own draws, the graph and, for
     misinformation, each user's first day of corrective exposure.  So a
-    trial simulates the soldout tweets once, the corrective tweets once
-    per corrective rate, and the misinformation tweets once per cell,
-    gated by that rate's first-correction days.  A cell's class counts
-    are the corrective-plus-soldout counts of its corrective rate, with
-    every (day, user) the misinformation reaches moved to the class that
-    adds misinformation.
+    trial spreads the soldout tweets once, the corrective tweets once with
+    each corrective rate as a lane of one `_spread` run, and the
+    misinformation tweets once per corrective rate, with each
+    misinformation rate as a lane, gated by that corrective lane's
+    first-correction days: 8 runs for the 6 x 7 default grid.  Rate lists
+    longer than `LANES` spread in groups of `LANES`.  A cell's class
+    counts are the soldout counts with the (day, user) pairs its
+    corrective lane reaches, then those its misinformation lane reaches,
+    moved to the class that adds the category.
     """
     if not corrective_rates or not misinfo_rates:
         raise ExperimentError("rate lists must be non-empty")
@@ -282,30 +287,39 @@ def sweep(
         raise ExperimentError("trials must be >= 1")
     if not all(0.0 <= r <= 1.0 for r in (*corrective_rates, *misinfo_rates, soldout_rt_rate)):
         raise ExperimentError("RT rates must be in [0, 1]")
+    order = (TweetCategory.SOLDOUT, TweetCategory.CORRECTIVE, TweetCategory.MISINFORMATION)
+    by_cat = {cat: [s for s in seed_tweets if s.category is cat] for cat in order}
+    # every run's checks, in the order of the runs, before any work
+    _check_run(graph, [s for cat in order for s in by_cat[cat]], period)
     start, end = period
-    n_days = (end - start).days + 1
-    by_cat = {cat: [s for s in seed_tweets if s.category is cat] for cat in TweetCategory}
+    # the category code of the current trial's soldout reach and, while
+    # its cells are counted, a corrective lane's
+    code = np.zeros(((end - start).days + 1, graph.n_users), dtype=np.uint8)
+    flat = code.reshape(-1)
+    corrective_bit = _CATEGORY_BITS[TweetCategory.CORRECTIVE]
     sums: list[list[list[float]]] = [[[] for _ in corrective_rates] for _ in misinfo_rates]
     for t in range(trials):
         ts = derive_seed(base_seed, "trial", t)
-
-        def reached(cat: TweetCategory, rate: float, **kw) -> np.ndarray:
-            cascades = simulate_cascades(graph, by_cat[cat], {cat: rate}, period, ts, **kw)
-            return _reach(graph, _actors(cascades), start, np.zeros((n_days, graph.n_users), bool))
-
-        soldout = _code(reached(TweetCategory.SOLDOUT, soldout_rt_rate), TweetCategory.SOLDOUT)
-        for j, c_rate in enumerate(corrective_rates):
-            corrective = reached(TweetCategory.CORRECTIVE, c_rate)
-            first_corr = np.where(corrective.any(axis=0), corrective.argmax(axis=0), n_days)
-            base = _code(corrective, TweetCategory.CORRECTIVE) | soldout
-            base_counts = _code_counts(base)
-            for i, m_rate in enumerate(misinfo_rates):
-                mis = reached(
-                    TweetCategory.MISINFORMATION, m_rate,
-                    corrective_blocks_misinfo=True, first_correction=first_corr,
-                )
-                counts = _add_reach(base, base_counts, mis, TweetCategory.MISINFORMATION)
+        ((run, _),) = _lane_runs(graph, by_cat[TweetCategory.SOLDOUT], [soldout_rt_rate], period, ts)
+        soldout = run.reach
+        flat[soldout] = _CATEGORY_BITS[TweetCategory.SOLDOUT]
+        soldout_counts = _code_counts(code)
+        corrective_runs = _lane_runs(
+            graph, by_cat[TweetCategory.CORRECTIVE], corrective_rates, period, ts
+        )
+        for j, (run, lane) in enumerate(corrective_runs):
+            corrective = run.lane_reach(lane)
+            base = _add_reach(code, soldout_counts, corrective, TweetCategory.CORRECTIVE)
+            flat[corrective] |= corrective_bit
+            mis_runs = _lane_runs(
+                graph, by_cat[TweetCategory.MISINFORMATION], misinfo_rates, period, ts,
+                blocks=True, first_correction=run.first_correction[lane],
+            )
+            for i, (mis, m_lane) in enumerate(mis_runs):
+                counts = _add_reach(code, base, mis.lane_reach(m_lane), TweetCategory.MISINFORMATION)
                 sums[i][j].append(sum_index(predict(model, _matrix(start, counts))))
+            flat[corrective] ^= corrective_bit  # clears the bit set above
+        flat[soldout] = 0
     cells = [
         SweepCell(m_rate, c_rate, tuple(sums[i][j]))
         for i, m_rate in enumerate(misinfo_rates)

@@ -128,33 +128,30 @@ def _reach(
     return out
 
 
-def _code(reach: np.ndarray, cat: TweetCategory) -> np.ndarray:
-    """uint8 array holding the category's bit where `reach` is set."""
-    return reach.view(np.uint8) * np.uint8(_CATEGORY_BITS[cat])
-
-
 def _code_counts(code: np.ndarray) -> np.ndarray:
     """(n_days, 8) count of each category code per day of an
     (n_days, n_users) code array."""
-    keys = np.flatnonzero(code)
-    return _tally(keys, code.reshape(-1)[keys], *code.shape)
+    # nonzero finds the set entries of a bool array far faster than of a uint8 one
+    keys = np.flatnonzero(code.reshape(-1) != 0)
+    return _tally(keys // code.shape[1], code.reshape(-1)[keys], len(code))
 
 
 def _add_reach(
-    code: np.ndarray, counts: np.ndarray, reach: np.ndarray, cat: TweetCategory
+    code: np.ndarray, counts: np.ndarray, keys: np.ndarray, cat: TweetCategory
 ) -> np.ndarray:
-    """`_code_counts` of `code` with `cat` added wherever `reach` is set,
-    updated from `counts` (those of `code`, which must lack `cat`) by
-    moving only the reached (day, user) pairs to their new code."""
-    keys = np.flatnonzero(reach)
+    """`_code_counts` of `code` with `cat` added at the distinct flat
+    `day * n_users + user` indices `keys`, updated from `counts` (those of
+    `code`, which must lack `cat` there) by moving only those (day, user)
+    pairs to their new code."""
     old = code.reshape(-1)[keys]
     new = old | np.uint8(_CATEGORY_BITS[cat])
-    return counts + _tally(keys, new, *code.shape) - _tally(keys, old, *code.shape)
+    day = keys // code.shape[1]
+    return counts + _tally(day, new, len(code)) - _tally(day, old, len(code))
 
 
-def _tally(keys: np.ndarray, codes: np.ndarray, n_days: int, n_users: int) -> np.ndarray:
-    # one bincount over (day, code) for keys day * n_users + user
-    return np.bincount(keys // n_users * 8 + codes, minlength=8 * n_days).reshape(n_days, 8)
+def _tally(day: np.ndarray, codes: np.ndarray, n_days: int) -> np.ndarray:
+    # one bincount over (day, code)
+    return np.bincount(day * 8 + codes, minlength=8 * n_days).reshape(n_days, 8)
 
 
 def exposure_matrix(
@@ -183,7 +180,8 @@ def _category_code(
     code = np.zeros(((end - start).days + 1, graph.n_users), dtype=np.uint8)
     for cat in TweetCategory:
         mine = _actors([c for c in cascades if c.seed.category is cat])
-        code |= _code(_reach(graph, mine, start, np.zeros(code.shape, dtype=bool), **reach), cat)
+        reached = _reach(graph, mine, start, np.zeros(code.shape, dtype=bool), **reach)
+        code |= reached.view(np.uint8) * np.uint8(_CATEGORY_BITS[cat])
     return code
 
 

@@ -1,14 +1,24 @@
 """Shared fixtures: a small deterministic synthetic dataset."""
 
+import os
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from infodemic.cascade import Cascade, CascadeError, _prune
 from infodemic.graph import SocialGraph, GraphGenConfig, generate_graph
 from infodemic.replica import ReplicaConfig, build_replica
+
+# In CI (GitHub Actions sets CI), a failing property prints the
+# `@reproduce_failure` blob that replays it locally.  The profile replaces
+# hypothesis' own "ci" one, so example counts, deadlines and random draws
+# stay those of a local run.
+settings.register_profile("ci", parent=settings.get_profile("default"), print_blob=True)
+if "CI" in os.environ:
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -10,17 +10,23 @@ from hypothesis import strategies as st
 from conftest import DAY0, NOT_A_VALUE, followers, prune, random_graph, table_with_bad_row
 from infodemic._rng import derive_seed, uniform_for_users
 from infodemic.cascade import (
+    EVENT,
+    LANES,
     Cascade,
     CascadeError,
     SeedTweet,
     TweetCategory,
+    _actors,
+    _lane_runs,
     _prune,
+    _split,
     load_retweets,
     load_seed_tweets,
     sample_keep_set,
     save_cascades,
     simulate_cascades,
 )
+from infodemic.exposure import _reach
 from infodemic.graph import SocialGraph
 
 
@@ -343,10 +349,11 @@ def test_simulation_rejects_bad_inputs():
 
 
 def reference_simulate(graph, seeds, rt_rates, period, rng_seed, *,
-                       corrective_blocks_misinfo=False, seq_start=None):
+                       corrective_blocks_misinfo=False, seq_start=None, first_correction=None):
     """Per-tweet x per-day diffusion loop: the engine's specification."""
     start, end = period
     n = graph.n_users
+    given = np.full(n, (end - start).days + 1) if first_correction is None else first_correction
     seeds = sorted(seeds, key=lambda s: (s.day, s.seq))
     seq = (max((s.seq for s in seeds), default=0) + 1) if seq_start is None else seq_start
     exposed = [np.zeros(n, dtype=bool) for _ in seeds]
@@ -355,7 +362,7 @@ def reference_simulate(graph, seeds, rt_rates, period, rng_seed, *,
     corrective_seen = np.zeros(n, dtype=bool)
     day = start
     while day <= end:
-        seen_at_open = corrective_seen.copy()
+        seen_at_open = corrective_seen | (given < (day - start).days)
         newly = [np.zeros(0, dtype=np.int64) for _ in seeds]
         for i, s in enumerate(seeds):
             fresh = []
@@ -466,6 +473,81 @@ def test_misinfo_run_given_first_correction_days_matches_joint_run(case):
         }
 
     assert acts(alone) == acts(joint)
+
+
+@st.composite
+def lane_cases(draw):
+    """`simulation_cases` spread in 1-17 rate lanes, each its own rates
+    mapping drawn from a few rates, so lanes repeat rates, hold 0 and 1
+    and come unsorted; with or without given first-correction days."""
+    graph, seeds, _, period, rng_seed, kw = draw(simulation_cases())
+    pool = draw(st.lists(RATES, min_size=1, max_size=4))
+    lanes = [
+        {c: draw(st.sampled_from(pool)) for c in TweetCategory if draw(st.booleans())}
+        for _ in range(draw(st.integers(1, 17)))
+    ]
+    days = (period[1] - period[0]).days + 1
+    given_days = st.lists(st.integers(0, days + 1), min_size=graph.n_users, max_size=graph.n_users)
+    first = draw(st.one_of(st.none(), given_days.map(np.array)))
+    return graph, seeds, lanes, period, rng_seed, kw["corrective_blocks_misinfo"], first
+
+
+def assert_lanes_equal_one_lane_runs(graph, seeds, lanes, period, rng_seed, blocks, first):
+    """Every lane of `_lane_runs` holds exactly the events, reach and
+    first-correction days of the one-lane run at that lane's rates, as
+    `simulate_cascades` and the per-tweet reference loop give them."""
+    seeds = sorted(seeds, key=lambda s: (s.day, s.seq))
+    table = np.array([[rates.get(s.category, 0.0) for rates in lanes] for s in seeds])
+    runs = list(_lane_runs(
+        graph, seeds, table.reshape(len(seeds), len(lanes)), period, rng_seed,
+        blocks=blocks, first_correction=first,
+    ))
+    assert len(runs) == len(lanes)
+    assert [lane for _, lane in runs] == [i % LANES for i in range(len(lanes))]
+    n_days = (period[1] - period[0]).days + 1
+    for rates, (run, lane) in zip(lanes, runs):
+        kw = dict(corrective_blocks_misinfo=blocks, first_correction=first, seq_start=0)
+        want = simulate_cascades(graph, seeds, rates, period, rng_seed, **kw)
+        assert want == reference_simulate(graph, seeds, rates, period, rng_seed, **kw)
+        mine = np.flatnonzero((run.lanes & (1 << lane)) > 0)
+        events = np.empty(len(mine), dtype=EVENT)
+        events["user"], events["day"], events["seq"] = run.user[mine], run.day[mine], np.arange(len(mine))
+        assert _split(seeds, run.tweet[mine], events) == want
+        reach = _reach(graph, _actors(want), period[0], np.zeros((n_days, graph.n_users), bool))
+        np.testing.assert_array_equal(run.lane_reach(lane), np.flatnonzero(reach))
+        corrective = [c for c in want if c.seed.category is TweetCategory.CORRECTIVE]
+        want_first = first_correction_days(graph, corrective, period)
+        if first is not None:
+            want_first = np.minimum(want_first, first)
+        # any day past the period means never
+        got_first = np.minimum(run.first_correction[lane], n_days)
+        np.testing.assert_array_equal(got_first, want_first)
+
+
+@given(lane_cases())
+@settings(max_examples=200, deadline=None)
+def test_rate_lanes_equal_one_lane_runs(case):
+    assert_lanes_equal_one_lane_runs(*case)
+
+
+def test_rate_lanes_equal_one_lane_runs_on_denser_graphs():
+    """Graphs of up to 30 users with many paths, so lanes reach a user on
+    different days, and every category spreads at once, gated."""
+    rng = np.random.default_rng(14)
+    for case in range(30):
+        graph = random_graph(rng, max_nodes=30)
+        seeds = [
+            SeedTweet(f"t{i}", int(rng.integers(graph.n_users)), cat,
+                      DAY0 + timedelta(days=int(rng.integers(-1, 4))), -i - 1)
+            for i, cat in enumerate(rng.choice(list(TweetCategory), size=int(rng.integers(1, 7))))
+        ]
+        pool = [0.0, 1.0, *rng.uniform(0, 1, 3).round(2)]
+        lanes = [
+            {c: float(rng.choice(pool)) for c in TweetCategory}
+            for _ in range(int(rng.integers(9, 18)))
+        ]
+        first = rng.integers(0, 9, graph.n_users) if case % 2 else None
+        assert_lanes_equal_one_lane_runs(graph, seeds, lanes, days(8), case, case % 3 > 0, first)
 
 
 def test_uniform_draws_accept_per_user_keys():

@@ -10,7 +10,7 @@ from infodemic.cascade import save_cascades
 from infodemic.cli import main
 from infodemic.exposure import ExposureMatrix
 from infodemic.graph import SocialGraph, load_edges_file, save_edges
-from infodemic.salesmodel import SalesSeries, load_model
+from infodemic.salesmodel import SalesSeries, fit, load_model, save_model
 
 PERIOD = "2020-02-21..2020-03-01"
 
@@ -169,6 +169,48 @@ def test_whatif_pinned(pipeline, tmp_path, monkeypatch, seed):
     assert got == WHATIF_DIGESTS[seed]
 
 
+# --seed -> sha256 of (sweep_trials.csv, sweep_summary.csv) of the default
+# 6 x 7 grid with --trials 2 on the 3000-user replica; paths are relative,
+# so the `#` header is the same in every run
+SWEEP_DIGESTS = {
+    1: ("a8fec16a6ad9a2d5b5718566b049570e046ab890d443e92f15c9f7fbb79e620a",
+        "758101db3b3020020b43f9197220557d3a542a09f570d308fed492c208a7a1d6"),
+    2: ("11f62d99c4ed6167fb2bb68b5b156d9f0d8450810ead73342ae2a7d628078ac3",
+        "f86a47ea76d7534e632bec4bbf3587c672fc58c65f4d9e21f5df953cd8e6a3f7"),
+    3: ("7470a3a20f36655553a65633d8690b19d86f0b5ebc66faf2ec1634e5667f9d43",
+        "4a8513750dac0fb3328f3b6fa5fda76f651b0126becb3db13d5ccf931b24e072"),
+}
+
+
+@pytest.fixture(scope="module")
+def replica_inputs(small_replica, tmp_path_factory):
+    """The 3000-user replica's graph, seed tweets and fitted model as files."""
+    r = small_replica
+    d = tmp_path_factory.mktemp("replica")
+    save_edges(r.graph, d / "edges.csv")
+    save_cascades(r.cascades, d / "tweets.csv", d / "retweets.csv", r.graph)
+    save_model(fit(r.matrix, r.sales, k=4), d / "model.json")
+    start, end = r.config.period
+    return d, f"{start}..{end}"
+
+
+@pytest.mark.parametrize("seed", sorted(SWEEP_DIGESTS))
+def test_sweep_pinned(replica_inputs, tmp_path, monkeypatch, seed):
+    d, period = replica_inputs
+    for name in ("edges.csv", "tweets.csv", "model.json"):
+        shutil.copy(d / name, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    assert run(
+        "sweep", "--model", "model.json", "--graph", "edges.csv", "--tweets", "tweets.csv",
+        "--period", period, "--trials", "2", "--seed", str(seed),
+    ) == 0
+    got = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("sweep_trials.csv", "sweep_summary.csv")
+    )
+    assert got == SWEEP_DIGESTS[seed]
+
+
 @pytest.mark.parametrize("retention", ["1.5", "-0.1", "nan"])
 def test_whatif_rejects_retention_out_of_range_without_corrective_tweets(
     pipeline, tmp_path, capsys, retention
@@ -208,6 +250,39 @@ def test_experiments_reject_fewer_than_one_trial(pipeline, tmp_path, capsys, com
     assert code == 1
     assert capsys.readouterr().err == "error: trials must be >= 1\n"
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--period", "2020-03-01..2020-02-21"], "empty simulation period"),
+    (["--misinfo-rate", "nan"], "RT rates must be in [0, 1]"),
+    (["--corrective-rate", "1.5"], "RT rates must be in [0, 1]"),
+    (["--soldout-rate", "-0.1"], "RT rates must be in [0, 1]"),
+])
+def test_sweep_rejects_bad_input(pipeline, tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    code = run(
+        "sweep", "--model", os.path.join(pipeline, "model.json"),
+        "--graph", os.path.join(pipeline, "edges.csv"),
+        "--tweets", os.path.join(pipeline, "tweets.csv"),
+        "--period", PERIOD, *flags, "--out", str(out),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_sweep_rejects_a_seed_author_outside_the_graph(pipeline, tmp_path, capsys):
+    tweets = tmp_path / "tweets.csv"
+    tweets.write_text("tweet_id,author_id,category,day\nm9,nobody,misinformation,2020-02-22\n")
+    out = tmp_path / "out"
+    code = run(
+        "sweep", "--model", os.path.join(pipeline, "model.json"),
+        "--graph", os.path.join(pipeline, "edges.csv"), "--tweets", str(tweets),
+        "--period", PERIOD, "--out", str(out),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: line 2: unknown user id 'nobody'\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("given", ["graph", "tweets", "retweets", "period"])

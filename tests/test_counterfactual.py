@@ -3,7 +3,10 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from infodemic import counterfactual
 from infodemic._rng import derive_seed
 from conftest import followers, prune, random_graph
 from infodemic.cascade import (
@@ -35,7 +38,7 @@ from infodemic.exposure import exposure_matrix
 from infodemic.graph import SocialGraph
 from infodemic.replica import REAL_PERIOD, reference_model
 from infodemic.salesmodel import fit, predict, sum_index
-from test_cascade import _random_cascade
+from test_cascade import RATES, _random_cascade, simulation_cases
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +293,83 @@ def test_sweep_equals_per_cell_trials(small_replica, fitted):
         assert c.sums == tuple(want)
     # corrective exposure gates misinformation somewhere on this grid
     assert blocked > 0
+
+
+def assert_sweep_equals_trials(graph, seeds, model, corrective_rates, misinfo_rates, trials,
+                               base_seed, period, soldout_rate=0.004):
+    grid = sweep(
+        graph, seeds, model, corrective_rates, misinfo_rates, trials, base_seed, period,
+        soldout_rt_rate=soldout_rate,
+    )
+    assert len(grid.cells) == len(corrective_rates) * len(misinfo_rates)
+    for cell in grid.cells:
+        rates = rt_rates(cell.misinfo_rate, cell.corrective_rate, soldout_rate)
+        want = tuple(
+            simulate_trial(graph, seeds, model, rates, period, derive_seed(base_seed, "trial", t)).sum_index
+            for t in range(trials)
+        )
+        assert cell.sums == want
+
+
+def test_sweep_across_lane_groups_equals_per_cell_trials(small_replica, fitted):
+    """9 corrective x 10 misinformation rates, so both categories spread in
+    two lane groups; rates repeat, come unsorted and include 0."""
+    r = small_replica
+    corrective = [0.05, 0.0, 0.0079, 0.2, 0.0016, 0.0079, 0.1, 0.0032, 0.0]
+    misinfo = [0.0, 0.3, 0.05, 0.00186, 0.05, 0.01, 0.2, 0.0, 0.03, 0.1]
+    assert_sweep_equals_trials(r.graph, r.seed_tweets, fitted, corrective, misinfo, 1, 4,
+                               r.config.period)
+
+
+@given(simulation_cases(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_sweep_equals_per_cell_trials_on_random_graphs(case, data):
+    graph, seeds, _, period, _, _ = case
+    rates = st.lists(RATES, min_size=1, max_size=10)
+    assert_sweep_equals_trials(
+        graph, seeds, reference_model(graph.n_users, period),
+        data.draw(rates), data.draw(rates), data.draw(st.integers(1, 2)),
+        data.draw(st.integers(0, 2**32)), period, soldout_rate=data.draw(RATES),
+    )
+
+
+def with_seeds(*extra):
+    """The sweep arguments with `extra` seed tweets, authored by users
+    outside the 3000-user replica, added first."""
+    return lambda r: {"seed_tweets": [
+        SeedTweet(f"x{i}", r.graph.n_users + a, cat, r.config.period[0], -100 - i)
+        for i, (a, cat) in enumerate(extra)
+    ] + list(r.seed_tweets)}
+
+
+@pytest.mark.parametrize("change, error, message", [
+    (lambda r: {"period": r.config.period[::-1]}, CascadeError, "empty simulation period"),
+    # the soldout run's check came first, then the corrective and misinformation runs'
+    (with_seeds((0, TweetCategory.MISINFORMATION)), CascadeError, "seed author 3000 not in graph"),
+    (with_seeds((0, TweetCategory.MISINFORMATION), (1, TweetCategory.CORRECTIVE)),
+     CascadeError, "seed author 3001 not in graph"),
+    (with_seeds((0, TweetCategory.CORRECTIVE), (2, TweetCategory.SOLDOUT)),
+     CascadeError, "seed author 3002 not in graph"),
+    (lambda r: {"misinfo_rates": [0.0, float("nan")]}, ExperimentError, "RT rates must be in [0, 1]"),
+    (lambda r: {"corrective_rates": [1.5]}, ExperimentError, "RT rates must be in [0, 1]"),
+    (lambda r: {"soldout_rt_rate": -0.1}, ExperimentError, "RT rates must be in [0, 1]"),
+    (lambda r: {"trials": 0}, ExperimentError, "trials must be >= 1"),
+    (lambda r: {"corrective_rates": []}, ExperimentError, "rate lists must be non-empty"),
+])
+def test_sweep_rejects_bad_input_before_any_run(small_replica, fitted, monkeypatch, change, error,
+                                                 message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run spread before the input was checked")
+
+    monkeypatch.setattr(counterfactual, "_lane_runs", no_run)
+    r = small_replica
+    kw = dict(
+        graph=r.graph, seed_tweets=r.seed_tweets, model=fitted, corrective_rates=[0.0079],
+        misinfo_rates=[0.05], trials=1, base_seed=0, period=r.config.period,
+    )
+    with pytest.raises(error) as e:
+        sweep(**{**kw, **change(r)})
+    assert str(e.value) == message
 
 
 def test_sweep_gates_misinfo_from_the_day_after_correction():
