@@ -233,8 +233,6 @@ def simulate_cascades(
     rng_seed: int,
     *,
     corrective_blocks_misinfo: bool = False,
-    seq_start: int | None = None,
-    first_correction: np.ndarray | None = None,
 ) -> list[Cascade]:
     """Day-synchronous stochastic diffusion of all seed tweets at once.
 
@@ -245,32 +243,20 @@ def simulate_cascades(
     was already exposed to any corrective tweet as of the start of the
     decision day never retweets misinformation.
 
-    `first_correction` holds, per user, the index of the period day on
-    which the user was first exposed to a corrective tweet (any value
-    >= the period's length for never).  It seeds the run's own record, so
-    a misinformation-only run given the first-correction days of a
-    corrective run blocks exactly as the run holding both would; the
-    caller's array is not modified.
-
     Retweet decisions use one fixed uniform draw per (tweet, user) keyed
     off the seed, so runs with the same seed are coupled across rates:
     raising a rate only ever adds events.  This is the one-lane run of
-    `_spread`; seq numbers follow (day, tweet, user) order from
-    `seq_start`, by default one past the highest seed seq.
+    `_spread`; seq numbers follow (day, tweet, user) order from one past
+    the highest seed seq.
     """
     for cat, r in rt_rates.items():
         if not 0.0 <= r <= 1.0:
             raise CascadeError(f"rt_rate for {cat.value} must be in [0, 1]")
     _check_run(graph, seeds, period)
-    if first_correction is not None and np.shape(first_correction) != (graph.n_users,):
-        raise CascadeError("first_correction must hold one day per user")
     seeds = sorted(seeds, key=lambda s: (s.day, s.seq))
-    seq = (max((s.seq for s in seeds), default=0) + 1) if seq_start is None else seq_start
+    seq = max((s.seq for s in seeds), default=0) + 1
     rates = np.array([rt_rates.get(s.category, 0.0) for s in seeds], dtype=np.float64)
-    run = _spread(
-        graph, seeds, rates[:, None], period, rng_seed,
-        blocks=corrective_blocks_misinfo, first_correction=first_correction,
-    )
+    run = _spread(graph, seeds, rates[:, None], period, rng_seed, blocks=corrective_blocks_misinfo)
     events = np.empty(len(run.user), dtype=EVENT)
     events["user"], events["day"], events["seq"] = run.user, run.day, seq + np.arange(len(run.user))
     return _split(seeds, run.tweet, events)
@@ -289,8 +275,11 @@ def _spread(
 ) -> _Run:
     """`simulate_cascades`' diffusion of `seeds` in up to `LANES` rate
     lanes at once: lane l runs at the rates `rates[:, l]`, one per seed.
-    `blocks` is `corrective_blocks_misinfo`, and `first_correction`
-    holds one day per user for every lane.
+    `blocks` is `corrective_blocks_misinfo`.  `first_correction` holds,
+    per user, the index of the period day of the first corrective
+    exposure (any value >= the period's length for never) for every
+    lane; it seeds the run's own record, so a misinformation run given a
+    corrective run's days blocks exactly as the run holding both would.
 
     Every lane uses each (tweet, user) key's one draw, so a key's state is
     a uint8 mask of the lanes it holds in.  A day's audience keys carry
@@ -312,9 +301,6 @@ def _spread(
         [blocks and s.category is TweetCategory.MISINFORMATION for s in seeds], dtype=bool
     )
     top = rates.max(axis=1, initial=0.0)
-    # masking out the keys of rate-0 tweets costs more than it saves when
-    # there are none
-    some_rate_zero = not top.all()
     skey = np.array([derive_seed(rng_seed, "rt", s.tweet_id) for s in seeds], dtype=np.uint64)
 
     # (tweet, user) state lives under the key tweet * n + user
@@ -371,13 +357,9 @@ def _spread(
         user = keys - tweet * n
         # the newly exposed decide once, on their first exposure: they
         # retweet in the lanes whose rate is above their draw
-        if some_rate_zero:  # a tweet at rate 0 in every lane takes no draw
-            draw = np.ones(len(keys))
-            live = np.flatnonzero(top[tweet] > 0)
-            draw[live] = uniform_for_users(skey[tweet[live]], user[live])
-        else:
-            draw = uniform_for_users(skey[tweet], user)
-        # a draw at or above the tweet's top rate hits in no lane
+        draw = uniform_for_users(skey[tweet], user)
+        # a draw at or above the tweet's top rate hits in no lane; draws are
+        # in [0, 1), so a tweet at rate 0 in every lane never hits
         i = np.flatnonzero((draw < top[tweet]) & (user != author[tweet]))
         tweet_i, user_i, draw = tweet[i], user[i], draw[i]
         hit = new[i] & _lane_mask(draw < rate[tweet_i] for rate in rates.T)

@@ -100,15 +100,13 @@ class SweepGrid:
         raise ExperimentError(f"no cell ({misinfo_rate}, {corrective_rate})")
 
 
-def _time_ranks(events: np.ndarray) -> np.ndarray:
-    """Dense ranks of `EVENT` rows by time, (day, seq); equal times tie."""
-    order = np.lexsort((events["seq"], events["day"]))
-    d, s = events["day"][order], events["seq"][order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (d[1:] != d[:-1]) | (s[1:] != s[:-1])
-    ranks = np.empty(len(order), dtype=np.int64)
-    ranks[order] = np.cumsum(new)
-    return ranks
+def _time_ranks(events: np.ndarray, later: np.ndarray) -> np.ndarray:
+    """Dense ranks of `EVENT` rows by time, (day, later, seq): a row set
+    in the bool array `later` ranks after every other row of its day.
+    Equal times tie."""
+    keys = np.stack([events["day"], later, events["seq"]], axis=1)
+    # flattened: numpy 2.0.0 gives the inverse the dimensions of `keys`
+    return np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
 
 
 def _replay(
@@ -203,6 +201,8 @@ def guideline_experiment(
     instead re-simulates them at that rate from their seed tweets, in the
     stream of (`seed`, `trial`); the simulated cascades then both gate the
     corrective events and replace the recorded ones in the exposure counts.
+    A simulated retweet ranks after every recorded post of its day, so a
+    corrective retweet on that day does not count it as seen before.
     """
     mis_cascades = [c for c in real_cascades if c.seed.category is TweetCategory.MISINFORMATION]
     if misinfo_rt_rate is not None:
@@ -212,14 +212,15 @@ def guideline_experiment(
             {TweetCategory.MISINFORMATION: misinfo_rt_rate},
             period,
             derive_seed(seed, "guideline-mis", trial),
-            seq_start=_actors(real_cascades)["seq"].max(initial=0) + 1,
         )
     corrective = [c for c in real_cascades if c.seed.category is TweetCategory.CORRECTIVE]
     soldout = [c for c in real_cascades if c.seed.category is TweetCategory.SOLDOUT]
     # misinformation posts (seeds, then retweets) and corrective retweets,
     # ranked together by event time
     mis, retweets = _actors(mis_cascades), _events(corrective)
-    ranks = _time_ranks(np.concatenate([mis, retweets]))
+    later = np.zeros(len(mis) + len(retweets), dtype=bool)
+    later[len(mis_cascades) : len(mis)] = misinfo_rt_rate is not None
+    ranks = _time_ranks(np.concatenate([mis, retweets]), later)
     # each user's first misinformation exposure, as an actor or a follower
     n = graph.n_users
     first_mis = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)

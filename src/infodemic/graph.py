@@ -198,9 +198,8 @@ def generate_graph(config: GraphGenConfig) -> SocialGraph:
     if config.fixed_degree is not None:
         degrees = np.full(n, config.fixed_degree, dtype=np.int64)
     else:
-        lo = max(config.min_degree, 0)
         hi = config.n_users - 1 if config.max_degree is None else config.max_degree
-        ks = np.arange(max(lo, 1), hi + 1, dtype=np.float64)
+        ks = np.arange(max(config.min_degree, 1), hi + 1, dtype=np.float64)
         if len(ks) == 0:
             degrees = np.zeros(n, dtype=np.int64)
         else:
@@ -211,7 +210,6 @@ def generate_graph(config: GraphGenConfig) -> SocialGraph:
     pop = rng.pareto(config.popularity_exponent, size=n) + 1.0
     cum = np.cumsum(pop / pop.sum())
     cum[-1] = 1.0
-    degrees = np.minimum(degrees, n - 1)
     takes = np.where(degrees > 0, 2 * degrees + 4, 0)
     srcs: list[np.ndarray] = []
     dsts: list[np.ndarray] = []

@@ -53,13 +53,6 @@ class SalesSeries:
             if b <= a:
                 raise SalesModelError("days must be strictly increasing")
 
-    @classmethod
-    def from_raw(
-        cls, days: Sequence[date], sales: Sequence[float], sales_prev: Sequence[float]
-    ) -> "SalesSeries":
-        vals = [sales_index(s, p) for s, p in zip(sales, sales_prev)]
-        return cls(tuple(days), np.array(vals))
-
     def to_csv(self, path: str | os.PathLike, header_comments: Sequence[str] = ()) -> None:
         write_table(path, SALES_HEADERS[0], zip(self.days, self.values.tolist()), header_comments)
 

@@ -349,13 +349,15 @@ def test_simulation_rejects_bad_inputs():
 
 
 def reference_simulate(graph, seeds, rt_rates, period, rng_seed, *,
-                       corrective_blocks_misinfo=False, seq_start=None, first_correction=None):
-    """Per-tweet x per-day diffusion loop: the engine's specification."""
+                       corrective_blocks_misinfo=False, first_correction=None):
+    """Per-tweet x per-day diffusion loop: the engine's specification.
+    `first_correction` holds, per user, a period day index from which the
+    user counts as corrected, as a corrective run's exposure would."""
     start, end = period
     n = graph.n_users
     given = np.full(n, (end - start).days + 1) if first_correction is None else first_correction
     seeds = sorted(seeds, key=lambda s: (s.day, s.seq))
-    seq = (max((s.seq for s in seeds), default=0) + 1) if seq_start is None else seq_start
+    seq = max((s.seq for s in seeds), default=0) + 1
     exposed = [np.zeros(n, dtype=bool) for _ in seeds]
     events = [[] for _ in seeds]
     pending = [np.zeros(0, dtype=np.int64) for _ in seeds]
@@ -416,10 +418,7 @@ def simulation_cases(draw):
         for i, ((a, d, cat), q) in enumerate(zip(specs, seqs))
     ]
     rates = {c: draw(RATES) for c in TweetCategory if draw(st.booleans())}
-    kw = dict(
-        corrective_blocks_misinfo=draw(st.booleans()),
-        seq_start=draw(st.one_of(st.none(), st.integers(0, 2**62))),
-    )
+    kw = dict(corrective_blocks_misinfo=draw(st.booleans()))
     return graph, seeds, rates, period, draw(st.integers(0, 2**64 - 1)), kw
 
 
@@ -448,6 +447,16 @@ def first_correction_days(graph, cascades, period):
     return first
 
 
+def lane_cascades(seeds, run, lane):
+    """The cascades of `seeds` in lane `lane` of the `_spread` run `run`,
+    numbered as `simulate_cascades` numbers its one lane."""
+    mine = np.flatnonzero((run.lanes & (1 << lane)) > 0)
+    events = np.empty(len(mine), dtype=EVENT)
+    events["user"], events["day"] = run.user[mine], run.day[mine]
+    events["seq"] = max((s.seq for s in seeds), default=0) + 1 + np.arange(len(mine))
+    return _split(seeds, run.tweet[mine], events)
+
+
 @given(simulation_cases())
 @settings(max_examples=200, deadline=None)
 def test_misinfo_run_given_first_correction_days_matches_joint_run(case):
@@ -456,14 +465,18 @@ def test_misinfo_run_given_first_correction_days_matches_joint_run(case):
         graph, seeds, rates, period, rng_seed, corrective_blocks_misinfo=True
     )
     corrective = [s for s in seeds if s.category is TweetCategory.CORRECTIVE]
-    misinfo = [s for s in seeds if s.category is TweetCategory.MISINFORMATION]
+    misinfo = sorted(
+        (s for s in seeds if s.category is TweetCategory.MISINFORMATION),
+        key=lambda s: (s.day, s.seq),
+    )
     first = first_correction_days(
         graph, simulate_cascades(graph, corrective, rates, period, rng_seed), period
     )
-    alone = simulate_cascades(
-        graph, misinfo, rates, period, rng_seed,
-        corrective_blocks_misinfo=True, first_correction=first,
+    ((run, lane),) = _lane_runs(
+        graph, misinfo, [rates.get(TweetCategory.MISINFORMATION, 0.0)], period, rng_seed,
+        blocks=True, first_correction=first,
     )
+    alone = lane_cascades(misinfo, run, lane)
 
     def acts(cascades):
         return {
@@ -495,7 +508,8 @@ def lane_cases(draw):
 def assert_lanes_equal_one_lane_runs(graph, seeds, lanes, period, rng_seed, blocks, first):
     """Every lane of `_lane_runs` holds exactly the events, reach and
     first-correction days of the one-lane run at that lane's rates, as
-    `simulate_cascades` and the per-tweet reference loop give them."""
+    the per-tweet reference loop gives them, and, without given
+    first-correction days, `simulate_cascades` too."""
     seeds = sorted(seeds, key=lambda s: (s.day, s.seq))
     table = np.array([[rates.get(s.category, 0.0) for rates in lanes] for s in seeds])
     runs = list(_lane_runs(
@@ -506,13 +520,14 @@ def assert_lanes_equal_one_lane_runs(graph, seeds, lanes, period, rng_seed, bloc
     assert [lane for _, lane in runs] == [i % LANES for i in range(len(lanes))]
     n_days = (period[1] - period[0]).days + 1
     for rates, (run, lane) in zip(lanes, runs):
-        kw = dict(corrective_blocks_misinfo=blocks, first_correction=first, seq_start=0)
-        want = simulate_cascades(graph, seeds, rates, period, rng_seed, **kw)
-        assert want == reference_simulate(graph, seeds, rates, period, rng_seed, **kw)
-        mine = np.flatnonzero((run.lanes & (1 << lane)) > 0)
-        events = np.empty(len(mine), dtype=EVENT)
-        events["user"], events["day"], events["seq"] = run.user[mine], run.day[mine], np.arange(len(mine))
-        assert _split(seeds, run.tweet[mine], events) == want
+        want = reference_simulate(
+            graph, seeds, rates, period, rng_seed,
+            corrective_blocks_misinfo=blocks, first_correction=first,
+        )
+        if first is None:
+            kw = dict(corrective_blocks_misinfo=blocks)
+            assert simulate_cascades(graph, seeds, rates, period, rng_seed, **kw) == want
+        assert lane_cascades(seeds, run, lane) == want
         reach = _reach(graph, _actors(want), period[0], np.zeros((n_days, graph.n_users), bool))
         np.testing.assert_array_equal(run.lane_reach(lane), np.flatnonzero(reach))
         corrective = [c for c in want if c.seed.category is TweetCategory.CORRECTIVE]

@@ -211,6 +211,29 @@ def test_sweep_pinned(replica_inputs, tmp_path, monkeypatch, seed):
     assert got == SWEEP_DIGESTS[seed]
 
 
+def test_whatif_takes_retweet_seqs_up_to_the_64_bit_maximum(replica_inputs, tmp_path):
+    """Re-simulated misinformation ranks after each day's recorded posts
+    whatever their seqs, so shifting every retweet seq up to 2**63 - 1
+    leaves the guideline rows as they were."""
+    d, period = replica_inputs
+    header, *rows = (d / "retweets.csv").read_text().splitlines()
+    rows = [r.rsplit(",", 1) for r in rows]
+    shift = 2**63 - 1 - max(int(seq) for _, seq in rows)
+    shifted = tmp_path / "retweets.csv"
+    lines = [header, *(f"{rest},{int(seq) + shift}" for rest, seq in rows)]
+    shifted.write_text("".join(f"{line}\n" for line in lines))
+    data = []
+    for i, retweets in enumerate((d / "retweets.csv", shifted)):
+        assert run(
+            "whatif", "--model", str(d / "model.json"), "--graph", str(d / "edges.csv"),
+            "--tweets", str(d / "tweets.csv"), "--retweets", str(retweets), "--period", period,
+            "--trials", "2", "--misinfo-rate", "0.5", "--out", str(tmp_path / str(i)),
+        ) == 0
+        lines = (tmp_path / str(i) / "whatif.csv").read_text().splitlines()
+        data.append([l for l in lines if not l.startswith("#")])
+    assert data[1] == data[0]
+
+
 @pytest.mark.parametrize("retention", ["1.5", "-0.1", "nan"])
 def test_whatif_rejects_retention_out_of_range_without_corrective_tweets(
     pipeline, tmp_path, capsys, retention

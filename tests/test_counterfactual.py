@@ -220,6 +220,28 @@ def test_guideline_orders_by_day_before_snowflake_seq():
     assert res.corrective_retweeters_kept == 1
 
 
+def test_guideline_ranks_resimulated_retweets_after_their_days_recorded_posts():
+    """User 1 follows the misinformation author 0 and, at rate 1, retweets
+    on the next day, exposing user 3.  User 3's corrective retweet that
+    day is recorded with a seq above the simulated one's, yet the
+    simulated retweet still ranks after it: only the retweet of the day
+    after is kept."""
+    g = SocialGraph(4, [(1, 0), (3, 1), (3, 2)])
+    mis = Cascade(SeedTweet("m", 0, TweetCategory.MISINFORMATION, date(2020, 3, 5), -3), ())
+
+    def corrective(tweet_id, seed_seq, day, seq):
+        seed = SeedTweet(tweet_id, 2, TweetCategory.CORRECTIVE, date(2020, 2, 24), seed_seq)
+        return Cascade(seed, [(3, day.toordinal(), seq)])
+
+    cascades = [
+        mis,
+        corrective("same", -2, date(2020, 3, 6), 1),
+        corrective("next", -1, date(2020, 3, 7), 2),
+    ]
+    res = guideline_experiment(g, cascades, reference_model(4), 1.0, 0, REAL_PERIOD)
+    assert res.corrective_retweeters_kept == 1
+
+
 def test_guideline_with_resimulated_misinfo(small_replica, fitted):
     r = small_replica
     a = guideline_experiment(r.graph, r.cascades, fitted, 0.05, 3, r.config.period)

@@ -55,10 +55,8 @@ def test_sales_index():
         sales_index(1.0, 0.0)
 
 
-def test_series_from_raw_and_sum():
-    s = SalesSeries.from_raw(days(2), [110.0, 90.0], [100.0, 100.0])
-    assert s.values == pytest.approx([0.1, -0.1])
-    assert sum_index(s) == pytest.approx(0.0)
+def test_series_sum():
+    assert sum_index(SalesSeries(days(2), np.array([0.1, -0.1]))) == pytest.approx(0.0)
 
 
 def test_series_validation():
