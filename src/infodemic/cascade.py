@@ -21,7 +21,7 @@ import numpy as np
 
 from ._rng import derive_seed, uniform_for_users
 from ._table import at_line, read_table, write_table
-from .graph import SocialGraph, _Csr, _run_starts, _sorted_unique
+from .graph import SocialGraph, _Csr, _row_gather, _run_starts, _sorted_unique
 
 log = logging.getLogger("infodemic.cascade")
 
@@ -442,10 +442,7 @@ def _with_neighbors(csr: _Csr, keys: np.ndarray, n: int) -> np.ndarray:
 def _neighbors(csr: _Csr, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The neighbors in `csr` of each of `rows`, one row after another,
     and how many each row has: one segment-gather."""
-    first = csr.indptr[rows]
-    counts = csr.indptr[rows + 1] - first
-    ends = np.cumsum(counts)
-    return csr.indices[np.repeat(first - (ends - counts), counts) + np.arange(counts.sum())], counts
+    return csr.indices[_row_gather(csr.indptr, rows)], csr.indptr[rows + 1] - csr.indptr[rows]
 
 
 # -- CSV I/O ---------------------------------------------------------------

@@ -28,6 +28,7 @@ EDGE_HEADER = ["follower_id", "followee_id"]
 # CSV's sha256, then the arrays of `_sidecar_bytes`, each in `np.save`
 # format; the header's number is the layout's version
 _SIDECAR_HEAD = b"infodemic edge csr 2\n"
+_SAVE_ROWS = 1 << 14  # edge rows `save_edges` gathers at once: bounds its per-byte index
 
 
 class GraphError(ValueError):
@@ -70,6 +71,12 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     # sort + adjacent difference: far cheaper than np.unique's hash path
     a = np.sort(a)
     return a[_run_starts(a)]
+
+
+def _row_gather(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index of a segment-gather: `indptr[r]` .. `indptr[r + 1] - 1` for each r of `rows`."""
+    first, counts = indptr[rows], indptr[rows + 1] - indptr[rows]
+    return np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
 class SocialGraph:
@@ -220,7 +227,7 @@ def generate_graph(config: GraphGenConfig) -> SocialGraph:
         end = min(pos + window, n)
         state = rng.bit_generator.state
         owner = np.repeat(np.arange(pos, end), takes[pos:end])
-        cand = np.searchsorted(cum, rng.random(len(owner)))
+        cand = _lookup(cum, rng.random(len(owner)))
         src, dst = _first_distinct(n, owner, cand, degrees)
         short = np.flatnonzero(np.bincount(src - pos, minlength=end - pos) < degrees[pos:end])
         if len(short) == 0:
@@ -250,6 +257,15 @@ def generate_graph(config: GraphGenConfig) -> SocialGraph:
         dsts.append(chosen)
         pos, window = u + 1, max(2 * (u - pos), 1)
     return SocialGraph(n, np.column_stack((np.concatenate(srcs), np.concatenate(dsts))))
+
+
+def _lookup(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(cum, draws)` for draws in [0, 1) and `cum` ending in 1.0, by one sort."""
+    picks = np.empty(len(draws), dtype=np.intp)  # before the temporaries: a lower peak RSS
+    order = np.argsort(draws)
+    counts = np.diff(np.searchsorted(draws[order], cum, side="right"), prepend=0)
+    picks[order] = np.repeat(np.arange(len(cum)), counts)
+    return picks
 
 
 def _first_distinct(
@@ -333,10 +349,17 @@ def save_edges(graph: SocialGraph, path: str | os.PathLike) -> None:
     """Write the edge CSV atomically (temp file + rename), rows in
     (follower, followee) dense-id order, then the sidecar `load_edges_file`
     reads for it when every id reloads as it is."""
-    fields = np.array([csv_field(x) for x in graph.external_ids], dtype=object)
+    fields = [csv_field(x).encode("utf-8") for x in graph.external_ids]
+    # every field ending in ",", then every field ending in "\n": a row gathers two of them
+    blob = np.frombuffer(b",".join(fields) + b"," + b"\n".join(fields) + b"\n", dtype=np.uint8)
+    size = np.fromiter(map(len, fields), np.int64, len(fields)) + 1
+    bounds = np.cumsum(np.concatenate(([0], size, size)))
     src, dst = graph._follows.rows(), graph._follows.indices
-    rows = map("{},{}\n".format, fields[src], fields[dst])
-    data = (",".join(EDGE_HEADER) + "\n" + "".join(rows)).encode("utf-8")
+    parts = [(",".join(EDGE_HEADER) + "\n").encode("utf-8")]
+    for a in range(0, len(src), _SAVE_ROWS):
+        seg = np.column_stack((src[a : a + _SAVE_ROWS], dst[a : a + _SAVE_ROWS] + len(fields)))
+        parts.append(blob[_row_gather(bounds, seg.ravel())].tobytes())
+    data = b"".join(parts)
     atomic_write(path, data)
     if _ids_reload_intact(graph):
         _write_sidecar(path, hashlib.sha256(data).digest(), _reloaded(graph, src))

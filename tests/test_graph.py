@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import followees, followers
@@ -353,6 +353,43 @@ def test_generate_matches_per_user_reference(config):
     assert_csr_equal(generate_graph(config), reference_csr(config.n_users, edges))
 
 
+# cumsum(w / w.sum()) of these weights rounds to 1.0000000000000002 before
+# its last entry, so the CDF's forced last 1.0 sits below the entry before it
+OVERSHOOTING_WEIGHTS = [0.013737858616478582, 0.43389122434993144, 0.7621971718592196, 0.0]
+
+
+def popularity_cdf(weights) -> np.ndarray:
+    """The CDF `generate_graph` draws followees from, for these weights."""
+    w = np.asarray(weights, dtype=np.float64)
+    cum = np.cumsum(w / w.sum())
+    cum[-1] = 1.0
+    return cum
+
+
+@given(
+    # zero and tiny weights repeat CDF entries
+    st.lists(st.sampled_from([0.0, 1e-300, 0.1, 1.0]) | st.floats(0, 1e3), min_size=1, max_size=12)
+    .filter(any),
+    # an integer stands for the CDF entry it indexes, a float for itself
+    st.lists(st.integers(0, 11) | st.floats(0, 1, exclude_max=True), max_size=40),
+)
+@example(weights=[1.0, 0.0, 2.0], picks=[])
+@settings(max_examples=200, deadline=None)
+def test_lookup_equals_searchsorted(weights, picks):
+    cum = popularity_cdf(weights)
+    draws = np.array([cum[p % len(cum)] if isinstance(p, int) else p for p in picks], dtype=float)
+    draws = draws[draws < 1.0]  # `rng.random` draws in [0, 1)
+    np.testing.assert_array_equal(graph_module._lookup(cum, draws), np.searchsorted(cum, draws))
+
+
+def test_lookup_past_a_cdf_entry_rounded_over_one():
+    cum = popularity_cdf(OVERSHOOTING_WEIGHTS)
+    assert cum[-2] > cum[-1] == 1.0
+    # the entries below 1.0 themselves, a grid of [0, 1) and its last double
+    draws = np.concatenate([cum[:2], np.linspace(0.0, 1.0, 101)[:-1], [np.nextafter(1.0, 0.0)]])
+    np.testing.assert_array_equal(graph_module._lookup(cum, draws), np.searchsorted(cum, draws))
+
+
 def test_generate_dense_config_retries_every_user():
     edges, retried, short = reference_generate(DENSE)
     # every user retries and stays short after the 20-attempt cap
@@ -433,7 +470,9 @@ def reference_save(g: SocialGraph) -> bytes:
     return "".join(rows).encode("utf-8")
 
 
-EDGE_IDS = st.sampled_from(["a", "b", "c", "alice", "42", "a,b", 'x"y', "new\nline", "cr\rid"])
+EDGE_IDS = st.sampled_from(
+    ["a", "b", "c", "alice", "42", "a,b", 'x"y', "new\nline", "cr\rid", "é", "日本"]
+)
 PADDING = st.sampled_from(["", " ", "  \t"])
 # malformed records; a string is written as is (a bare carriage return)
 BAD_ROWS = st.sampled_from(
@@ -490,17 +529,41 @@ def test_load_edges_malformed_line_matches_reference(text):
     assert got.value.line_no == want.value.line_no
 
 
+# `save_edges` gathers this many rows at a time: chunks of one, two and
+# three rows, and the default
+SAVE_ROWS = [1, 2, 3, graph_module._SAVE_ROWS]
+
+
+def save_in_chunks(g: SocialGraph, path, rows: int) -> None:
+    with mock.patch.object(graph_module, "_SAVE_ROWS", rows):
+        save_edges(g, path)
+
+
+@pytest.mark.parametrize("rows", SAVE_ROWS)
 @given(edge_csvs())
 @settings(max_examples=100, deadline=None)
-def test_save_edges_matches_csv_writer(tmp_path_factory, text):
+def test_save_edges_matches_csv_writer(tmp_path_factory, rows, text):
     g = load_edges(io.StringIO(text))
     path = tmp_path_factory.mktemp("save") / "edges.csv"
-    save_edges(g, path)
+    save_in_chunks(g, path, rows)
     assert path.read_bytes() == reference_save(g)
     # reloading renumbers ids by first appearance; the named edges survive
     again = load_edges_file(path)
     assert sorted(again.external_ids) == sorted(g.external_ids)
     assert named_edges(again) == named_edges(g)
+
+
+@pytest.mark.parametrize("rows", SAVE_ROWS)
+def test_save_edges_writes_empty_and_padded_ids_as_csv_writer(tmp_path, rows):
+    """No loaded graph has an empty id or one with surrounding whitespace:
+    they are the shortest and the untrimmed fields of the gather.  They do
+    not reload as themselves, so no sidecar is saved for them."""
+    ids = ["", " pad\t", "a", "日本", "é,"]
+    g = SocialGraph(6, [(0, 1), (1, 0), (2, 0), (2, 3), (3, 1), (4, 0), (0, 4)], ids + ["lone"])
+    path = tmp_path / "edges.csv"
+    save_in_chunks(g, path, rows)
+    assert path.read_bytes() == reference_save(g)
+    assert not sidecar_of(path).exists()
 
 
 def named_edges(g: SocialGraph) -> set[tuple[str, str]]:
