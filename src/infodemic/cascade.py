@@ -198,17 +198,17 @@ class _Run(NamedTuple):
     one's day ordinal, tweet index and user, and `lanes`, the mask of the
     lanes it happens in.  `first_correction[l]` holds, per user, the
     period day index of the first corrective exposure in lane l (a value
-    past the period for never).  With `reach` asked for, `reach` holds the
+    past the period for never).  `_lane_runs` fills in `reach`, the
     sorted `day * n_users + user` keys of who the run's posts reach on
-    each period day, and `reach_lanes` the lanes in which they do."""
+    each period day, and `reach_lanes`, the lanes in which they do."""
 
     day: np.ndarray
     tweet: np.ndarray
     user: np.ndarray
     lanes: np.ndarray
     first_correction: np.ndarray
-    reach: np.ndarray
-    reach_lanes: np.ndarray
+    reach: np.ndarray | None = None
+    reach_lanes: np.ndarray | None = None
 
     def lane_reach(self, lane: int) -> np.ndarray:
         """The sorted reach keys of lane `lane`."""
@@ -271,7 +271,6 @@ def _spread(
     *,
     blocks: bool = False,
     first_correction: np.ndarray | None = None,
-    reach: bool = False,
 ) -> _Run:
     """`simulate_cascades`' diffusion of `seeds` in up to `LANES` rate
     lanes at once: lane l runs at the rates `rates[:, l]`, one per seed.
@@ -314,8 +313,6 @@ def _spread(
     # concatenations defined
     pending, pending_lanes = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)
     landed, landed_lanes, landed_day = [pending], [pending_lanes], [0]
-    reached, reached_lanes = [pending], [pending_lanes]
-    day_reach = np.zeros(n if reach else 0, dtype=np.uint8)  # lanes reaching each user today
     for d in range(n_days):
         seeded = np.flatnonzero(seed_day == d)
         if len(seeded) == 0 and len(pending) == 0:
@@ -324,8 +321,7 @@ def _spread(
         landed_lanes.append(pending_lanes)
         landed_day.append(start.toordinal() + d)
         # every actor (author or retweeter) exposes itself and its followers;
-        # a key holds in the union of its actors' lanes: they ride in the
-        # low byte, so one sort orders keys and lanes
+        # a key holds in the union of its actors' lanes
         actors = np.concatenate([seeded * n + author[seeded], pending])
         actor_lanes = np.concatenate([np.full(len(seeded), every), pending_lanes])
         all_lanes = (actor_lanes == every).all()
@@ -333,21 +329,7 @@ def _spread(
             keys = _sorted_unique(_audience(graph, actors))
             mask = every
         else:
-            packed = np.sort(_lane_audience(graph, actors, actor_lanes))
-            keys = packed >> 8
-            heads = np.flatnonzero(_run_starts(keys))
-            keys = keys[heads]
-            mask = np.bitwise_or.reduceat((packed & 0xFF).astype(np.uint8), heads)
-        if reach:
-            users = keys - keys // n * n
-            if all_lanes:
-                day_reach[users] = every
-            else:
-                np.bitwise_or.at(day_reach, users, mask)
-            users = np.flatnonzero(day_reach)
-            reached.append(d * n + users)
-            reached_lanes.append(day_reach[users])
-            day_reach[users] = 0
+            keys, mask = _lane_reach(graph, actors, actor_lanes)
         seen = exposed[keys]
         new = mask & ~seen
         fresh = np.flatnonzero(new > 0)
@@ -375,10 +357,7 @@ def _spread(
         pending, pending_lanes = keys[i[retweets]], hit[retweets]
     tweet, user = np.divmod(np.concatenate(landed), n)
     day = np.repeat(landed_day, [len(k) for k in landed])
-    return _Run(
-        day, tweet, user, np.concatenate(landed_lanes), first,
-        np.concatenate(reached), np.concatenate(reached_lanes),
-    )
+    return _Run(day, tweet, user, np.concatenate(landed_lanes), first)
 
 
 def _lane_runs(
@@ -391,12 +370,23 @@ def _lane_runs(
 ) -> Iterator[tuple[_Run, int]]:
     """`_spread` in one lane per column of `rates`, a (seeds, lanes) table
     or one row for every seed: runs of up to `LANES` lanes each, with
-    their reach; one (run, lane) per column."""
+    their reach; one (run, lane) per column.  A run reaches on each day
+    whoever its posts of that day reach: the seeds of the period, in
+    every lane, and the landed retweets, in theirs."""
+    n, start = graph.n_users, period[0]
     rates = np.asarray(rates, dtype=np.float64)
     rates = np.broadcast_to(rates, (len(seeds), rates.shape[-1]))
+    author = np.array([s.author for s in seeds], dtype=np.int64)
+    day = np.array([(s.day - start).days for s in seeds], dtype=np.int64)
+    seed_keys = (day * n + author)[(day >= 0) & (day <= (period[1] - start).days)]
     for group in range(0, rates.shape[1], LANES):
-        run = _spread(graph, seeds, rates[:, group : group + LANES], period, rng_seed, reach=True, **kw)
-        for lane in range(len(run.first_correction)):
+        run = _spread(graph, seeds, rates[:, group : group + LANES], period, rng_seed, **kw)
+        lanes = len(run.first_correction)
+        keys = np.concatenate([seed_keys, (run.day - start.toordinal()) * n + run.user])
+        masks = np.concatenate([np.full(len(seed_keys), (1 << lanes) - 1, np.uint8), run.lanes])
+        reach, reach_lanes = _lane_reach(graph, keys, masks)
+        run = run._replace(reach=reach, reach_lanes=reach_lanes)
+        for lane in range(lanes):
             yield run, lane
 
 
@@ -421,14 +411,20 @@ def _audience(graph: SocialGraph, actors: np.ndarray) -> np.ndarray:
     return _with_neighbors(graph._followers, actors, graph.n_users)
 
 
-def _lane_audience(graph: SocialGraph, keys: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-    """For actor keys `g * n + u` posting in the uint8 masks `lanes`,
-    `(g * n + v) << 8 | lanes` for v the actor and each of its followers,
-    unsorted and with repeats."""
+def _lane_reach(
+    graph: SocialGraph, keys: np.ndarray, masks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For actor keys `g * n + u` posting in the uint8 lane masks `masks`,
+    the sorted distinct keys `g * n + v` of v the actor and each of its
+    followers, and the OR of the lanes that reach each."""
     group, user = np.divmod(keys, graph.n_users)
     reached, counts = _neighbors(graph._followers, user)
-    base = (group * graph.n_users) << 8 | lanes
-    return np.concatenate([keys << 8 | lanes, np.repeat(base, counts) + (reached << 8)])
+    # the lanes ride in the low byte, so one sort orders keys and lanes
+    base = (group * graph.n_users) << 8 | masks
+    packed = np.sort(np.concatenate([keys << 8 | masks, np.repeat(base, counts) + (reached << 8)]))
+    keys = packed >> 8
+    heads = np.flatnonzero(_run_starts(keys))
+    return keys[heads], np.bitwise_or.reduceat((packed & 0xFF).astype(np.uint8), heads)
 
 
 def _with_neighbors(csr: _Csr, keys: np.ndarray, n: int) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 from ._rng import derive_seed
 from ._table import write_table
 from .cascade import (
+    LANES,
     Cascade,
     SeedTweet,
     TweetCategory,
@@ -28,6 +29,8 @@ from .cascade import (
     _check_run,
     _events,
     _keep_size,
+    _lane_mask,
+    _lane_reach,
     _lane_runs,
     _prune,
     sample_keep_set,
@@ -36,11 +39,10 @@ from .cascade import (
 from .exposure import (
     _CATEGORY_BITS,
     ExposureMatrix,
-    _add_reach,
     _category_code,
     _code_counts,
+    _lane_tally,
     _matrix,
-    _reach,
     exposure_matrix,
     total_exposures,
 )
@@ -121,22 +123,26 @@ def _replay(
     exposure of the `fixed` cascades, none of them corrective, and of the
     `corrective` cascades holding only the events kept in that lane.
 
-    The category code of `fixed` is built once, and each lane adds its
-    corrective reach, marked in one reused buffer, to that code's counts.
+    The category code of `fixed` is built once.  Each group of `LANES`
+    lanes adds the reach of its corrective posts to its counts in one tally.
     """
     start = period[0]
     code = _category_code(graph, fixed, period)
     counts = _code_counts(code)
     acts = _actors(corrective)
+    day = acts["day"] - start.toordinal()
+    inside = (day >= 0) & (day < len(code))
+    keys = day[inside] * graph.n_users + acts["user"][inside]
     # every lane's posts: each seed author, then the kept retweets
-    posts = np.concatenate([np.ones((len(corrective), kept.shape[1]), dtype=bool), kept])
-    reach = np.empty(code.shape, dtype=bool)
+    posts = np.concatenate([np.ones((len(corrective), kept.shape[1]), dtype=bool), kept])[inside]
     results = []
-    for lane, rows in zip(posts.T, kept.T):
-        reach.fill(False)
-        keys = np.flatnonzero(_reach(graph, acts[lane], start, reach))
-        matrix = _matrix(start, _add_reach(code, counts, keys, TweetCategory.CORRECTIVE))
-        results.append(TrialResult(matrix, sum_index(predict(model, matrix)), int(rows.sum())))
+    for group in range(0, kept.shape[1], LANES):
+        masks = _lane_mask(posts[:, group : group + LANES].T)
+        reach, lanes = _lane_reach(graph, keys[masks > 0], masks[masks > 0])
+        tallies = _lane_tally(code, counts, reach, lanes, _CATEGORY_BITS[TweetCategory.CORRECTIVE])
+        for rows, lane_counts in zip(kept[:, group : group + LANES].T, tallies):
+            matrix = _matrix(start, lane_counts)
+            results.append(TrialResult(matrix, sum_index(predict(model, matrix)), int(rows.sum())))
     return results
 
 
@@ -280,7 +286,7 @@ def sweep(
     longer than `LANES` spread in groups of `LANES`.  A cell's class
     counts are the soldout counts with the (day, user) pairs its
     corrective lane reaches, then those its misinformation lane reaches,
-    moved to the class that adds the category.
+    moved to the class that adds the category, with one tally per run.
     """
     if not corrective_rates or not misinfo_rates:
         raise ExperimentError("rate lists must be non-empty")
@@ -297,7 +303,7 @@ def sweep(
     # its cells are counted, a corrective lane's
     code = np.zeros(((end - start).days + 1, graph.n_users), dtype=np.uint8)
     flat = code.reshape(-1)
-    corrective_bit = _CATEGORY_BITS[TweetCategory.CORRECTIVE]
+    c_bit, m_bit = (_CATEGORY_BITS[c] for c in order[1:])
     sums: list[list[list[float]]] = [[[] for _ in corrective_rates] for _ in misinfo_rates]
     for t in range(trials):
         ts = derive_seed(base_seed, "trial", t)
@@ -309,17 +315,19 @@ def sweep(
             graph, by_cat[TweetCategory.CORRECTIVE], corrective_rates, period, ts
         )
         for j, (run, lane) in enumerate(corrective_runs):
+            if lane == 0:  # a new run: count all its lanes
+                bases = _lane_tally(code, soldout_counts, run.reach, run.reach_lanes, c_bit)
             corrective = run.lane_reach(lane)
-            base = _add_reach(code, soldout_counts, corrective, TweetCategory.CORRECTIVE)
-            flat[corrective] |= corrective_bit
+            flat[corrective] |= c_bit
             mis_runs = _lane_runs(
                 graph, by_cat[TweetCategory.MISINFORMATION], misinfo_rates, period, ts,
                 blocks=True, first_correction=run.first_correction[lane],
             )
             for i, (mis, m_lane) in enumerate(mis_runs):
-                counts = _add_reach(code, base, mis.lane_reach(m_lane), TweetCategory.MISINFORMATION)
-                sums[i][j].append(sum_index(predict(model, _matrix(start, counts))))
-            flat[corrective] ^= corrective_bit  # clears the bit set above
+                if m_lane == 0:
+                    counts = _lane_tally(code, bases[lane], mis.reach, mis.reach_lanes, m_bit)
+                sums[i][j].append(sum_index(predict(model, _matrix(start, counts[m_lane]))))
+            flat[corrective] ^= c_bit  # clears the bit set above
         flat[soldout] = 0
     cells = [
         SweepCell(m_rate, c_rate, tuple(sums[i][j]))

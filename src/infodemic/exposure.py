@@ -20,7 +20,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from ._table import at_line, read_table, write_table
-from .cascade import Cascade, TweetCategory, _actors, _audience
+from .cascade import LANES, Cascade, TweetCategory, _actors, _audience
 from .graph import SocialGraph
 
 MATRIX_HEADER = ["day", "x1", "x2", "x3", "x4", "x5", "x6", "x7"]
@@ -95,6 +95,8 @@ _CATEGORY_BITS = {
 }
 # class x1..x7 -> the category code its users hold
 _CLASS_CODES = np.array([sum(_CATEGORY_BITS[c] for c in cats) for cats in CLASS_CATEGORIES])
+# (lane mask, lane) -> 1 where the mask holds the lane
+_LANE_BITS = (np.arange(256)[:, None] >> np.arange(LANES)) & 1
 
 
 def _reach(
@@ -130,28 +132,30 @@ def _reach(
 
 def _code_counts(code: np.ndarray) -> np.ndarray:
     """(n_days, 8) count of each category code per day of an
-    (n_days, n_users) code array."""
+    (n_days, n_users) code array: one bincount over (day, code)."""
     # nonzero finds the set entries of a bool array far faster than of a uint8 one
     keys = np.flatnonzero(code.reshape(-1) != 0)
-    return _tally(keys // code.shape[1], code.reshape(-1)[keys], len(code))
+    day_code = keys // code.shape[1] * 8 + code.reshape(-1)[keys]
+    return np.bincount(day_code, minlength=8 * len(code)).reshape(len(code), 8)
 
 
-def _add_reach(
-    code: np.ndarray, counts: np.ndarray, keys: np.ndarray, cat: TweetCategory
+def _lane_tally(
+    code: np.ndarray, counts: np.ndarray, keys: np.ndarray, lanes: np.ndarray, bit: int
 ) -> np.ndarray:
-    """`_code_counts` of `code` with `cat` added at the distinct flat
-    `day * n_users + user` indices `keys`, updated from `counts` (those of
-    `code`, which must lack `cat` there) by moving only those (day, user)
-    pairs to their new code."""
-    old = code.reshape(-1)[keys]
-    new = old | np.uint8(_CATEGORY_BITS[cat])
-    day = keys // code.shape[1]
-    return counts + _tally(day, new, len(code)) - _tally(day, old, len(code))
-
-
-def _tally(day: np.ndarray, codes: np.ndarray, n_days: int) -> np.ndarray:
-    # one bincount over (day, code)
-    return np.bincount(day * 8 + codes, minlength=8 * n_days).reshape(n_days, 8)
+    """`out[l]` is `_code_counts` of `code` with the category `bit` added at
+    the distinct flat `day * n_users + user` indices `keys` whose uint8
+    masks `lanes` hold lane l, for each of the `LANES` lanes.  It moves
+    only those pairs from `counts` (those of `code`, which must lack `bit`
+    at `keys`): one bincount over (day, old code, mask), then the product
+    with each mask's lane bits gives every lane's moved pairs, exactly."""
+    pairs = (keys // code.shape[1] * 8 + code.reshape(-1)[keys]) * 256 + lanes
+    by_mask = np.bincount(pairs, minlength=len(code) * 8 * 256).reshape(-1, 256)
+    moved = (by_mask @ _LANE_BITS).T.reshape(LANES, len(code), 8)
+    # each code that lacks the bit moves to itself with the bit; code 0 is not counted
+    lack = np.flatnonzero((np.arange(8) & bit) == 0)
+    out = counts - moved * (np.arange(8) > 0)
+    out[:, :, lack | bit] += moved[:, :, lack]
+    return out
 
 
 def exposure_matrix(

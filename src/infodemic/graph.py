@@ -25,7 +25,7 @@ log = logging.getLogger("infodemic.graph")
 
 EDGE_HEADER = ["follower_id", "followee_id"]
 # `<edges csv>.csr` holds the parsed graph of that CSV: this header, the
-# CSV's sha256, then the arrays of `_sidecar_bytes`, each in `np.save`
+# CSV's sha256, then the arrays of `_write_sidecar`, each in `np.save`
 # format; the header's number is the layout's version
 _SIDECAR_HEAD = b"infodemic edge csr 2\n"
 _SAVE_ROWS = 1 << 14  # edge rows `save_edges` gathers at once: bounds its per-byte index
@@ -109,16 +109,6 @@ class SocialGraph:
             external_ids = [str(i) for i in range(n)]
         keys = _sorted_unique(arr[:, 0] * n + arr[:, 1])
         self._assign(n, keys, external_ids, self_edges_dropped + np.count_nonzero(loops))
-
-    @classmethod
-    def _from_keys(
-        cls, n: int, keys: np.ndarray, external_ids: Sequence[str], self_edges_dropped: int
-    ) -> "SocialGraph":
-        """The graph of edge keys `follower * n + followee` that are already
-        sorted and distinct, without the constructor's deduplication."""
-        g = cls.__new__(cls)
-        g._assign(n, keys, external_ids, self_edges_dropped)
-        return g
 
     def _assign(
         self, n: int, keys: np.ndarray, external_ids: Sequence[str], self_edges_dropped: int
@@ -341,7 +331,9 @@ def load_edges_file(path: str | os.PathLike) -> SocialGraph:
         data = fh.read()
     # the text stream `open(path, encoding="utf-8", newline="")` would give
     graph = load_edges(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
-    _write_sidecar(path, hashlib.sha256(data).digest(), graph)
+    follows = graph._follows
+    keys, ids = follows.rows() * graph.n_users + follows.indices, graph.external_ids
+    _write_sidecar(path, hashlib.sha256(data).digest(), keys, ids, graph.self_edges_dropped)
     return graph
 
 
@@ -362,7 +354,7 @@ def save_edges(graph: SocialGraph, path: str | os.PathLike) -> None:
     data = b"".join(parts)
     atomic_write(path, data)
     if _ids_reload_intact(graph):
-        _write_sidecar(path, hashlib.sha256(data).digest(), _reloaded(graph, src))
+        _write_sidecar(path, hashlib.sha256(data).digest(), *_reloaded(graph, src), 0)
 
 
 def _ids_reload_intact(graph: SocialGraph) -> bool:
@@ -380,10 +372,11 @@ def _ids_reload_intact(graph: SocialGraph) -> bool:
     )
 
 
-def _reloaded(graph: SocialGraph, src: np.ndarray) -> SocialGraph:
-    """The graph `load_edges` parses from `save_edges`' CSV of `graph`, whose
-    ids reload intact and are distinct: dense ids renumbered by first
-    appearance over the rows (`src` their followers), isolated users gone."""
+def _reloaded(graph: SocialGraph, src: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """The sorted edge keys and ids of the graph `load_edges` parses from
+    `save_edges`' CSV of `graph`, whose ids reload intact and are distinct:
+    dense ids renumbered by first appearance over the rows (`src` their
+    followers), isolated users gone."""
     n, m = graph.n_users, graph.n_edges
     indptr, dst = graph._follows.indptr, graph._follows.indices
     # each user's first position in the interleaved (src, dst) rows: twice
@@ -399,35 +392,32 @@ def _reloaded(graph: SocialGraph, src: np.ndarray) -> SocialGraph:
     dense[order] = np.arange(len(order))
     keys = np.sort(dense[src] * len(order) + dense[dst])
     ids = graph.external_ids
-    return SocialGraph._from_keys(len(order), keys, [ids[u] for u in order.tolist()], 0)
+    return keys, [ids[u] for u in order.tolist()]
 
 
 def _sidecar_path(path: str | os.PathLike) -> str:
     return os.fspath(path) + ".csr"
 
 
-def _sidecar_bytes(graph: SocialGraph, digest: bytes) -> bytes:
-    """Header, CSV digest, then meta, the sorted edge keys, per-id
-    code-point lengths and the UTF-8 id blob.  `np.save` output carries no
-    timestamp, so equal graphs give equal bytes."""
-    n, ids, follows = graph.n_users, graph.external_ids, graph._follows
-    arrays = (
-        np.array([n, graph.self_edges_dropped], dtype=np.int64),
-        follows.rows() * n + follows.indices,
-        np.fromiter(map(len, ids), np.int64, len(ids)),
-        np.frombuffer("".join(ids).encode("utf-8"), dtype=np.uint8),
-    )
+def _write_sidecar(
+    csv_path: str | os.PathLike, digest: bytes, keys: np.ndarray, ids: Sequence[str], dropped: int
+) -> None:
+    """The sidecar of the CSV of sha256 `digest`: header, digest, then meta
+    (user count, `dropped` self-edges), the sorted edge `keys`, per-id
+    code-point lengths and the UTF-8 blob of `ids`, a user each.  `np.save`
+    output carries no timestamp, so equal graphs give equal bytes."""
+    path = _sidecar_path(csv_path)
     buf = io.BytesIO()
     buf.write(_SIDECAR_HEAD + digest)
-    for a in arrays:
-        np.save(buf, a, allow_pickle=False)
-    return buf.getvalue()
-
-
-def _write_sidecar(csv_path: str | os.PathLike, digest: bytes, graph: SocialGraph) -> None:
-    path = _sidecar_path(csv_path)
     try:
-        atomic_write(path, _sidecar_bytes(graph, digest))
+        for a in (
+            np.array([len(ids), dropped], dtype=np.int64),
+            keys,
+            np.fromiter(map(len, ids), np.int64, len(ids)),
+            np.frombuffer("".join(ids).encode("utf-8"), dtype=np.uint8),
+        ):
+            np.save(buf, a, allow_pickle=False)
+        atomic_write(path, buf.getvalue())
     except (OSError, ValueError) as e:
         log.debug("edge sidecar %s not written: %s", path, e)
 
@@ -449,7 +439,8 @@ def _read_sidecar(path: str, digest: bytes) -> SocialGraph:
         raise ValueError("id lengths do not match the id blob")
     ends = np.cumsum(lengths).tolist()
     ids = [text[a:b] for a, b in zip([0] + ends[:-1], ends)]
-    graph = SocialGraph._from_keys(n, keys, ids, dropped)  # a GraphError on bad keys
+    graph = SocialGraph.__new__(SocialGraph)  # keys sorted and distinct: no deduplication
+    graph._assign(n, keys, ids, dropped)  # a GraphError on bad keys
     if len(graph._id_index) != n:
         raise ValueError("repeated id")
     return graph

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DAY0, NOT_A_VALUE, followers, random_graph, table_with_bad_row
-from infodemic.cascade import Cascade, SeedTweet, TweetCategory
+from infodemic.cascade import LANES, Cascade, SeedTweet, TweetCategory
 from infodemic.exposure import (
     CLASS_CATEGORIES,
     ExposureError,
     ExposureMatrix,
+    _code_counts,
+    _lane_tally,
     exposure_matrix,
     total_exposures,
 )
@@ -232,3 +234,31 @@ def test_matrix_csv_bad_row_fails_at_its_line(case):
     text, line = case
     with pytest.raises(ExposureError, match=f"^line {line}: "):
         ExposureMatrix.from_csv(io.StringIO(text))
+
+
+@st.composite
+def lane_tally_cases(draw):
+    """A (days, users) category code, a category bit, sorted distinct flat
+    keys at which the code lacks the bit, and a uint8 mask per key over
+    its first 1-8 lanes."""
+    days, users = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    cells = st.lists(st.integers(0, 7), min_size=days * users, max_size=days * users)
+    code = np.array(draw(cells), dtype=np.uint8).reshape(days, users)
+    bit = draw(st.sampled_from([1, 2, 4]))
+    keys = np.array(sorted(draw(st.sets(st.integers(0, days * users - 1)))), dtype=np.int64)
+    code.reshape(-1)[keys] &= np.uint8(7 - bit)
+    lanes = draw(st.integers(1, LANES))
+    masks = st.lists(st.integers(0, (1 << lanes) - 1), min_size=len(keys), max_size=len(keys))
+    return code, bit, keys, np.array(draw(masks), dtype=np.uint8)
+
+
+@given(lane_tally_cases())
+@settings(max_examples=200, deadline=None)
+def test_lane_tally_counts_each_lane_as_its_own_code(case):
+    code, bit, keys, masks = case
+    got = _lane_tally(code, _code_counts(code), keys, masks, bit)
+    assert got.shape == (LANES, len(code), 8)
+    for lane in range(LANES):
+        want = code.copy()
+        want.reshape(-1)[keys[(masks >> lane) & 1 > 0]] |= bit
+        np.testing.assert_array_equal(got[lane], _code_counts(want))
