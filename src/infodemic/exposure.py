@@ -95,8 +95,9 @@ _CATEGORY_BITS = {
 }
 # class x1..x7 -> the category code its users hold
 _CLASS_CODES = np.array([sum(_CATEGORY_BITS[c] for c in cats) for cats in CLASS_CATEGORIES])
-# (lane mask, lane) -> 1 where the mask holds the lane
-_LANE_BITS = (np.arange(256)[:, None] >> np.arange(LANES)) & 1
+# (lane mask, lane) -> 1.0 where the mask holds the lane; float64, so that
+# its product is BLAS's (numpy's integer matmul is not), exact below 2**53
+_LANE_BITS = ((np.arange(256)[:, None] >> np.arange(LANES)) & 1).astype(np.float64)
 
 
 def _reach(
@@ -150,7 +151,8 @@ def _lane_tally(
     with each mask's lane bits gives every lane's moved pairs, exactly."""
     pairs = (keys // code.shape[1] * 8 + code.reshape(-1)[keys]) * 256 + lanes
     by_mask = np.bincount(pairs, minlength=len(code) * 8 * 256).reshape(-1, 256)
-    moved = (by_mask @ _LANE_BITS).T.reshape(LANES, len(code), 8)
+    moved = (by_mask.astype(np.float64) @ _LANE_BITS).astype(np.int64)
+    moved = moved.T.reshape(LANES, len(code), 8)
     # each code that lacks the bit moves to itself with the bit; code 0 is not counted
     lack = np.flatnonzero((np.arange(8) & bit) == 0)
     out = counts - moved * (np.arange(8) > 0)

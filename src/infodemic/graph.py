@@ -208,8 +208,7 @@ def generate_graph(config: GraphGenConfig) -> SocialGraph:
     cum = np.cumsum(pop / pop.sum())
     cum[-1] = 1.0
     takes = np.where(degrees > 0, 2 * degrees + 4, 0)
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
+    parts: list[np.ndarray] = []  # sorted edge keys, each part above the last
     # users pos..pos+window-1 are drawn at once; the window shrinks near a
     # short user and doubles after a clean run, so replays stay cheap
     pos, window = 0, n
@@ -217,22 +216,21 @@ def generate_graph(config: GraphGenConfig) -> SocialGraph:
         end = min(pos + window, n)
         state = rng.bit_generator.state
         owner = np.repeat(np.arange(pos, end), takes[pos:end])
-        cand = _lookup(cum, rng.random(len(owner)))
-        src, dst = _first_distinct(n, owner, cand, degrees)
-        short = np.flatnonzero(np.bincount(src - pos, minlength=end - pos) < degrees[pos:end])
+        keys = _first_distinct(n, owner, _lookup(cum, rng.random(len(owner))), degrees)
+        # user pos + i's keys are keys[bounds[i]:bounds[i + 1]]
+        bounds = np.searchsorted(keys, np.arange(pos, end + 1) * n)
+        short = np.flatnonzero(np.diff(bounds) < degrees[pos:end])
         if len(short) == 0:
-            srcs.append(src)
-            dsts.append(dst)
+            parts.append(keys)
             pos, window = end, 2 * window
             continue
         u = pos + int(short[0])
-        head = src < u
-        srcs.append(src[head])
-        dsts.append(dst[head])
+        lo, hi = bounds[short[0]], bounds[short[0] + 1]
+        parts.append(keys[:lo])
         # u's further rounds come after its first, before the next users' draws
         rng.bit_generator.state = state
         rng.bit_generator.advance(int(takes[pos : u + 1].sum()))
-        chosen = dst[src == u]
+        chosen = keys[lo:hi] - u * n
         taken = np.zeros(n, dtype=bool)
         taken[chosen] = taken[u] = True
         for _ in range(19):
@@ -243,36 +241,72 @@ def generate_graph(config: GraphGenConfig) -> SocialGraph:
             new = more[np.sort(np.unique(more, return_index=True)[1])[:need]]
             taken[new] = True
             chosen = np.concatenate([chosen, new])
-        srcs.append(np.full(len(chosen), u, dtype=np.int64))
-        dsts.append(chosen)
+        parts.append(u * n + np.sort(chosen))
         pos, window = u + 1, max(2 * (u - pos), 1)
-    return SocialGraph(n, np.column_stack((np.concatenate(srcs), np.concatenate(dsts))))
+    graph = SocialGraph.__new__(SocialGraph)  # keys sorted and distinct: no deduplication
+    graph._assign(n, np.concatenate(parts), [str(i) for i in range(n)], 0)
+    return graph
+
+
+_LOOKUP_STEPS = 4  # guide-table steps before the draws left go to a binary search
 
 
 def _lookup(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """`np.searchsorted(cum, draws)` for draws in [0, 1) and `cum` ending in 1.0, by one sort."""
-    picks = np.empty(len(draws), dtype=np.intp)  # before the temporaries: a lower peak RSS
-    order = np.argsort(draws)
-    counts = np.diff(np.searchsorted(draws[order], cum, side="right"), prepend=0)
-    picks[order] = np.repeat(np.arange(len(cum)), counts)
+    """`np.searchsorted(cum, draws)` for draws in [0, 1) and `cum` ending in 1.0.
+
+    A guide table over `b` equal buckets of [0, 1), `b` a power of two so
+    that `draw * b` and `k / b` are exact, gives each draw a first index at
+    or below its answer; draws step forward from there, and the few left
+    after `_LOOKUP_STEPS` steps are searched.  `b` is at most about the
+    number of draws, so that a few draws against a long CDF build a small
+    guide.
+    """
+    b = 1 << max(min(len(cum), len(draws)) - 1, 0).bit_length()
+    picks = np.take(np.searchsorted(cum, np.arange(b) / b), (draws * b).astype(np.intp))
+    todo = np.flatnonzero(np.take(cum, picks) < draws)
+    for _ in range(_LOOKUP_STEPS):
+        if len(todo) == 0:
+            return picks
+        picks[todo] = step = np.take(picks, todo) + 1
+        todo = todo[np.take(cum, step) < np.take(draws, todo)]
+    picks[todo] = np.searchsorted(cum, draws[todo])
     return picks
 
 
 def _first_distinct(
     n: int, owner: np.ndarray, cand: np.ndarray, degrees: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per owner (grouped, ascending), its first `degrees[owner]` distinct
-    candidates other than itself, as (owner, candidate) arrays."""
-    ok = cand != owner
-    owner, cand = owner[ok], cand[ok]
-    keys = owner * n + cand
-    order = np.argsort(keys, kind="stable")
-    first = np.zeros(len(keys), dtype=bool)
-    first[order[_run_starts(keys[order])]] = True
-    owner, cand = owner[first], cand[first]
-    rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
+) -> np.ndarray:
+    """The sorted edge keys `owner * n + candidate` of each owner's first
+    `degrees[owner]` distinct candidates other than itself; `owner` is
+    ascending, so an owner's candidates are contiguous."""
+    at = np.flatnonzero(_first_draws(n, owner, cand))
+    owner, cand = owner[at], cand[at]
+    # rank within the owner, by draw position
+    heads = np.flatnonzero(_run_starts(owner))
+    rank = np.arange(len(owner)) - np.repeat(heads, np.diff(heads, append=len(owner)))
     take = rank < degrees[owner]
-    return owner[take], cand[take]
+    return np.sort(owner[take] * n + cand[take])
+
+
+def _first_draws(n: int, owner: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Mask of the first draw of each (owner, candidate) pair but (u, u),
+    for `owner` ascending, by one sort of the packed `cand << s | position`;
+    its own function, so that its draw-sized temporaries are freed before
+    the ranking (a lower peak RSS)."""
+    s = len(owner).bit_length()
+    if n << s >= 1 << 63:
+        raise GraphError("too many draws to pack beside a user id in 64 bits")
+    # sorted by (candidate, position), so by (candidate, owner, position):
+    # an (owner, candidate) pair's repeats are adjacent, its first draw first
+    packed = cand << s
+    packed |= np.arange(len(owner))
+    packed.sort()
+    at = packed & ((1 << s) - 1)
+    packed >>= s
+    who = owner[at]
+    first = np.zeros(len(owner), dtype=bool)
+    first[at[(_run_starts(packed) | _run_starts(who)) & (packed != who)]] = True
+    return first
 
 
 def load_edges(stream: TextIO | Iterable[str]) -> SocialGraph:

@@ -390,6 +390,82 @@ def test_lookup_past_a_cdf_entry_rounded_over_one():
     np.testing.assert_array_equal(graph_module._lookup(cum, draws), np.searchsorted(cum, draws))
 
 
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1000, 5000),
+    # few draws against thousands of entries give a small guide table
+    st.sampled_from([1, 3, 17, 400, 5000, 60000]),
+    st.floats(0.2, 1.5),
+)
+@settings(max_examples=60, deadline=None)
+def test_lookup_equals_searchsorted_on_long_heavy_tailed_cdfs(seed, entries, n_draws, shape):
+    rng = np.random.default_rng(seed)
+    cum = popularity_cdf(rng.pareto(shape, size=entries) + 1.0)
+    draws = rng.random(n_draws)
+    # CDF entries below 1.0 and the doubles on either side of them
+    at = cum[rng.integers(0, entries, size=n_draws // 4 + 1)]
+    draws = np.concatenate([draws, at, np.nextafter(at, 0.0), np.nextafter(at, 1.0)])
+    draws = draws[draws < 1.0]
+    np.testing.assert_array_equal(graph_module._lookup(cum, draws), np.searchsorted(cum, draws))
+
+
+@pytest.mark.parametrize("n_draws", [8, 100_000])
+def test_lookup_searches_the_draws_left_after_its_steps(n_draws):
+    # Pareto 0.2 weights: a few hubs hold the mass, so a bucket of [0, 1)
+    # can span more tiny entries than the guide's steps cover
+    rng = np.random.default_rng(5)
+    cum = popularity_cdf(rng.pareto(0.2, size=4000) + 1.0)
+    draws = rng.random(n_draws)
+    with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
+        picks = graph_module._lookup(cum, draws)
+    assert search.call_count == 2  # the guide table, then the draws left
+    np.testing.assert_array_equal(picks, np.searchsorted(cum, draws))
+
+
+def reference_first_distinct(n, owner, cand, degrees) -> list[int]:
+    """Per owner, in draw order: its first `degrees[owner]` distinct
+    candidates other than itself, as sorted keys `owner * n + candidate`."""
+    keys = []
+    for u in sorted(set(owner)):
+        seen: list[int] = []
+        for o, c in zip(owner, cand):
+            if o == u and c != u and c not in seen:
+                seen.append(c)
+        keys += [u * n + c for c in seen[: degrees[u]]]
+    return sorted(keys)
+
+
+@st.composite
+def owner_draws(draw):
+    n = draw(st.integers(1, 40))
+    degrees = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    owner = sorted(draw(st.lists(st.integers(0, n - 1), max_size=80)))
+    # a narrow candidate range repeats candidates; `st.just(u)` is a self-candidate
+    hi = draw(st.integers(0, n - 1))
+    cand = [draw(st.integers(0, hi) | st.just(u)) for u in owner]
+    return n, owner, cand, degrees
+
+
+@given(owner_draws())
+@example((1, [], [], [0]))
+# owner 0 draws only itself, owner 1 one distinct candidate for degree 2,
+# owner 2 (degree 0) one it may not take
+@example((3, [0, 0, 0, 1, 1, 2], [0, 0, 0, 2, 2, 1], [2, 2, 0]))
+@settings(max_examples=300, deadline=None)
+def test_first_distinct_matches_per_owner_reference(case):
+    n, owner, cand, degrees = case
+    got = graph_module._first_distinct(
+        n, np.array(owner, dtype=np.int64), np.array(cand, dtype=np.int64), np.array(degrees)
+    )
+    assert got.tolist() == reference_first_distinct(n, owner, cand, degrees)
+
+
+def test_first_distinct_refuses_keys_past_int64():
+    owner = np.zeros(4, dtype=np.int64)  # 4 draws: 3 position bits
+    with pytest.raises(GraphError, match="64 bits"):
+        graph_module._first_distinct(2**61, owner, owner + 1, np.array([4]))
+
+
 def test_generate_dense_config_retries_every_user():
     edges, retried, short = reference_generate(DENSE)
     # every user retries and stays short after the 20-attempt cap
@@ -417,6 +493,37 @@ def test_saved_graphs_pinned(tmp_path):
     )
     assert_same_graph(load_from_sidecar(tmp_path / "edges.csv"), parse_file(tmp_path / "edges.csv"))
 
+
+
+# the graphs the benchmark workloads build: the 2e4-user replica of
+# `pipeline-2e4` and criterion 5's 5e4-user replica of `sweep-5e4`
+@pytest.mark.parametrize(
+    "config, n_edges, indptr_sha, indices_sha",
+    [
+        (
+            ReplicaConfig(n_users=20_000),
+            171_922,
+            "057bf7cf6ecdbcfd8bb9bfcfaf6e874cd7fd97e84069999e5e1398f5c0fa44ec",
+            "7789a9dfe9dfb553310ae13a0002c696c555d9c33991d5a9cc11d8e566aaba6e",
+        ),
+        (
+            ReplicaConfig(
+                n_users=50_000,
+                min_degree=6,
+                misinfo_day_fraction=0.0,
+                misinfo_author_ranks=(0.0, 0.003),
+            ),
+            821_002,
+            "2103440fcaa97b10aeccbaff5e26d3ff59f64ac91192fc5b4599a28dc963067e",
+            "1ddcf0bfe0f1bacbff24a5f71eaf7f3fb0a89c20c150ab730ad536c2efc3b949",
+        ),
+    ],
+)
+def test_replica_graphs_pinned(config, n_edges, indptr_sha, indices_sha):
+    follows = build_replica(config).graph._follows
+    assert len(follows.indices) == n_edges
+    assert hashlib.sha256(follows.indptr.tobytes()).hexdigest() == indptr_sha
+    assert hashlib.sha256(follows.indices.tobytes()).hexdigest() == indices_sha
 
 def reference_load(text: str):
     """Row-by-row loader: (external ids, edge set, self-edges dropped).
