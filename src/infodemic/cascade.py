@@ -189,8 +189,8 @@ def sample_keep_set(cascade: Cascade, retention: float, rng_seed: int) -> np.nda
 
 # -- simulation ------------------------------------------------------------
 
-# the most rate lanes one `_spread` run carries: one bit each of a uint8 mask
-LANES = 8
+# the most rate lanes one `_spread` run carries: one bit each of a uint64 mask
+LANES = 64
 
 
 class _Run(NamedTuple):
@@ -206,7 +206,7 @@ class _Run(NamedTuple):
     tweet: np.ndarray
     user: np.ndarray
     lanes: np.ndarray
-    first_correction: np.ndarray
+    first_correction: Sequence[np.ndarray]
     reach: np.ndarray | None = None
     reach_lanes: np.ndarray | None = None
 
@@ -270,28 +270,28 @@ def _spread(
     rng_seed: int,
     *,
     blocks: bool = False,
-    first_correction: np.ndarray | None = None,
+    first_correction: Sequence[np.ndarray] | None = None,
 ) -> _Run:
     """`simulate_cascades`' diffusion of `seeds` in up to `LANES` rate
     lanes at once: lane l runs at the rates `rates[:, l]`, one per seed.
-    `blocks` is `corrective_blocks_misinfo`.  `first_correction` holds,
+    `blocks` is `corrective_blocks_misinfo`.  `first_correction[l]` holds,
     per user, the index of the period day of the first corrective
-    exposure (any value >= the period's length for never) for every
-    lane; it seeds the run's own record, so a misinformation run given a
+    exposure (any value >= the period's length for never) for lane l; it
+    seeds the lane's own record, so a misinformation run given a
     corrective run's days blocks exactly as the run holding both would.
 
     Every lane uses each (tweet, user) key's one draw, so a key's state is
-    a uint8 mask of the lanes it holds in.  A day's audience keys carry
-    the union of their actors' lanes; a key decides in the lanes that
-    newly expose it, and retweets in those whose rate is above its draw
-    and that do not block it.  Each lane so gets exactly the run at its
-    own rates.
+    a mask of the lanes it holds in, of the narrowest unsigned dtype with
+    a bit per lane.  A day's audience keys carry the union of their
+    actors' lanes; a key decides in the lanes that newly expose it, and
+    retweets in those whose rate is above its draw and that do not block
+    it.  Each lane so gets exactly the run at its own rates.
     """
     n, t = graph.n_users, len(seeds)
     start, end = period
     n_days = (end - start).days + 1
     lanes = rates.shape[1]
-    every = np.uint8((1 << lanes) - 1)
+    dtype = np.min_scalar_type((1 << lanes) - 1)
     # per-tweet columns, indexed like `seeds`
     author = np.array([s.author for s in seeds], dtype=np.int64)
     seed_day = np.array([(s.day - start).days for s in seeds], dtype=np.int64)
@@ -303,15 +303,15 @@ def _spread(
     skey = np.array([derive_seed(rng_seed, "rt", s.tweet_id) for s in seeds], dtype=np.uint64)
 
     # (tweet, user) state lives under the key tweet * n + user
-    exposed = np.zeros(t * n, dtype=np.uint8)
-    # per lane and user, the first day of corrective exposure
-    first = np.full((lanes, n), n_days, dtype=np.int64)
-    if first_correction is not None:
-        first[:] = first_correction
+    exposed = np.zeros(t * n, dtype=dtype)
+    # per lane and user, the first day of corrective exposure (copied before it is lowered)
+    if first_correction is None:
+        first_correction = [np.full(n, n_days, dtype=np.int64)] * lanes
+    first = [f.copy() for f in first_correction] if corrective.any() else list(first_correction)
     # keys and lanes of retweets landing today, sorted, so seq follows
     # (day, tweet, user) order; the empty first entries keep the
     # concatenations defined
-    pending, pending_lanes = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)
+    pending, pending_lanes = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype)
     landed, landed_lanes, landed_day = [pending], [pending_lanes], [0]
     for d in range(n_days):
         seeded = np.flatnonzero(seed_day == d)
@@ -323,18 +323,13 @@ def _spread(
         # every actor (author or retweeter) exposes itself and its followers;
         # a key holds in the union of its actors' lanes
         actors = np.concatenate([seeded * n + author[seeded], pending])
-        actor_lanes = np.concatenate([np.full(len(seeded), every), pending_lanes])
-        all_lanes = (actor_lanes == every).all()
-        if all_lanes:
-            keys = _sorted_unique(_audience(graph, actors))
-            mask = every
-        else:
-            keys, mask = _lane_reach(graph, actors, actor_lanes)
+        actor_lanes = np.concatenate([np.full(len(seeded), (1 << lanes) - 1, dtype), pending_lanes])
+        keys, reached = _lane_reach(graph, actors, actor_lanes)
         seen = exposed[keys]
-        new = mask & ~seen
+        new = reached & ~seen
         fresh = np.flatnonzero(new > 0)
         keys, new = keys[fresh], new[fresh]
-        exposed[keys] = every if all_lanes else seen[fresh] | new
+        exposed[keys] = seen[fresh] | new
         tweet = keys // n
         user = keys - tweet * n
         # the newly exposed decide once, on their first exposure: they
@@ -344,14 +339,13 @@ def _spread(
         # in [0, 1), so a tweet at rate 0 in every lane never hits
         i = np.flatnonzero((draw < top[tweet]) & (user != author[tweet]))
         tweet_i, user_i, draw = tweet[i], user[i], draw[i]
-        hit = new[i] & _lane_mask(draw < rate[tweet_i] for rate in rates.T)
+        hit = new[i] & _lane_mask((draw < rate[tweet_i] for rate in rates.T), dtype)
         # corrective exposure counts from the next day on
         gated = np.flatnonzero(blockable[tweet_i] & (hit > 0))
-        hit[gated] &= ~_lane_mask(f[user_i[gated]] < d for f in first)
+        hit[gated] &= ~_lane_mask((f[user_i[gated]] < d for f in first), dtype)
         corrected = corrective[tweet]
         for lane, f in enumerate(first if corrected.any() else ()):
-            # with one lane, every fresh key is new in it
-            u = user[corrected if lanes == 1 else corrected & ((new & (1 << lane)) > 0)]
+            u = user[corrected & ((new & (1 << lane)) > 0)]
             f[u] = np.minimum(f[u], d)
         retweets = np.flatnonzero(hit > 0)
         pending, pending_lanes = keys[i[retweets]], hit[retweets]
@@ -366,13 +360,14 @@ def _lane_runs(
     rates: Sequence[float] | np.ndarray,
     period: tuple[date, date],
     rng_seed: int,
+    first_correction: Sequence[np.ndarray] | None = None,
     **kw,
 ) -> Iterator[tuple[_Run, int]]:
     """`_spread` in one lane per column of `rates`, a (seeds, lanes) table
-    or one row for every seed: runs of up to `LANES` lanes each, with
-    their reach; one (run, lane) per column.  A run reaches on each day
-    whoever its posts of that day reach: the seeds of the period, in
-    every lane, and the landed retweets, in theirs."""
+    or one row for every seed, and of `first_correction`: runs of up to
+    `LANES` lanes each, with their reach; one (run, lane) per column.  A
+    run reaches on each day whoever its posts of that day reach: the
+    seeds of the period, in every lane, and the landed retweets, in theirs."""
     n, start = graph.n_users, period[0]
     rates = np.asarray(rates, dtype=np.float64)
     rates = np.broadcast_to(rates, (len(seeds), rates.shape[-1]))
@@ -380,19 +375,21 @@ def _lane_runs(
     day = np.array([(s.day - start).days for s in seeds], dtype=np.int64)
     seed_keys = (day * n + author)[(day >= 0) & (day <= (period[1] - start).days)]
     for group in range(0, rates.shape[1], LANES):
-        run = _spread(graph, seeds, rates[:, group : group + LANES], period, rng_seed, **kw)
+        first = None if first_correction is None else first_correction[group : group + LANES]
+        run = _spread(graph, seeds, rates[:, group : group + LANES], period, rng_seed,
+                      first_correction=first, **kw)
         lanes = len(run.first_correction)
         keys = np.concatenate([seed_keys, (run.day - start.toordinal()) * n + run.user])
-        masks = np.concatenate([np.full(len(seed_keys), (1 << lanes) - 1, np.uint8), run.lanes])
-        reach, reach_lanes = _lane_reach(graph, keys, masks)
+        every = np.full(len(seed_keys), (1 << lanes) - 1, run.lanes.dtype)
+        reach, reach_lanes = _lane_reach(graph, keys, np.concatenate([every, run.lanes]))
         run = run._replace(reach=reach, reach_lanes=reach_lanes)
         for lane in range(lanes):
             yield run, lane
 
 
-def _lane_mask(lanes: Iterable[np.ndarray]) -> np.ndarray:
-    """uint8 masks with bit l set where the l-th bool array of `lanes` is."""
-    return reduce(np.bitwise_or, (b.view(np.uint8) << lane for lane, b in enumerate(lanes)))
+def _lane_mask(lanes: Iterable[np.ndarray], dtype: np.dtype = np.dtype(np.uint8)) -> np.ndarray:
+    """`dtype` masks with bit l set where the l-th bool array of `lanes` is."""
+    return reduce(np.bitwise_or, (b.astype(dtype) << dtype.type(i) for i, b in enumerate(lanes)))
 
 
 def _split(seeds: Sequence[SeedTweet], tweet: np.ndarray, run: np.ndarray) -> list[Cascade]:
@@ -414,17 +411,26 @@ def _audience(graph: SocialGraph, actors: np.ndarray) -> np.ndarray:
 def _lane_reach(
     graph: SocialGraph, keys: np.ndarray, masks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """For actor keys `g * n + u` posting in the uint8 lane masks `masks`,
-    the sorted distinct keys `g * n + v` of v the actor and each of its
-    followers, and the OR of the lanes that reach each."""
+    """For actor keys `g * n + u` posting in the unsigned lane masks
+    `masks`, the sorted distinct keys `g * n + v` of v the actor and each
+    of its followers, and the OR of the lanes that reach each."""
+    if (masks[1:] == masks[:1]).all():  # one mask: the keys alone
+        keys = _sorted_unique(_audience(graph, keys))
+        return keys, np.broadcast_to(masks[:1], keys.shape)
     group, user = np.divmod(keys, graph.n_users)
     reached, counts = _neighbors(graph._followers, user)
-    # the lanes ride in the low byte, so one sort orders keys and lanes
-    base = (group * graph.n_users) << 8 | masks
-    packed = np.sort(np.concatenate([keys << 8 | masks, np.repeat(base, counts) + (reached << 8)]))
-    keys = packed >> 8
+    if masks.dtype == np.uint8:
+        # the lanes ride in the low byte, so one sort orders keys and lanes
+        base = (group * graph.n_users) << 8 | masks
+        packed = np.concatenate([keys << 8 | masks, np.repeat(base, counts) + (reached << 8)])
+        packed.sort()
+        keys, masks = packed >> 8, (packed & 0xFF).astype(np.uint8)
+    else:
+        keys = np.concatenate([keys, np.repeat(group * graph.n_users, counts) + reached])
+        order = np.argsort(keys)
+        keys, masks = keys[order], np.concatenate([masks, np.repeat(masks, counts)])[order]
     heads = np.flatnonzero(_run_starts(keys))
-    return keys[heads], np.bitwise_or.reduceat((packed & 0xFF).astype(np.uint8), heads)
+    return keys[heads], np.bitwise_or.reduceat(masks, heads)
 
 
 def _with_neighbors(csr: _Csr, keys: np.ndarray, n: int) -> np.ndarray:

@@ -24,6 +24,7 @@ from .cascade import (
     Cascade,
     SeedTweet,
     TweetCategory,
+    _Run,
     _actors,
     _audience,
     _check_run,
@@ -38,6 +39,7 @@ from .cascade import (
 )
 from .exposure import (
     _CATEGORY_BITS,
+    TALLY_LANES,
     ExposureMatrix,
     _category_code,
     _code_counts,
@@ -123,7 +125,7 @@ def _replay(
     exposure of the `fixed` cascades, none of them corrective, and of the
     `corrective` cascades holding only the events kept in that lane.
 
-    The category code of `fixed` is built once.  Each group of `LANES`
+    The category code of `fixed` is built once.  Each group of `TALLY_LANES`
     lanes adds the reach of its corrective posts to its counts in one tally.
     """
     start = period[0]
@@ -136,11 +138,11 @@ def _replay(
     # every lane's posts: each seed author, then the kept retweets
     posts = np.concatenate([np.ones((len(corrective), kept.shape[1]), dtype=bool), kept])[inside]
     results = []
-    for group in range(0, kept.shape[1], LANES):
-        masks = _lane_mask(posts[:, group : group + LANES].T)
+    for group in range(0, kept.shape[1], TALLY_LANES):
+        masks = _lane_mask(posts[:, group : group + TALLY_LANES].T)
         reach, lanes = _lane_reach(graph, keys[masks > 0], masks[masks > 0])
         tallies = _lane_tally(code, counts, reach, lanes, _CATEGORY_BITS[TweetCategory.CORRECTIVE])
-        for rows, lane_counts in zip(kept[:, group : group + LANES].T, tallies):
+        for rows, lane_counts in zip(kept[:, group : group + TALLY_LANES].T, tallies):
             matrix = _matrix(start, lane_counts)
             results.append(TrialResult(matrix, sum_index(predict(model, matrix)), int(rows.sum())))
     return results
@@ -257,6 +259,16 @@ def simulate_trial(
     return TrialResult(matrix, sum_index(predict(model, matrix)))
 
 
+def _run_tally(code: np.ndarray, counts: np.ndarray, run: _Run, bit: int, lanes: range) -> dict:
+    """`_lane_tally` of the reach of `run` by lane, for each of its lanes in
+    `lanes`, fed one byte-wide field of the run's lane masks at a time."""
+    out, stop = {}, min(lanes.stop, len(run.first_correction))
+    for low in range(lanes.start, stop, TALLY_LANES):
+        field = (run.reach_lanes >> low & 0xFF).astype(np.uint8)
+        out.update(zip(range(low, stop), _lane_tally(code, counts, run.reach, field, bit)))
+    return out
+
+
 def sweep(
     graph: SocialGraph,
     seed_tweets: Sequence[SeedTweet],
@@ -280,13 +292,13 @@ def sweep(
     misinformation, each user's first day of corrective exposure.  So a
     trial spreads the soldout tweets once, the corrective tweets once with
     each corrective rate as a lane of one `_spread` run, and the
-    misinformation tweets once per corrective rate, with each
-    misinformation rate as a lane, gated by that corrective lane's
-    first-correction days: 8 runs for the 6 x 7 default grid.  Rate lists
-    longer than `LANES` spread in groups of `LANES`.  A cell's class
-    counts are the soldout counts with the (day, user) pairs its
-    corrective lane reaches, then those its misinformation lane reaches,
-    moved to the class that adds the category, with one tally per run.
+    misinformation tweets once with a lane per (corrective rate,
+    misinformation rate) pair, gated by that corrective lane's
+    first-correction days: 3 runs for the 6 x 7 default grid.  Runs hold
+    up to `LANES` lanes each.  A cell's class counts are the soldout
+    counts with the (day, user) pairs its corrective lane reaches, then
+    those its misinformation lane reaches, moved to the class that adds
+    the category, with one tally per `TALLY_LANES` lanes of a run.
     """
     if not corrective_rates or not misinfo_rates:
         raise ExperimentError("rate lists must be non-empty")
@@ -304,6 +316,7 @@ def sweep(
     code = np.zeros(((end - start).days + 1, graph.n_users), dtype=np.uint8)
     flat = code.reshape(-1)
     c_bit, m_bit = (_CATEGORY_BITS[c] for c in order[1:])
+    width = len(misinfo_rates)
     sums: list[list[list[float]]] = [[[] for _ in corrective_rates] for _ in misinfo_rates]
     for t in range(trials):
         ts = derive_seed(base_seed, "trial", t)
@@ -311,23 +324,28 @@ def sweep(
         soldout = run.reach
         flat[soldout] = _CATEGORY_BITS[TweetCategory.SOLDOUT]
         soldout_counts = _code_counts(code)
-        corrective_runs = _lane_runs(
-            graph, by_cat[TweetCategory.CORRECTIVE], corrective_rates, period, ts
+        corrective = list(
+            _lane_runs(graph, by_cat[TweetCategory.CORRECTIVE], corrective_rates, period, ts)
         )
-        for j, (run, lane) in enumerate(corrective_runs):
+        bases = []
+        for run, lane in corrective:
             if lane == 0:  # a new run: count all its lanes
-                bases = _lane_tally(code, soldout_counts, run.reach, run.reach_lanes, c_bit)
-            corrective = run.lane_reach(lane)
-            flat[corrective] |= c_bit
-            mis_runs = _lane_runs(
-                graph, by_cat[TweetCategory.MISINFORMATION], misinfo_rates, period, ts,
-                blocks=True, first_correction=run.first_correction[lane],
-            )
-            for i, (mis, m_lane) in enumerate(mis_runs):
-                if m_lane == 0:
-                    counts = _lane_tally(code, bases[lane], mis.reach, mis.reach_lanes, m_bit)
-                sums[i][j].append(sum_index(predict(model, _matrix(start, counts[m_lane]))))
-            flat[corrective] ^= c_bit  # clears the bit set above
+                bases += _run_tally(code, soldout_counts, run, c_bit, range(LANES)).values()
+        # pair lane j * width + i gates misinformation rate i by corrective lane j
+        gates = [run.first_correction[c] for run, c in corrective for _ in range(width)]
+        mis_runs = _lane_runs(
+            graph, by_cat[TweetCategory.MISINFORMATION], np.tile(misinfo_rates, len(corrective)),
+            period, ts, blocks=True, first_correction=gates,
+        )
+        for p, (mis, lane) in enumerate(mis_runs):
+            j, i = divmod(p, width)
+            if lane == 0 or i == 0:  # a new run or corrective lane: count its lanes here
+                run, c = corrective[j]
+                reach = run.lane_reach(c)
+                flat[reach] |= c_bit
+                counts = _run_tally(code, bases[j], mis, m_bit, range(lane, lane + width - i))
+                flat[reach] ^= c_bit  # clears the bit set above
+            sums[i][j].append(sum_index(predict(model, _matrix(start, counts[lane]))))
         flat[soldout] = 0
     cells = [
         SweepCell(m_rate, c_rate, tuple(sums[i][j]))

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from ._table import at_line, read_table, write_table
-from .cascade import LANES, Cascade, TweetCategory, _actors, _audience
+from .cascade import Cascade, TweetCategory, _actors, _audience
 from .graph import SocialGraph
 
 MATRIX_HEADER = ["day", "x1", "x2", "x3", "x4", "x5", "x6", "x7"]
@@ -95,9 +95,11 @@ _CATEGORY_BITS = {
 }
 # class x1..x7 -> the category code its users hold
 _CLASS_CODES = np.array([sum(_CATEGORY_BITS[c] for c in cats) for cats in CLASS_CATEGORIES])
+# the lanes one `_lane_tally` counts: one bit each of a uint8 mask
+TALLY_LANES = 8
 # (lane mask, lane) -> 1.0 where the mask holds the lane; float64, so that
 # its product is BLAS's (numpy's integer matmul is not), exact below 2**53
-_LANE_BITS = ((np.arange(256)[:, None] >> np.arange(LANES)) & 1).astype(np.float64)
+_LANE_BITS = ((np.arange(256)[:, None] >> np.arange(TALLY_LANES)) & 1).astype(np.float64)
 
 
 def _reach(
@@ -145,14 +147,14 @@ def _lane_tally(
 ) -> np.ndarray:
     """`out[l]` is `_code_counts` of `code` with the category `bit` added at
     the distinct flat `day * n_users + user` indices `keys` whose uint8
-    masks `lanes` hold lane l, for each of the `LANES` lanes.  It moves
+    masks `lanes` hold lane l, for each of the `TALLY_LANES` lanes.  It moves
     only those pairs from `counts` (those of `code`, which must lack `bit`
     at `keys`): one bincount over (day, old code, mask), then the product
     with each mask's lane bits gives every lane's moved pairs, exactly."""
     pairs = (keys // code.shape[1] * 8 + code.reshape(-1)[keys]) * 256 + lanes
     by_mask = np.bincount(pairs, minlength=len(code) * 8 * 256).reshape(-1, 256)
     moved = (by_mask.astype(np.float64) @ _LANE_BITS).astype(np.int64)
-    moved = moved.T.reshape(LANES, len(code), 8)
+    moved = moved.T.reshape(TALLY_LANES, len(code), 8)
     # each code that lacks the bit moves to itself with the bit; code 0 is not counted
     lack = np.flatnonzero((np.arange(8) & bit) == 0)
     out = counts - moved * (np.arange(8) > 0)

@@ -17,6 +17,7 @@ from infodemic.cascade import (
     SeedTweet,
     TweetCategory,
     _actors,
+    _lane_reach,
     _lane_runs,
     _prune,
     _split,
@@ -474,7 +475,7 @@ def test_misinfo_run_given_first_correction_days_matches_joint_run(case):
     )
     ((run, lane),) = _lane_runs(
         graph, misinfo, [rates.get(TweetCategory.MISINFORMATION, 0.0)], period, rng_seed,
-        blocks=True, first_correction=first,
+        blocks=True, first_correction=[first],
     )
     alone = lane_cascades(misinfo, run, lane)
 
@@ -490,26 +491,30 @@ def test_misinfo_run_given_first_correction_days_matches_joint_run(case):
 
 @st.composite
 def lane_cases(draw):
-    """`simulation_cases` spread in 1-17 rate lanes, each its own rates
-    mapping drawn from a few rates, so lanes repeat rates, hold 0 and 1
-    and come unsorted; with or without given first-correction days."""
+    """`simulation_cases` spread in 1-17 or about `LANES` rate lanes, each
+    one of a few rates mappings drawn from a few rates, so lanes repeat
+    rates, hold 0 and 1 and come unsorted; with or without given
+    first-correction days, one of a few rows for each lane."""
     graph, seeds, _, period, rng_seed, kw = draw(simulation_cases())
-    pool = draw(st.lists(RATES, min_size=1, max_size=4))
-    lanes = [
-        {c: draw(st.sampled_from(pool)) for c in TweetCategory if draw(st.booleans())}
-        for _ in range(draw(st.integers(1, 17)))
-    ]
+    pool = st.sampled_from(draw(st.lists(RATES, min_size=1, max_size=4)))
+    kinds = draw(st.lists(st.dictionaries(st.sampled_from(list(TweetCategory)), pool),
+                          min_size=1, max_size=4))
+    count = draw(st.integers(1, 17) | st.integers(LANES - 1, LANES + 2))
+    picks = draw(st.lists(st.integers(0, 3), min_size=count, max_size=count))
     days = (period[1] - period[0]).days + 1
     given_days = st.lists(st.integers(0, days + 1), min_size=graph.n_users, max_size=graph.n_users)
-    first = draw(st.one_of(st.none(), given_days.map(np.array)))
+    rows = draw(st.lists(given_days.map(np.array), min_size=1, max_size=3))
+    first = draw(st.none() | st.just([rows[p % len(rows)] for p in picks[::-1]]))
+    lanes = [kinds[p % len(kinds)] for p in picks]
     return graph, seeds, lanes, period, rng_seed, kw["corrective_blocks_misinfo"], first
 
 
 def assert_lanes_equal_one_lane_runs(graph, seeds, lanes, period, rng_seed, blocks, first):
     """Every lane of `_lane_runs` holds exactly the events, reach and
-    first-correction days of the one-lane run at that lane's rates, as
-    the per-tweet reference loop gives them, and, without given
-    first-correction days, `simulate_cascades` too."""
+    first-correction days of the one-lane run at that lane's rates and
+    given first-correction days, as the per-tweet reference loop gives
+    them, and, without given first-correction days, `simulate_cascades`
+    too."""
     seeds = sorted(seeds, key=lambda s: (s.day, s.seq))
     table = np.array([[rates.get(s.category, 0.0) for rates in lanes] for s in seeds])
     runs = list(_lane_runs(
@@ -519,21 +524,26 @@ def assert_lanes_equal_one_lane_runs(graph, seeds, lanes, period, rng_seed, bloc
     assert len(runs) == len(lanes)
     assert [lane for _, lane in runs] == [i % LANES for i in range(len(lanes))]
     n_days = (period[1] - period[0]).days + 1
-    for rates, (run, lane) in zip(lanes, runs):
-        want = reference_simulate(
-            graph, seeds, rates, period, rng_seed,
-            corrective_blocks_misinfo=blocks, first_correction=first,
-        )
-        if first is None:
-            kw = dict(corrective_blocks_misinfo=blocks)
-            assert simulate_cascades(graph, seeds, rates, period, rng_seed, **kw) == want
+    # lanes repeat (rates, row) cases: each is worked out once
+    wants = {}
+    for k, (rates, (run, lane)) in enumerate(zip(lanes, runs)):
+        given = None if first is None else first[k]
+        if (case := (tuple(rates.items()), id(given))) not in wants:
+            wants[case] = reference_simulate(
+                graph, seeds, rates, period, rng_seed,
+                corrective_blocks_misinfo=blocks, first_correction=given,
+            )
+            if first is None:
+                kw = dict(corrective_blocks_misinfo=blocks)
+                assert simulate_cascades(graph, seeds, rates, period, rng_seed, **kw) == wants[case]
+        want = wants[case]
         assert lane_cascades(seeds, run, lane) == want
         reach = _reach(graph, _actors(want), period[0], np.zeros((n_days, graph.n_users), bool))
         np.testing.assert_array_equal(run.lane_reach(lane), np.flatnonzero(reach))
         corrective = [c for c in want if c.seed.category is TweetCategory.CORRECTIVE]
         want_first = first_correction_days(graph, corrective, period)
         if first is not None:
-            want_first = np.minimum(want_first, first)
+            want_first = np.minimum(want_first, given)
         # any day past the period means never
         got_first = np.minimum(run.first_correction[lane], n_days)
         np.testing.assert_array_equal(got_first, want_first)
@@ -547,7 +557,9 @@ def test_rate_lanes_equal_one_lane_runs(case):
 
 def test_rate_lanes_equal_one_lane_runs_on_denser_graphs():
     """Graphs of up to 30 users with many paths, so lanes reach a user on
-    different days, and every category spreads at once, gated."""
+    different days, and every category spreads at once, gated; a few
+    cases hold more lanes than one run, and given first-correction rows
+    repeat across lanes."""
     rng = np.random.default_rng(14)
     for case in range(30):
         graph = random_graph(rng, max_nodes=30)
@@ -557,12 +569,63 @@ def test_rate_lanes_equal_one_lane_runs_on_denser_graphs():
             for i, cat in enumerate(rng.choice(list(TweetCategory), size=int(rng.integers(1, 7))))
         ]
         pool = [0.0, 1.0, *rng.uniform(0, 1, 3).round(2)]
-        lanes = [
-            {c: float(rng.choice(pool)) for c in TweetCategory}
-            for _ in range(int(rng.integers(9, 18)))
-        ]
-        first = rng.integers(0, 9, graph.n_users) if case % 2 else None
+        count = int(rng.integers(LANES + 1, LANES + 20) if case % 5 == 0 else rng.integers(9, 18))
+        lanes = [{c: float(rng.choice(pool)) for c in TweetCategory} for _ in range(count)]
+        rows = rng.integers(0, 9, (3, graph.n_users))
+        first = [rows[i % 3] for i in range(count)] if case % 2 else None
         assert_lanes_equal_one_lane_runs(graph, seeds, lanes, days(8), case, case % 3 > 0, first)
+
+
+@given(simulation_cases(), st.lists(RATES, min_size=1, max_size=5),
+       st.lists(RATES, min_size=1, max_size=17))
+@settings(max_examples=100, deadline=None)
+def test_misinfo_pair_lanes_equal_one_lane_runs(case, corrective_rates, misinfo_rates):
+    """A misinformation run with a lane per (corrective lane, misinformation
+    rate) pair, each gated by its own corrective lane's first-correction
+    row, as `sweep` spreads it: each lane equals the one-lane run gated
+    by that row alone."""
+    graph, seeds, _, period, rng_seed, _ = case
+    by_day = sorted(seeds, key=lambda s: (s.day, s.seq))
+    corrective = [s for s in by_day if s.category is TweetCategory.CORRECTIVE]
+    misinfo = [s for s in by_day if s.category is TweetCategory.MISINFORMATION]
+    rows = [run.first_correction[lane]
+            for run, lane in _lane_runs(graph, corrective, corrective_rates, period, rng_seed)]
+    pairs = [(row, rate) for row in rows for rate in misinfo_rates]
+    runs = _lane_runs(
+        graph, misinfo, [rate for _, rate in pairs], period, rng_seed,
+        blocks=True, first_correction=[row for row, _ in pairs],
+    )
+    for (row, rate), (run, lane) in zip(pairs, runs, strict=True):
+        ((alone, _),) = _lane_runs(graph, misinfo, [rate], period, rng_seed,
+                                   blocks=True, first_correction=[row])
+        assert lane_cascades(misinfo, run, lane) == lane_cascades(misinfo, alone, 0)
+        np.testing.assert_array_equal(run.lane_reach(lane), alone.lane_reach(0))
+
+
+@given(st.sampled_from([1, 8, 9, 33, 64]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_lane_reach_is_the_union_of_each_keys_lanes(lanes, data):
+    """`_lane_reach` for masks of every width, equal or mixed, against a
+    per-key union over each actor and its followers."""
+    n = data.draw(st.integers(1, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    graph = SocialGraph(n, [p for p in data.draw(st.lists(pairs, max_size=30)) if p[0] != p[1]])
+    count = data.draw(st.integers(0, 30))
+    keys = np.array(data.draw(st.lists(st.integers(0, 3 * n - 1), min_size=count,
+                                       max_size=count)), dtype=np.int64)
+    dtype = np.min_scalar_type((1 << lanes) - 1)
+    masks = st.integers(1, (1 << lanes) - 1)
+    masks = st.lists(masks, min_size=count, max_size=count) | masks.map(lambda m: [m] * count)
+    masks = np.array(data.draw(masks), dtype=dtype)
+    want = {}
+    for key, mask in zip(keys.tolist(), masks.tolist()):
+        g, u = divmod(key, n)
+        for v in [u, *followers(graph, u).tolist()]:
+            want[g * n + v] = want.get(g * n + v, 0) | mask
+    got_keys, got_masks = _lane_reach(graph, keys, masks)
+    assert got_masks.dtype == dtype
+    assert got_keys.tolist() == sorted(want)
+    assert got_masks.tolist() == [want[k] for k in sorted(want)]
 
 
 def test_uniform_draws_accept_per_user_keys():

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DAY0, NOT_A_VALUE, followers, random_graph, table_with_bad_row
-from infodemic.cascade import LANES, Cascade, SeedTweet, TweetCategory
+from infodemic.cascade import Cascade, SeedTweet, TweetCategory
 from infodemic.exposure import (
     CLASS_CATEGORIES,
+    TALLY_LANES,
     ExposureError,
     ExposureMatrix,
     _code_counts,
@@ -247,7 +248,7 @@ def lane_tally_cases(draw):
     bit = draw(st.sampled_from([1, 2, 4]))
     keys = np.array(sorted(draw(st.sets(st.integers(0, days * users - 1)))), dtype=np.int64)
     code.reshape(-1)[keys] &= np.uint8(7 - bit)
-    lanes = draw(st.integers(1, LANES))
+    lanes = draw(st.integers(1, TALLY_LANES))
     masks = st.lists(st.integers(0, (1 << lanes) - 1), min_size=len(keys), max_size=len(keys))
     return code, bit, keys, np.array(draw(masks), dtype=np.uint8)
 
@@ -257,8 +258,8 @@ def lane_tally_cases(draw):
 def test_lane_tally_counts_each_lane_as_its_own_code(case):
     code, bit, keys, masks = case
     got = _lane_tally(code, _code_counts(code), keys, masks, bit)
-    assert got.shape == (LANES, len(code), 8)
-    for lane in range(LANES):
+    assert got.shape == (TALLY_LANES, len(code), 8)
+    for lane in range(TALLY_LANES):
         want = code.copy()
         want.reshape(-1)[keys[(masks >> lane) & 1 > 0]] |= bit
         np.testing.assert_array_equal(got[lane], _code_counts(want))
