@@ -96,18 +96,22 @@ def csv_field(value: str) -> str:
     return '"' + value.replace('"', '""') + '"'
 
 
-def atomic_write(path: str | os.PathLike, data: str | bytes) -> None:
-    """Write `data`, text as UTF-8, to a temp file beside `path`, then
-    rename it over `path`.  The file is created as `open` creates one, so
-    its mode is 0666 less the umask."""
+def atomic_write(path: str | os.PathLike, data: str | bytes | Iterable[bytes]) -> None:
+    """Write `data`, text as UTF-8 or bytes or an iterable of byte chunks,
+    to a temp file beside `path`, then rename it over `path`; if writing or
+    the iterable raises, the temp file is removed.  The file is created as
+    `open` creates one, so its mode is 0666 less the umask."""
     if isinstance(data, str):
         data = data.encode("utf-8")
+    if isinstance(data, bytes):
+        data = (data,)
     d = os.path.dirname(os.fspath(path)) or "."
     tmp = os.path.join(d, f"tmp{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "xb")  # exclusive, so the file removed below is this one
     try:
         with fh:
-            fh.write(data)
+            for chunk in data:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -15,7 +15,7 @@ import io
 import logging
 import os
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -27,8 +27,10 @@ EDGE_HEADER = ["follower_id", "followee_id"]
 # `<edges csv>.csr` holds the parsed graph of that CSV: this header, the
 # CSV's sha256, then the arrays of `_write_sidecar`, each in `np.save`
 # format; the header's number is the layout's version
-_SIDECAR_HEAD = b"infodemic edge csr 2\n"
+_SIDECAR_HEAD = b"infodemic edge csr 3\n"
 _SAVE_ROWS = 1 << 14  # edge rows `save_edges` gathers at once: bounds its per-byte index
+# first-round draws `generate_graph` makes at once: bounds its working memory
+_WINDOW_DRAWS = 1 << 18
 
 
 class GraphError(ValueError):
@@ -127,8 +129,13 @@ class SocialGraph:
         self.n_edges = len(keys)
         self.self_edges_dropped = self_edges_dropped
         self._follows = _Csr(n, src, dst)
-        # the transpose: (followee, follower) keys sorted
-        self._followers = _Csr(n, dst, np.sort(dst * n + src) % n)
+        # the transpose: (followee, follower) keys sorted, built in place
+        t = dst * n
+        t += src
+        del src
+        t.sort()
+        t %= n
+        self._followers = _Csr(n, dst, t)
         self.external_ids = tuple(external_ids)
         self._id_index = {x: i for i, x in enumerate(self.external_ids)}
 
@@ -186,7 +193,9 @@ def generate_graph(config: GraphGenConfig) -> SocialGraph:
     left short draws further rounds of 2*need+4 candidates, need being the
     followees it lacks, up to 20 rounds in all, and follows the first d
     distinct ones other than u of all its draws.  The first rounds of a run
-    of users are drawn in one call, a short user's further rounds alone.
+    of users are drawn in one call of at most `_WINDOW_DRAWS` draws (or one
+    user's), a short user's further rounds alone; the draws continue one
+    stream, so the graph does not depend on how they are split.
     """
     n = config.n_users
     if n == 0:
@@ -208,15 +217,17 @@ def generate_graph(config: GraphGenConfig) -> SocialGraph:
     cum = np.cumsum(pop / pop.sum())
     cum[-1] = 1.0
     takes = np.where(degrees > 0, 2 * degrees + 4, 0)
+    drawn = np.concatenate(([0], np.cumsum(takes)))  # first-round draws before each user
     parts: list[np.ndarray] = []  # sorted edge keys, each part above the last
-    # users pos..pos+window-1 are drawn at once; the window shrinks near a
-    # short user and doubles after a clean run, so replays stay cheap
+    # users pos..end-1 are drawn at once, at most `_WINDOW_DRAWS` draws (at
+    # least one user); the window shrinks near a short user and doubles
+    # after a clean run, so replays stay cheap
     pos, window = 0, n
     while pos < n:
-        end = min(pos + window, n)
+        fit = int(np.searchsorted(drawn, drawn[pos] + _WINDOW_DRAWS, side="right")) - 1
+        end = min(pos + window, max(fit, pos + 1))
         state = rng.bit_generator.state
-        owner = np.repeat(np.arange(pos, end), takes[pos:end])
-        keys = _first_distinct(n, owner, _lookup(cum, rng.random(len(owner))), degrees)
+        keys = _window(n, cum, degrees, takes, rng, pos, end)
         # user pos + i's keys are keys[bounds[i]:bounds[i + 1]]
         bounds = np.searchsorted(keys, np.arange(pos, end + 1) * n)
         short = np.flatnonzero(np.diff(bounds) < degrees[pos:end])
@@ -229,23 +240,37 @@ def generate_graph(config: GraphGenConfig) -> SocialGraph:
         parts.append(keys[:lo])
         # u's further rounds come after its first, before the next users' draws
         rng.bit_generator.state = state
-        rng.bit_generator.advance(int(takes[pos : u + 1].sum()))
-        chosen = keys[lo:hi] - u * n
-        taken = np.zeros(n, dtype=bool)
-        taken[chosen] = taken[u] = True
+        rng.bit_generator.advance(int(drawn[u + 1] - drawn[pos]))
+        # a further round's few draws: plain Python beats array calls
+        d, chosen = int(degrees[u]), (keys[lo:hi] - u * n).tolist()
+        taken = {u, *chosen}
         for _ in range(19):
-            if (need := int(degrees[u]) - len(chosen)) == 0:
+            if len(chosen) == d:
                 break
-            more = np.searchsorted(cum, rng.random(2 * need + 4))
-            more = more[~taken[more]]
-            new = more[np.sort(np.unique(more, return_index=True)[1])[:need]]
-            taken[new] = True
-            chosen = np.concatenate([chosen, new])
-        parts.append(u * n + np.sort(chosen))
+            for v in np.searchsorted(cum, rng.random(2 * (d - len(chosen)) + 4)).tolist():
+                if v not in taken:
+                    taken.add(v)
+                    chosen.append(v)
+                    if len(chosen) == d:
+                        break
+        parts.append(u * n + np.sort(np.array(chosen, dtype=np.int64)))
         pos, window = u + 1, max(2 * (u - pos), 1)
+    keys = np.concatenate(parts)
+    del parts
     graph = SocialGraph.__new__(SocialGraph)  # keys sorted and distinct: no deduplication
-    graph._assign(n, np.concatenate(parts), [str(i) for i in range(n)], 0)
+    graph._assign(n, keys, [str(i) for i in range(n)], 0)
     return graph
+
+
+def _window(
+    n: int, cum: np.ndarray, degrees: np.ndarray, takes: np.ndarray,
+    rng: np.random.Generator, pos: int, end: int,
+) -> np.ndarray:
+    """The sorted edge keys of users pos..end-1 from their first rounds,
+    `takes[u]` draws each; its own function, so that its draw-sized
+    temporaries are freed before the next window."""
+    owner = np.repeat(np.arange(pos, end), takes[pos:end])
+    return _first_distinct(n, owner, _lookup(cum, rng.random(len(owner))), degrees)
 
 
 _LOOKUP_STEPS = 4  # guide-table steps before the draws left go to a binary search
@@ -367,7 +392,8 @@ def load_edges_file(path: str | os.PathLike) -> SocialGraph:
     graph = load_edges(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     follows = graph._follows
     keys, ids = follows.rows() * graph.n_users + follows.indices, graph.external_ids
-    _write_sidecar(path, hashlib.sha256(data).digest(), keys, ids, graph.self_edges_dropped)
+    if _ids_reload_intact(graph):  # a parsed id may hold a NUL
+        _write_sidecar(path, hashlib.sha256(data).digest(), keys, ids, graph.self_edges_dropped)
     return graph
 
 
@@ -381,21 +407,30 @@ def save_edges(graph: SocialGraph, path: str | os.PathLike) -> None:
     size = np.fromiter(map(len, fields), np.int64, len(fields)) + 1
     bounds = np.cumsum(np.concatenate(([0], size, size)))
     src, dst = graph._follows.rows(), graph._follows.indices
-    parts = [(",".join(EDGE_HEADER) + "\n").encode("utf-8")]
-    for a in range(0, len(src), _SAVE_ROWS):
-        seg = np.column_stack((src[a : a + _SAVE_ROWS], dst[a : a + _SAVE_ROWS] + len(fields)))
-        parts.append(blob[_row_gather(bounds, seg.ravel())].tobytes())
-    data = b"".join(parts)
-    atomic_write(path, data)
+    digest = hashlib.sha256()
+
+    def chunks() -> Iterator[bytes]:
+        """The header, then `_SAVE_ROWS` rows at a time, each hashed as it
+        is written, so the whole CSV is never held."""
+        header = (",".join(EDGE_HEADER) + "\n").encode("utf-8")
+        digest.update(header)
+        yield header
+        for a in range(0, len(src), _SAVE_ROWS):
+            seg = np.column_stack((src[a : a + _SAVE_ROWS], dst[a : a + _SAVE_ROWS] + len(fields)))
+            chunk = blob[_row_gather(bounds, seg.ravel())].tobytes()
+            digest.update(chunk)
+            yield chunk
+
+    atomic_write(path, chunks())
     if _ids_reload_intact(graph):
-        _write_sidecar(path, hashlib.sha256(data).digest(), *_reloaded(graph, src), 0)
+        _write_sidecar(path, digest.digest(), *_reloaded(graph, src), 0)
 
 
 def _ids_reload_intact(graph: SocialGraph) -> bool:
     """Whether the saved ids parse back as themselves, each its own user:
     distinct, non-empty, free of surrounding whitespace, and neither
-    holding a NUL (a csv error before Python 3.11) nor over the csv
-    module's field size limit."""
+    holding a NUL (a csv error before Python 3.11, and the sidecar's id
+    separator) nor over the csv module's field size limit."""
     ids = graph.external_ids
     return (
         len(graph._id_index) == len(ids)
@@ -424,7 +459,10 @@ def _reloaded(graph: SocialGraph, src: np.ndarray) -> tuple[np.ndarray, list[str
     order = np.argsort(first)[: np.count_nonzero(first < 2 * m)]
     dense = np.empty(n, dtype=np.int64)
     dense[order] = np.arange(len(order))
-    keys = np.sort(dense[src] * len(order) + dense[dst])
+    keys = dense[src]
+    keys *= len(order)
+    keys += dense[dst]
+    keys.sort()
     ids = graph.external_ids
     return keys, [ids[u] for u in order.tolist()]
 
@@ -437,9 +475,10 @@ def _write_sidecar(
     csv_path: str | os.PathLike, digest: bytes, keys: np.ndarray, ids: Sequence[str], dropped: int
 ) -> None:
     """The sidecar of the CSV of sha256 `digest`: header, digest, then meta
-    (user count, `dropped` self-edges), the sorted edge `keys`, per-id
-    code-point lengths and the UTF-8 blob of `ids`, a user each.  `np.save`
-    output carries no timestamp, so equal graphs give equal bytes."""
+    (user count, `dropped` self-edges), the sorted edge `keys` and the
+    UTF-8 blob of `ids`, a user each, NUL-separated (no id holds a NUL).
+    `np.save` output carries no timestamp, so equal graphs give equal
+    bytes."""
     path = _sidecar_path(csv_path)
     buf = io.BytesIO()
     buf.write(_SIDECAR_HEAD + digest)
@@ -447,8 +486,7 @@ def _write_sidecar(
         for a in (
             np.array([len(ids), dropped], dtype=np.int64),
             keys,
-            np.fromiter(map(len, ids), np.int64, len(ids)),
-            np.frombuffer("".join(ids).encode("utf-8"), dtype=np.uint8),
+            np.frombuffer("\0".join(ids).encode("utf-8"), dtype=np.uint8),
         ):
             np.save(buf, a, allow_pickle=False)
         atomic_write(path, buf.getvalue())
@@ -467,12 +505,10 @@ def _read_sidecar(path: str, digest: bytes) -> SocialGraph:
         if min(n, dropped) < 0:
             raise ValueError("negative size")
         keys = _load_array(fh, np.int64)
-        lengths = _load_array(fh, np.int64, n)
         text = _load_array(fh, np.uint8).tobytes().decode("utf-8")
-    if np.any(lengths < 0) or int(lengths.sum()) != len(text):
-        raise ValueError("id lengths do not match the id blob")
-    ends = np.cumsum(lengths).tolist()
-    ids = [text[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    ids = text.split("\0") if text else []
+    if len(ids) != n:
+        raise ValueError("the id blob does not hold one id per user")
     graph = SocialGraph.__new__(SocialGraph)  # keys sorted and distinct: no deduplication
     graph._assign(n, keys, ids, dropped)  # a GraphError on bad keys
     if len(graph._id_index) != n:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import re
 import textwrap
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from conftest import followees, followers
 from infodemic import _table as table_module
 from infodemic import graph as graph_module
+from infodemic import replica as replica_module
+from infodemic._rng import derive_seed
 from infodemic.graph import (
     EDGE_HEADER,
     EdgeParseError,
@@ -475,6 +478,70 @@ def test_generate_dense_config_retries_every_user():
     assert_csr_equal(g, reference_csr(30, edges))
 
 
+def test_generate_hub_config_matches_reference():
+    """Popularity on a few hubs: every user retries, and nearly all stay
+    short after their further rounds."""
+    config = GraphGenConfig(n_users=500, seed=5, min_degree=3, popularity_exponent=0.2)
+    edges, retried, short = reference_generate(config)
+    assert len(retried) == 500 and len(short) == 490
+    assert_csr_equal(generate_graph(config), reference_csr(500, edges))
+
+
+# `generate_graph` windows capped at one, two and three draws (so one user
+# each, its first round above the cap) and at 64 draws
+WINDOW_DRAWS = [1, 2, 3, 64]
+
+
+@pytest.mark.parametrize("draws", WINDOW_DRAWS)
+@given(gen_configs())
+@example(DENSE)
+@settings(max_examples=40, deadline=None)
+def test_generate_in_capped_windows_matches_reference(draws, config):
+    edges, _, _ = reference_generate(config)
+    with mock.patch.object(graph_module, "_WINDOW_DRAWS", draws):
+        g = generate_graph(config)
+    assert_csr_equal(g, reference_csr(config.n_users, edges))
+
+
+@pytest.fixture(scope="module")
+def replica_3000() -> SocialGraph:
+    return build_replica(ReplicaConfig(n_users=3000, seed=1)).graph
+
+
+@pytest.mark.parametrize("draws", WINDOW_DRAWS)
+def test_capped_windows_keep_the_replica_graph(replica_3000, draws):
+    with mock.patch.object(graph_module, "_WINDOW_DRAWS", draws):
+        g = build_replica(ReplicaConfig(n_users=3000, seed=1)).graph
+    assert_csr_equal(g, csr_arrays(replica_3000))
+
+
+def test_graph_build_and_save_memory_is_bounded(tmp_path):
+    """Criterion 5's 5e4-user replica graph (821,002 edges): the build's
+    draws are held a window at a time and the CSV is written a chunk at a
+    time, so neither holds the whole graph's draws or CSV bytes."""
+    config = GraphGenConfig(
+        n_users=50_000,
+        exponent=replica_module.GRAPH_EXPONENT,
+        min_degree=6,
+        max_degree=replica_module.GRAPH_MAX_DEGREE,
+        popularity_exponent=replica_module.GRAPH_POPULARITY_EXPONENT,
+        seed=derive_seed(ReplicaConfig().seed, "replica-graph"),
+    )
+    tracemalloc.start()
+    try:
+        g = generate_graph(config)
+        generate_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        save_edges(g, tmp_path / "edges.csv")
+        save_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert g.n_edges == 821_002
+    assert generate_peak < 45e6
+    assert save_peak < 40e6
+
+
 def _sha256_of_saved(g: SocialGraph, tmp_path) -> str:
     path = tmp_path / "edges.csv"
     save_edges(g, path)
@@ -760,6 +827,8 @@ def test_ids_the_csv_module_may_reject_get_no_saved_sidecar(tmp_path, odd):
             load_edges_file(path)
     else:
         assert_same_graph(load_edges_file(path), want)
+    # nor does a parse write one: a NUL would split the sidecar's id blob
+    assert not sidecar_of(path).exists()
 
 
 def test_saved_sidecar_equals_the_one_a_parse_writes(tmp_path):
@@ -807,8 +876,8 @@ def write_sidecar(path, text: bytes, arrays, head=graph_module._SIDECAR_HEAD) ->
 
 
 # the sidecar arrays of "alice,bob / carol,bob / alice,carol": meta (users,
-# self-edges dropped), edge keys follower * 3 + followee, id lengths, ids
-GOOD_ARRAYS = [[3, 0], [1, 2, 7], [5, 3, 5], np.frombuffer(b"alicebobcarol", dtype=np.uint8)]
+# self-edges dropped), edge keys follower * 3 + followee, NUL-separated ids
+GOOD_ARRAYS = [[3, 0], [1, 2, 7], np.frombuffer(b"alice\0bob\0carol", dtype=np.uint8)]
 
 
 @pytest.mark.parametrize(
@@ -822,9 +891,11 @@ GOOD_ARRAYS = [[3, 0], [1, 2, 7], [5, 3, 5], np.frombuffer(b"alicebobcarol", dty
         (1, [1, 2, 9]),  # a key past n * n
         (1, [-1, 2, 7]),  # a negative key
         (1, np.array([1, 2, 7], dtype=np.int32)),  # wrong dtype
-        (2, [5, 3, 4]),  # id lengths not summing to the blob
-        (3, np.frombuffer(b"alice\xffbobcaro", dtype=np.uint8)),  # not UTF-8
-        (3, "alicebobcarol"),  # a string array, not bytes
+        (2, np.frombuffer(b"alice\0bob", dtype=np.uint8)),  # an id short
+        (2, np.frombuffer(b"alice\0bob\0carol\0", dtype=np.uint8)),  # an id over
+        (2, np.frombuffer(b"alice\0bob\0alice", dtype=np.uint8)),  # a repeated id
+        (2, np.frombuffer(b"alice\0b\xffb\0carol", dtype=np.uint8)),  # not UTF-8
+        (2, "alicebobcarol"),  # a string array, not bytes
     ],
 )
 def test_inconsistent_sidecar_reparses(tmp_path, index, value):
@@ -836,9 +907,18 @@ def test_inconsistent_sidecar_reparses(tmp_path, index, value):
     assert_same_graph(load_edges_file(path), load_edges(io.StringIO(CSV)))
 
 
-# the same graph in the version-1 layout: meta (users, edges, self-edges
-# dropped), the follows and followers CSRs, id lengths, ids
-V1_ARRAYS = [[3, 3, 0], [0, 2, 2, 3], [1, 2, 1], [0, 0, 2, 3], [0, 2, 0], *GOOD_ARRAYS[2:]]
+def test_empty_graph_sidecar(tmp_path):
+    path = tmp_path / "edges.csv"
+    save_edges(SocialGraph(0, []), path)
+    assert sidecar_of(path).exists()
+    assert_same_graph(load_from_sidecar(path), SocialGraph(0, []))
+
+
+# the same graph in older layouts.  Version 2: meta, edge keys, per-id
+# lengths and the ids run together; version 1: meta (users, edges,
+# self-edges dropped), the follows and followers CSRs, then as version 2
+V2_ARRAYS = [*GOOD_ARRAYS[:2], [5, 3, 5], np.frombuffer(b"alicebobcarol", dtype=np.uint8)]
+V1_ARRAYS = [[3, 3, 0], [0, 2, 2, 3], [1, 2, 1], [0, 0, 2, 3], [0, 2, 0], *V2_ARRAYS[2:]]
 
 
 def test_stale_or_other_version_sidecar_reparses(tmp_path):
@@ -847,11 +927,12 @@ def test_stale_or_other_version_sidecar_reparses(tmp_path):
     want = load_edges(io.StringIO(CSV))
     write_sidecar(path, b"other bytes", GOOD_ARRAYS)
     assert_same_graph(load_edges_file(path), want)
-    write_sidecar(path, CSV.encode(), V1_ARRAYS, head=b"infodemic edge csr 1\n")
-    assert_same_graph(load_edges_file(path), want)
-    # the parse rewrote it in the current layout
-    assert sidecar_of(path).read_bytes().startswith(graph_module._SIDECAR_HEAD)
-    assert_same_graph(load_from_sidecar(path), want)
+    for version, arrays in [(1, V1_ARRAYS), (2, V2_ARRAYS)]:
+        write_sidecar(path, CSV.encode(), arrays, head=f"infodemic edge csr {version}\n".encode())
+        assert_same_graph(load_edges_file(path), want)
+        # the parse rewrote it in the current layout
+        assert sidecar_of(path).read_bytes().startswith(graph_module._SIDECAR_HEAD)
+        assert_same_graph(load_from_sidecar(path), want)
 
 
 def test_unwritable_directory_still_loads(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infodemic._table import at_line, csv_field, read_table, write_table
+from infodemic._table import at_line, atomic_write, csv_field, read_table, write_table
 
 
 class TableError(ValueError):
@@ -97,3 +97,20 @@ def test_write_formats_and_quotes(tmp_path):
     path = tmp_path / "t.csv"
     write_table(path, ["id", "x", "n"], [("a,b", 0.1, 3), ('q"', 1e-05, -1), ("", "", "")], ["c=1"])
     assert path.read_text() == '# c=1\nid,x,n\n"a,b",0.1,3\n"q""",1e-05,-1\n,,\n'
+
+
+def test_atomic_write_of_chunks(tmp_path):
+    path = tmp_path / "t.bin"
+    path.write_bytes(b"old")
+    atomic_write(path, iter([b"ab", b"", b"cd"]))
+    assert path.read_bytes() == b"abcd"
+
+    def failing():
+        yield b"half"
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        atomic_write(tmp_path / "new.bin", failing())
+    # the target is never created and the temp file is gone; the old file stays
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.bin"]
+    assert path.read_bytes() == b"abcd"
