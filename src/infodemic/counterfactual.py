@@ -24,7 +24,6 @@ from .cascade import (
     Cascade,
     SeedTweet,
     TweetCategory,
-    _Run,
     _actors,
     _audience,
     _check_run,
@@ -39,7 +38,6 @@ from .cascade import (
 )
 from .exposure import (
     _CATEGORY_BITS,
-    TALLY_LANES,
     ExposureMatrix,
     _category_code,
     _code_counts,
@@ -125,7 +123,7 @@ def _replay(
     exposure of the `fixed` cascades, none of them corrective, and of the
     `corrective` cascades holding only the events kept in that lane.
 
-    The category code of `fixed` is built once.  Each group of `TALLY_LANES`
+    The category code of `fixed` is built once.  Each group of `LANES`
     lanes adds the reach of its corrective posts to its counts in one tally.
     """
     start = period[0]
@@ -138,11 +136,13 @@ def _replay(
     # every lane's posts: each seed author, then the kept retweets
     posts = np.concatenate([np.ones((len(corrective), kept.shape[1]), dtype=bool), kept])[inside]
     results = []
-    for group in range(0, kept.shape[1], TALLY_LANES):
-        masks = _lane_mask(posts[:, group : group + TALLY_LANES].T)
-        reach, lanes = _lane_reach(graph, keys[masks > 0], masks[masks > 0])
-        tallies = _lane_tally(code, counts, reach, lanes, _CATEGORY_BITS[TweetCategory.CORRECTIVE])
-        for rows, lane_counts in zip(kept[:, group : group + TALLY_LANES].T, tallies):
+    for group in range(0, kept.shape[1], LANES):
+        lanes = posts[:, group : group + LANES].T
+        masks = _lane_mask(lanes, np.min_scalar_type((1 << len(lanes)) - 1))
+        reach, reach_lanes = _lane_reach(graph, keys[masks > 0], masks[masks > 0])
+        bit = _CATEGORY_BITS[TweetCategory.CORRECTIVE]
+        tallies = _lane_tally(code, counts, reach, reach_lanes, bit, len(lanes))
+        for rows, lane_counts in zip(kept[:, group : group + LANES].T, tallies):
             matrix = _matrix(start, lane_counts)
             results.append(TrialResult(matrix, sum_index(predict(model, matrix)), int(rows.sum())))
     return results
@@ -259,16 +259,6 @@ def simulate_trial(
     return TrialResult(matrix, sum_index(predict(model, matrix)))
 
 
-def _run_tally(code: np.ndarray, counts: np.ndarray, run: _Run, bit: int, lanes: range) -> dict:
-    """`_lane_tally` of the reach of `run` by lane, for each of its lanes in
-    `lanes`, fed one byte-wide field of the run's lane masks at a time."""
-    out, stop = {}, min(lanes.stop, len(run.first_correction))
-    for low in range(lanes.start, stop, TALLY_LANES):
-        field = (run.reach_lanes >> low & 0xFF).astype(np.uint8)
-        out.update(zip(range(low, stop), _lane_tally(code, counts, run.reach, field, bit)))
-    return out
-
-
 def sweep(
     graph: SocialGraph,
     seed_tweets: Sequence[SeedTweet],
@@ -298,7 +288,8 @@ def sweep(
     up to `LANES` lanes each.  A cell's class counts are the soldout
     counts with the (day, user) pairs its corrective lane reaches, then
     those its misinformation lane reaches, moved to the class that adds
-    the category, with one tally per `TALLY_LANES` lanes of a run.
+    the category: one tally counts every lane of a corrective run, and one
+    per corrective lane counts all its misinformation lanes in a run.
     """
     if not corrective_rates or not misinfo_rates:
         raise ExperimentError("rate lists must be non-empty")
@@ -330,7 +321,9 @@ def sweep(
         bases = []
         for run, lane in corrective:
             if lane == 0:  # a new run: count all its lanes
-                bases += _run_tally(code, soldout_counts, run, c_bit, range(LANES)).values()
+                lanes = len(run.first_correction)
+                tally = _lane_tally(code, soldout_counts, run.reach, run.reach_lanes, c_bit, lanes)
+                bases.extend(tally)
         # pair lane j * width + i gates misinformation rate i by corrective lane j
         gates = [run.first_correction[c] for run, c in corrective for _ in range(width)]
         mis_runs = _lane_runs(
@@ -339,13 +332,15 @@ def sweep(
         )
         for p, (mis, lane) in enumerate(mis_runs):
             j, i = divmod(p, width)
-            if lane == 0 or i == 0:  # a new run or corrective lane: count its lanes here
+            if lane == 0 or i == 0:  # a new run or corrective lane: count its lanes from here
                 run, c = corrective[j]
                 reach = run.lane_reach(c)
                 flat[reach] |= c_bit
-                counts = _run_tally(code, bases[j], mis, m_bit, range(lane, lane + width - i))
+                masks = mis.reach_lanes >> mis.reach_lanes.dtype.type(lane)
+                lanes = min(width - i, len(mis.first_correction) - lane)
+                counts = _lane_tally(code, bases[j], mis.reach, masks, m_bit, lanes)
                 flat[reach] ^= c_bit  # clears the bit set above
-            sums[i][j].append(sum_index(predict(model, _matrix(start, counts[lane]))))
+            sums[i][j].append(sum_index(predict(model, _matrix(start, counts[min(i, lane)]))))
         flat[soldout] = 0
     cells = [
         SweepCell(m_rate, c_rate, tuple(sums[i][j]))

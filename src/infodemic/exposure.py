@@ -95,11 +95,9 @@ _CATEGORY_BITS = {
 }
 # class x1..x7 -> the category code its users hold
 _CLASS_CODES = np.array([sum(_CATEGORY_BITS[c] for c in cats) for cats in CLASS_CATEGORIES])
-# the lanes one `_lane_tally` counts: one bit each of a uint8 mask
-TALLY_LANES = 8
-# (lane mask, lane) -> 1.0 where the mask holds the lane; float64, so that
+# (mask byte, lane) -> 1.0 where the byte holds the lane; float64, so that
 # its product is BLAS's (numpy's integer matmul is not), exact below 2**53
-_LANE_BITS = ((np.arange(256)[:, None] >> np.arange(TALLY_LANES)) & 1).astype(np.float64)
+_LANE_BITS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.float64)
 
 
 def _reach(
@@ -143,18 +141,21 @@ def _code_counts(code: np.ndarray) -> np.ndarray:
 
 
 def _lane_tally(
-    code: np.ndarray, counts: np.ndarray, keys: np.ndarray, lanes: np.ndarray, bit: int
+    code: np.ndarray, counts: np.ndarray, keys: np.ndarray, masks: np.ndarray, bit: int, lanes: int
 ) -> np.ndarray:
     """`out[l]` is `_code_counts` of `code` with the category `bit` added at
-    the distinct flat `day * n_users + user` indices `keys` whose uint8
-    masks `lanes` hold lane l, for each of the `TALLY_LANES` lanes.  It moves
+    the distinct flat `day * n_users + user` indices `keys` whose unsigned
+    masks `masks` hold lane l, for each of the low `lanes` lanes.  It moves
     only those pairs from `counts` (those of `code`, which must lack `bit`
-    at `keys`): one bincount over (day, old code, mask), then the product
-    with each mask's lane bits gives every lane's moved pairs, exactly."""
-    pairs = (keys // code.shape[1] * 8 + code.reshape(-1)[keys]) * 256 + lanes
-    by_mask = np.bincount(pairs, minlength=len(code) * 8 * 256).reshape(-1, 256)
-    moved = (by_mask.astype(np.float64) @ _LANE_BITS).astype(np.int64)
-    moved = moved.T.reshape(TALLY_LANES, len(code), 8)
+    at `keys`): per mask byte, one bincount over (day, old code, byte), then
+    the product with the byte's lane bits gives its lanes' moved pairs."""
+    pairs = (keys // code.shape[1] * 8 + code.reshape(-1)[keys]) * 256
+    moved = np.empty((len(code) * 8, lanes), dtype=np.int64)
+    for low in range(0, lanes, 8):  # int64 fields, since uint64 + int64 is float64
+        field = (masks >> masks.dtype.type(low) & masks.dtype.type(0xFF)).astype(np.int64)
+        by_mask = np.bincount(pairs + field, minlength=len(code) * 8 * 256).reshape(-1, 256)
+        moved[:, low : low + 8] = by_mask.astype(np.float64) @ _LANE_BITS[:, : lanes - low]
+    moved = moved.T.reshape(lanes, len(code), 8)
     # each code that lacks the bit moves to itself with the bit; code 0 is not counted
     lack = np.flatnonzero((np.arange(8) & bit) == 0)
     out = counts - moved * (np.arange(8) > 0)

@@ -546,13 +546,15 @@ def special_cascades():
     ]
 
 
-def test_reduce_corrective_special_cascades_over_64_lanes():
+# (levels, seeds): lanes filling one `LANES` group exactly, one past it, and 72
+@pytest.mark.parametrize("n_levels, n_seeds", [(4, 16), (5, 13), (6, 12)])
+def test_reduce_corrective_special_cascades_over_64_lanes(n_levels, n_seeds):
     g, cascades = special_cascades()
-    seeds = list(range(12))
-    results = assert_batch_matches_reference(g, cascades, reference_model(10), LEVELS, seeds)
+    levels, seeds = LEVELS[:n_levels], list(range(n_seeds))
+    results = assert_batch_matches_reference(g, cascades, reference_model(10), levels, seeds)
     # the two invisible retweets go at full retention: 10 offered, 8 kept
     assert {trial[0].corrective_retweeters_kept for trial in results} == {8}
-    assert len(LEVELS) * len(seeds) > 64
+    assert len(levels) * len(seeds) >= 64
 
 
 def test_reduce_corrective_without_corrective_retweets():

@@ -10,7 +10,6 @@ from conftest import DAY0, NOT_A_VALUE, followers, random_graph, table_with_bad_
 from infodemic.cascade import Cascade, SeedTweet, TweetCategory
 from infodemic.exposure import (
     CLASS_CATEGORIES,
-    TALLY_LANES,
     ExposureError,
     ExposureMatrix,
     _code_counts,
@@ -240,26 +239,35 @@ def test_matrix_csv_bad_row_fails_at_its_line(case):
 @st.composite
 def lane_tally_cases(draw):
     """A (days, users) category code, a category bit, sorted distinct flat
-    keys at which the code lacks the bit, and a uint8 mask per key over
-    its first 1-8 lanes."""
+    keys at which the code lacks the bit, a 64-bit lane mask per key, and
+    whether every key holds the same mask."""
     days, users = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     cells = st.lists(st.integers(0, 7), min_size=days * users, max_size=days * users)
     code = np.array(draw(cells), dtype=np.uint8).reshape(days, users)
     bit = draw(st.sampled_from([1, 2, 4]))
     keys = np.array(sorted(draw(st.sets(st.integers(0, days * users - 1)))), dtype=np.int64)
     code.reshape(-1)[keys] &= np.uint8(7 - bit)
-    lanes = draw(st.integers(1, TALLY_LANES))
-    masks = st.lists(st.integers(0, (1 << lanes) - 1), min_size=len(keys), max_size=len(keys))
-    return code, bit, keys, np.array(draw(masks), dtype=np.uint8)
+    equal = draw(st.booleans())
+    n_masks = min(len(keys), 1) if equal else len(keys)
+    masks = draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=n_masks, max_size=n_masks))
+    return code, bit, keys, masks * (len(keys) if equal else 1), equal
 
 
 @given(lane_tally_cases())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=50, deadline=None)
 def test_lane_tally_counts_each_lane_as_its_own_code(case):
-    code, bit, keys, masks = case
-    got = _lane_tally(code, _code_counts(code), keys, masks, bit)
-    assert got.shape == (TALLY_LANES, len(code), 8)
-    for lane in range(TALLY_LANES):
-        want = code.copy()
-        want.reshape(-1)[keys[(masks >> lane) & 1 > 0]] |= bit
-        np.testing.assert_array_equal(got[lane], _code_counts(want))
+    code, bit, keys, masks, equal = case
+    want = []
+    for lane in range(64):
+        lane_code = code.copy()
+        lane_code.reshape(-1)[keys[[m >> lane & 1 == 1 for m in masks]]] |= bit
+        want.append(_code_counts(lane_code))
+    # every lane count, in the narrowest dtype that holds it, whose bits
+    # above the lanes must not count; equal masks as `_lane_reach`'s view
+    for lanes in range(1, 65):
+        dtype = np.min_scalar_type((1 << lanes) - 1)
+        narrow = np.array([m & np.iinfo(dtype).max for m in masks], dtype=dtype)
+        if equal:
+            narrow = np.broadcast_to(narrow[:1], keys.shape)
+        got = _lane_tally(code, _code_counts(code), keys, narrow, bit, lanes)
+        np.testing.assert_array_equal(got, want[:lanes])
