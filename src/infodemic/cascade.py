@@ -442,9 +442,11 @@ def _with_neighbors(csr: _Csr, keys: np.ndarray, n: int) -> np.ndarray:
 
 
 def _neighbors(csr: _Csr, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The neighbors in `csr` of each of `rows`, one row after another,
-    and how many each row has: one segment-gather."""
-    return csr.indices[_row_gather(csr.indptr, rows)], csr.indptr[rows + 1] - csr.indptr[rows]
+    """The neighbors in `csr` of each of `rows`, one row after another and
+    widened to int64 for key arithmetic, and how many each row has: one
+    segment-gather."""
+    reached = csr.indices[_row_gather(csr.indptr, rows)].astype(np.int64)
+    return reached, csr.indptr[rows + 1] - csr.indptr[rows]
 
 
 # -- CSV I/O ---------------------------------------------------------------

@@ -31,6 +31,7 @@ _SIDECAR_HEAD = b"infodemic edge csr 3\n"
 _SAVE_ROWS = 1 << 14  # edge rows `save_edges` gathers at once: bounds its per-byte index
 # first-round draws `generate_graph` makes at once: bounds its working memory
 _WINDOW_DRAWS = 1 << 18
+_MAX_USERS = 2**31 - 1  # the most users a graph holds: every dense id fits int32
 
 
 class GraphError(ValueError):
@@ -44,7 +45,11 @@ class EdgeParseError(GraphError):
 
 
 class _Csr:
-    """Compact adjacency: per-node sorted neighbor arrays."""
+    """Compact adjacency: per-node sorted neighbor arrays.
+
+    `indptr` is int64 and `indices` int32, which holds every dense id; a
+    neighbor index is widened to int64 before it is multiplied or shifted
+    (`indices * n` overflows int32 once n > 46,340)."""
 
     __slots__ = ("indptr", "indices")
 
@@ -53,9 +58,9 @@ class _Csr:
         sorted by (row, neighbor)."""
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
-        self.indices = indices
+        self.indices = indices.astype(np.int32)
         self.indptr.setflags(write=False)
-        indices.setflags(write=False)
+        self.indices.setflags(write=False)
 
     def rows(self) -> np.ndarray:
         """The row of each entry of `indices`."""
@@ -82,10 +87,14 @@ def _row_gather(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 class SocialGraph:
-    """Immutable follower graph over dense user ids 0..n_users-1.
+    """Immutable follower graph over dense user ids 0..n_users-1, at most
+    2**31 - 1 of them.
 
     External (string) ids from ingestion are retained for round-trip
-    export; synthesized graphs use the stringified dense id.
+    export.  A graph built without them (every synthesized graph) stores
+    none: its external ids are its dense ids in decimal, built when
+    `external_ids` is read.  The id-to-dense-id dict of `dense_id` is
+    built on its first call.
     """
 
     def __init__(
@@ -107,18 +116,18 @@ class SocialGraph:
         arr = arr[~loops]
         if len(arr) and (arr.min() < 0 or arr.max() >= n):
             raise GraphError("edge endpoint outside 0..n_users-1")
-        if external_ids is None:
-            external_ids = [str(i) for i in range(n)]
         keys = _sorted_unique(arr[:, 0] * n + arr[:, 1])
         self._assign(n, keys, external_ids, self_edges_dropped + np.count_nonzero(loops))
 
     def _assign(
-        self, n: int, keys: np.ndarray, external_ids: Sequence[str], self_edges_dropped: int
+        self, n: int, keys: np.ndarray, external_ids: Sequence[str] | None, self_edges_dropped: int
     ) -> None:
         """Every graph is built here, from edge keys `follower * n +
-        followee`; a `GraphError` unless they strictly increase within
-        [0, n*n) and hold no self-edge."""
-        if len(external_ids) != n:
+        followee`; a `GraphError` unless `n` is at most `_MAX_USERS` and
+        they strictly increase within [0, n*n) and hold no self-edge."""
+        if not 0 <= n <= _MAX_USERS:
+            raise GraphError(f"n_users must be in [0, {_MAX_USERS}]")
+        if external_ids is not None and len(external_ids) != n:
             raise GraphError("external_ids length must equal n_users")
         if len(keys) and (keys[0] < 0 or int(keys[-1]) >= n * n or np.any(keys[1:] <= keys[:-1])):
             raise GraphError("edge keys not strictly increasing within [0, n_users**2)")
@@ -136,17 +145,39 @@ class SocialGraph:
         t.sort()
         t %= n
         self._followers = _Csr(n, dst, t)
-        self.external_ids = tuple(external_ids)
-        self._id_index = {x: i for i, x in enumerate(self.external_ids)}
+        self._ids = None if external_ids is None else tuple(external_ids)
+        self._id_index: dict[str, int] | None = None
+
+    @property
+    def external_ids(self) -> tuple[str, ...]:
+        """Each user's external id, by dense id."""
+        if self._ids is None:
+            return tuple(map(str, range(self.n_users)))
+        return self._ids
 
     def in_degrees(self) -> np.ndarray:
         return np.diff(self._followers.indptr)
 
     def dense_id(self, external: str) -> int:
-        try:
-            return self._id_index[external]
-        except KeyError:
-            raise GraphError(f"unknown user id {external!r}") from None
+        if self._ids is None:
+            u = _digit_id(external, self.n_users)
+        else:
+            if self._id_index is None:
+                self._id_index = {x: i for i, x in enumerate(self._ids)}
+            u = self._id_index.get(external, -1)
+        if u < 0:
+            raise GraphError(f"unknown user id {external!r}")
+        return u
+
+
+def _digit_id(external: str, n: int) -> int:
+    """`external` as a dense id below `n` when it is one in decimal, as
+    `str` writes it; -1 otherwise."""
+    try:
+        u = int(external)
+    except (TypeError, ValueError):
+        return -1
+    return u if 0 <= u < n and str(u) == external else -1
 
 
 @dataclass(frozen=True)
@@ -258,7 +289,7 @@ def generate_graph(config: GraphGenConfig) -> SocialGraph:
     keys = np.concatenate(parts)
     del parts
     graph = SocialGraph.__new__(SocialGraph)  # keys sorted and distinct: no deduplication
-    graph._assign(n, keys, [str(i) for i in range(n)], 0)
+    graph._assign(n, keys, None, 0)
     return graph
 
 
@@ -392,7 +423,7 @@ def load_edges_file(path: str | os.PathLike) -> SocialGraph:
     graph = load_edges(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     follows = graph._follows
     keys, ids = follows.rows() * graph.n_users + follows.indices, graph.external_ids
-    if _ids_reload_intact(graph):  # a parsed id may hold a NUL
+    if _ids_reload_intact(ids):  # a parsed id may hold a NUL
         _write_sidecar(path, hashlib.sha256(data).digest(), keys, ids, graph.self_edges_dropped)
     return graph
 
@@ -401,7 +432,8 @@ def save_edges(graph: SocialGraph, path: str | os.PathLike) -> None:
     """Write the edge CSV atomically (temp file + rename), rows in
     (follower, followee) dense-id order, then the sidecar `load_edges_file`
     reads for it when every id reloads as it is."""
-    fields = [csv_field(x).encode("utf-8") for x in graph.external_ids]
+    ids = graph.external_ids  # read once: a generated graph builds them on each read
+    fields = [csv_field(x).encode("utf-8") for x in ids]
     # every field ending in ",", then every field ending in "\n": a row gathers two of them
     blob = np.frombuffer(b",".join(fields) + b"," + b"\n".join(fields) + b"\n", dtype=np.uint8)
     size = np.fromiter(map(len, fields), np.int64, len(fields)) + 1
@@ -416,24 +448,24 @@ def save_edges(graph: SocialGraph, path: str | os.PathLike) -> None:
         digest.update(header)
         yield header
         for a in range(0, len(src), _SAVE_ROWS):
-            seg = np.column_stack((src[a : a + _SAVE_ROWS], dst[a : a + _SAVE_ROWS] + len(fields)))
+            followee = dst[a : a + _SAVE_ROWS].astype(np.int64) + len(fields)
+            seg = np.column_stack((src[a : a + _SAVE_ROWS], followee))
             chunk = blob[_row_gather(bounds, seg.ravel())].tobytes()
             digest.update(chunk)
             yield chunk
 
     atomic_write(path, chunks())
-    if _ids_reload_intact(graph):
-        _write_sidecar(path, digest.digest(), *_reloaded(graph, src), 0)
+    if _ids_reload_intact(ids):
+        _write_sidecar(path, digest.digest(), *_reloaded(graph, src, ids), 0)
 
 
-def _ids_reload_intact(graph: SocialGraph) -> bool:
+def _ids_reload_intact(ids: Sequence[str]) -> bool:
     """Whether the saved ids parse back as themselves, each its own user:
     distinct, non-empty, free of surrounding whitespace, and neither
     holding a NUL (a csv error before Python 3.11, and the sidecar's id
     separator) nor over the csv module's field size limit."""
-    ids = graph.external_ids
     return (
-        len(graph._id_index) == len(ids)
+        len(set(ids)) == len(ids)
         and all(ids)
         and all(map(str.__eq__, ids, map(str.strip, ids)))
         and "\0" not in "".join(ids)
@@ -441,11 +473,13 @@ def _ids_reload_intact(graph: SocialGraph) -> bool:
     )
 
 
-def _reloaded(graph: SocialGraph, src: np.ndarray) -> tuple[np.ndarray, list[str]]:
+def _reloaded(
+    graph: SocialGraph, src: np.ndarray, ids: Sequence[str]
+) -> tuple[np.ndarray, list[str]]:
     """The sorted edge keys and ids of the graph `load_edges` parses from
-    `save_edges`' CSV of `graph`, whose ids reload intact and are distinct:
-    dense ids renumbered by first appearance over the rows (`src` their
-    followers), isolated users gone."""
+    `save_edges`' CSV of `graph`, whose ids `ids` reload intact and are
+    distinct: dense ids renumbered by first appearance over the rows (`src`
+    their followers), isolated users gone."""
     n, m = graph.n_users, graph.n_edges
     indptr, dst = graph._follows.indptr, graph._follows.indices
     # each user's first position in the interleaved (src, dst) rows: twice
@@ -454,7 +488,7 @@ def _reloaded(graph: SocialGraph, src: np.ndarray) -> tuple[np.ndarray, list[str
     first = np.where(np.diff(indptr) > 0, 2 * indptr[:-1], 2 * m)
     followers = graph._followers
     followee = np.flatnonzero(np.diff(followers.indptr))
-    key = followers.indices[followers.indptr[followee]] * n + followee
+    key = followers.indices[followers.indptr[followee]].astype(np.int64) * n + followee
     first[followee] = np.minimum(first[followee], 2 * np.searchsorted(src * n + dst, key) + 1)
     order = np.argsort(first)[: np.count_nonzero(first < 2 * m)]
     dense = np.empty(n, dtype=np.int64)
@@ -463,7 +497,6 @@ def _reloaded(graph: SocialGraph, src: np.ndarray) -> tuple[np.ndarray, list[str
     keys *= len(order)
     keys += dense[dst]
     keys.sort()
-    ids = graph.external_ids
     return keys, [ids[u] for u in order.tolist()]
 
 
@@ -509,10 +542,10 @@ def _read_sidecar(path: str, digest: bytes) -> SocialGraph:
     ids = text.split("\0") if text else []
     if len(ids) != n:
         raise ValueError("the id blob does not hold one id per user")
+    if len(set(ids)) != n:
+        raise ValueError("repeated id")
     graph = SocialGraph.__new__(SocialGraph)  # keys sorted and distinct: no deduplication
     graph._assign(n, keys, ids, dropped)  # a GraphError on bad keys
-    if len(graph._id_index) != n:
-        raise ValueError("repeated id")
     return graph
 
 

@@ -16,6 +16,7 @@ from infodemic import _table as table_module
 from infodemic import graph as graph_module
 from infodemic import replica as replica_module
 from infodemic._rng import derive_seed
+from infodemic.cascade import _lane_reach
 from infodemic.graph import (
     EDGE_HEADER,
     EdgeParseError,
@@ -255,6 +256,30 @@ def test_unknown_external_id():
     g = load_edges(io.StringIO(CSV))
     with pytest.raises(GraphError):
         g.dense_id("mallory")
+
+
+def test_graph_without_ids_has_its_decimal_dense_ids():
+    g = SocialGraph(12, [(0, 11), (3, 2)])
+    assert g.external_ids == tuple(str(u) for u in range(12))
+    assert [g.dense_id(str(u)) for u in range(12)] == list(range(12))
+    # only the digits `str` writes name a user
+    odd = ["12", "-1", "-0", "+1", " 1", "1 ", "01", "1_1", "\u0661", "", "x", "1.0"]
+    for external in odd:
+        with pytest.raises(GraphError, match="unknown user id"):
+            g.dense_id(external)
+
+
+def test_too_many_users_fail_before_any_allocation(monkeypatch):
+    def allocate(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(np, "zeros", allocate)
+    monkeypatch.setattr(np, "bincount", allocate)
+    with pytest.raises(GraphError, match="n_users"):
+        SocialGraph(2**31, [])
+    # the largest graph passes the check, up to its first allocation
+    with pytest.raises(AssertionError, match="allocated"):
+        SocialGraph(2**31 - 1, [])
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -518,7 +543,8 @@ def test_capped_windows_keep_the_replica_graph(replica_3000, draws):
 def test_graph_build_and_save_memory_is_bounded(tmp_path):
     """Criterion 5's 5e4-user replica graph (821,002 edges): the build's
     draws are held a window at a time and the CSV is written a chunk at a
-    time, so neither holds the whole graph's draws or CSV bytes."""
+    time, so neither holds the whole graph's draws or CSV bytes; the graph
+    itself keeps two int32 neighbor arrays (6.6 MB) and no id strings."""
     config = GraphGenConfig(
         n_users=50_000,
         exponent=replica_module.GRAPH_EXPONENT,
@@ -539,7 +565,39 @@ def test_graph_build_and_save_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert g.n_edges == 821_002
     assert generate_peak < 45e6
+    assert base < 10e6
     assert save_peak < 40e6
+
+
+def test_ids_past_int32_products_save_reload_and_reach(tmp_path):
+    """A 70,000-user graph, every user on a ring, plus edges between ids
+    near 0 and ids >= 65,536: a follower index times n and a reach key
+    exceed int32, so each must be computed in int64."""
+    n = 70_000
+    ring = [(u, (u + 1) % n) for u in range(n)]
+    cross = [(0, 69_999), (65_536, 1), (69_999, 65_536), (3, 65_537), (65_537, 2), (68_000, 0)]
+    g = SocialGraph(n, ring + cross)
+    path = tmp_path / "edges.csv"
+    save_edges(g, path)
+    from_sidecar = load_from_sidecar(path)
+    sidecar_of(path).unlink()
+    parsed = parse_file(path)
+    assert_csr_equal(from_sidecar, csr_arrays(parsed))
+    assert from_sidecar.external_ids == parsed.external_ids
+    # actor keys `group * n + user`, up to 4.9e9
+    rng = np.random.default_rng(5)
+    users = np.array([0, 1, 2, 3, 65_536, 65_537, 68_000, 69_999] * 3, dtype=np.int64)
+    keys = rng.integers(0, n, len(users)) * n + users
+    for dtype in (np.uint8, np.uint64):
+        masks = rng.integers(1, np.iinfo(dtype).max, len(keys), dtype=dtype, endpoint=True)
+        want: dict[int, int] = {}
+        for key, mask in zip(keys.tolist(), masks.tolist()):
+            group, u = divmod(key, n)
+            for v in [u, *followers(g, u).tolist()]:
+                want[group * n + v] = want.get(group * n + v, 0) | mask
+        got_keys, got_masks = _lane_reach(g, keys, masks)
+        assert got_keys.tolist() == sorted(want)
+        assert got_masks.tolist() == [want[k] for k in sorted(want)]
 
 
 def _sha256_of_saved(g: SocialGraph, tmp_path) -> str:
@@ -590,7 +648,7 @@ def test_replica_graphs_pinned(config, n_edges, indptr_sha, indices_sha):
     follows = build_replica(config).graph._follows
     assert len(follows.indices) == n_edges
     assert hashlib.sha256(follows.indptr.tobytes()).hexdigest() == indptr_sha
-    assert hashlib.sha256(follows.indices.tobytes()).hexdigest() == indices_sha
+    assert hashlib.sha256(follows.indices.astype(np.int64).tobytes()).hexdigest() == indices_sha
 
 def reference_load(text: str):
     """Row-by-row loader: (external ids, edge set, self-edges dropped).
