@@ -194,19 +194,18 @@ LANES = 64
 
 
 class _Run(NamedTuple):
-    """A `_spread` run.  Its retweets, in (day, tweet, user) order: each
-    one's day ordinal, tweet index and user, and `lanes`, the mask of the
-    lanes it happens in.  `first_correction[l]` holds, per user, the
-    period day index of the first corrective exposure in lane l (a value
-    past the period for never).  `_lane_runs` fills in `reach`, the
-    sorted `day * n_users + user` keys of who the run's posts reach on
-    each period day, and `reach_lanes`, the lanes in which they do."""
+    """A `_spread` run of `width` lanes.  Its retweets, in (day, tweet,
+    user) order: each one's day ordinal, tweet index and user, and
+    `lanes`, the mask of the lanes it happens in.  `_lane_runs` fills in
+    `reach`, the sorted `day * n_users + user` keys of who the run's
+    posts reach on each period day, and `reach_lanes`, the lanes in which
+    they do."""
 
     day: np.ndarray
     tweet: np.ndarray
     user: np.ndarray
     lanes: np.ndarray
-    first_correction: Sequence[np.ndarray]
+    width: int
     reach: np.ndarray | None = None
     reach_lanes: np.ndarray | None = None
 
@@ -270,22 +269,23 @@ def _spread(
     rng_seed: int,
     *,
     blocks: bool = False,
-    first_correction: Sequence[np.ndarray] | None = None,
+    corrections: Sequence[tuple[np.ndarray, np.ndarray]] = (),
 ) -> _Run:
     """`simulate_cascades`' diffusion of `seeds` in up to `LANES` rate
     lanes at once: lane l runs at the rates `rates[:, l]`, one per seed.
-    `blocks` is `corrective_blocks_misinfo`.  `first_correction[l]` holds,
-    per user, the index of the period day of the first corrective
-    exposure (any value >= the period's length for never) for lane l; it
-    seeds the lane's own record, so a misinformation run given a
-    corrective run's days blocks exactly as the run holding both would.
+    `blocks` is `corrective_blocks_misinfo`.  Each of `corrections` is a
+    pair of distinct sorted `day * n_users + user` keys, the period days
+    on which corrective posts reach users, and per key the mask of the
+    lanes it gates; so a misinformation run given a corrective run's
+    reach blocks exactly as the run holding both would.
 
     Every lane uses each (tweet, user) key's one draw, so a key's state is
     a mask of the lanes it holds in, of the narrowest unsigned dtype with
     a bit per lane.  A day's audience keys carry the union of their
     actors' lanes; a key decides in the lanes that newly expose it, and
     retweets in those whose rate is above its draw and that do not block
-    it.  Each lane so gets exactly the run at its own rates.
+    it: those of the user's corrective exposures on earlier days.  Each
+    lane so gets exactly the run at its own rates.
     """
     n, t = graph.n_users, len(seeds)
     start, end = period
@@ -304,16 +304,18 @@ def _spread(
 
     # (tweet, user) state lives under the key tweet * n + user
     exposed = np.zeros(t * n, dtype=dtype)
-    # per lane and user, the first day of corrective exposure (copied before it is lowered)
-    if first_correction is None:
-        first_correction = [np.full(n, n_days, dtype=np.int64)] * lanes
-    first = [f.copy() for f in first_correction] if corrective.any() else list(first_correction)
+    # per user, the lanes of a corrective exposure before the current day
+    corrected = np.zeros(n, dtype=dtype)
     # keys and lanes of retweets landing today, sorted, so seq follows
     # (day, tweet, user) order; the empty first entries keep the
     # concatenations defined
     pending, pending_lanes = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype)
     landed, landed_lanes, landed_day = [pending], [pending_lanes], [0]
     for d in range(n_days):
+        # the corrective exposures of the day before; a day's keys hold each user once
+        for keys, gates in corrections:
+            lo, hi = np.searchsorted(keys, [(d - 1) * n, d * n])
+            corrected[keys[lo:hi] - (d - 1) * n] |= gates[lo:hi]
         seeded = np.flatnonzero(seed_day == d)
         if len(seeded) == 0 and len(pending) == 0:
             continue
@@ -340,18 +342,16 @@ def _spread(
         i = np.flatnonzero((draw < top[tweet]) & (user != author[tweet]))
         tweet_i, user_i, draw = tweet[i], user[i], draw[i]
         hit = new[i] & _lane_mask((draw < rate[tweet_i] for rate in rates.T), dtype)
-        # corrective exposure counts from the next day on
-        gated = np.flatnonzero(blockable[tweet_i] & (hit > 0))
-        hit[gated] &= ~_lane_mask((f[user_i[gated]] < d for f in first), dtype)
-        corrected = corrective[tweet]
-        for lane, f in enumerate(first if corrected.any() else ()):
-            u = user[corrected & ((new & (1 << lane)) > 0)]
-            f[u] = np.minimum(f[u], d)
+        if blockable.any():  # corrective exposure counts from the next day on
+            gated = np.flatnonzero(blockable[tweet_i] & (hit > 0))
+            hit[gated] &= ~corrected[user_i[gated]]
+            c = np.flatnonzero(corrective[tweet])
+            np.bitwise_or.at(corrected, user[c], new[c])
         retweets = np.flatnonzero(hit > 0)
         pending, pending_lanes = keys[i[retweets]], hit[retweets]
     tweet, user = np.divmod(np.concatenate(landed), n)
     day = np.repeat(landed_day, [len(k) for k in landed])
-    return _Run(day, tweet, user, np.concatenate(landed_lanes), first)
+    return _Run(day, tweet, user, np.concatenate(landed_lanes), lanes)
 
 
 def _lane_runs(
@@ -360,14 +360,16 @@ def _lane_runs(
     rates: Sequence[float] | np.ndarray,
     period: tuple[date, date],
     rng_seed: int,
-    first_correction: Sequence[np.ndarray] | None = None,
+    corrections: Sequence[tuple[np.ndarray, np.ndarray, Sequence[int]]] = (),
     **kw,
 ) -> Iterator[tuple[_Run, int]]:
     """`_spread` in one lane per column of `rates`, a (seeds, lanes) table
-    or one row for every seed, and of `first_correction`: runs of up to
-    `LANES` lanes each, with their reach; one (run, lane) per column.  A
-    run reaches on each day whoever its posts of that day reach: the
-    seeds of the period, in every lane, and the landed retweets, in theirs."""
+    or one row for every seed: runs of up to `LANES` lanes each, with
+    their reach; one (run, lane) per column.  Each of `corrections` is a
+    corrective run's reach keys and lane masks, and per lane c of those
+    masks, the mask of the columns that lane c gates.  A run reaches on
+    each day whoever its posts of that day reach: the seeds of the
+    period, in every lane, and the landed retweets, in theirs."""
     n, start = graph.n_users, period[0]
     rates = np.asarray(rates, dtype=np.float64)
     rates = np.broadcast_to(rates, (len(seeds), rates.shape[-1]))
@@ -375,15 +377,20 @@ def _lane_runs(
     day = np.array([(s.day - start).days for s in seeds], dtype=np.int64)
     seed_keys = (day * n + author)[(day >= 0) & (day <= (period[1] - start).days)]
     for group in range(0, rates.shape[1], LANES):
-        first = None if first_correction is None else first_correction[group : group + LANES]
-        run = _spread(graph, seeds, rates[:, group : group + LANES], period, rng_seed,
-                      first_correction=first, **kw)
-        lanes = len(run.first_correction)
+        columns = rates[:, group : group + LANES]
+        low = (1 << columns.shape[1]) - 1
+        mine, dtype = [], np.min_scalar_type(low)
+        for keys, masks, lane_map in corrections:  # each key's gates in this run's lanes
+            gates = np.zeros(len(keys), dtype)
+            for c, gated in enumerate(lane_map):
+                gates[(masks >> masks.dtype.type(c) & 1) > 0] |= dtype.type(gated >> group & low)
+            mine.append((keys, gates))
+        run = _spread(graph, seeds, columns, period, rng_seed, corrections=mine, **kw)
         keys = np.concatenate([seed_keys, (run.day - start.toordinal()) * n + run.user])
-        every = np.full(len(seed_keys), (1 << lanes) - 1, run.lanes.dtype)
+        every = np.full(len(seed_keys), low, run.lanes.dtype)
         reach, reach_lanes = _lane_reach(graph, keys, np.concatenate([every, run.lanes]))
         run = run._replace(reach=reach, reach_lanes=reach_lanes)
-        for lane in range(lanes):
+        for lane in range(run.width):
             yield run, lane
 
 

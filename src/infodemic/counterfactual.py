@@ -279,12 +279,12 @@ def sweep(
     equals `simulate_trial` at its rates and trial seed.
 
     A tweet's cascade depends only on its own draws, the graph and, for
-    misinformation, each user's first day of corrective exposure.  So a
-    trial spreads the soldout tweets once, the corrective tweets once with
-    each corrective rate as a lane of one `_spread` run, and the
+    misinformation, who corrective posts reach on which day.  So a trial
+    spreads the soldout tweets once, the corrective tweets once with each
+    corrective rate as a lane of one `_spread` run, and the
     misinformation tweets once with a lane per (corrective rate,
-    misinformation rate) pair, gated by that corrective lane's
-    first-correction days: 3 runs for the 6 x 7 default grid.  Runs hold
+    misinformation rate) pair, gated by that corrective lane's reach
+    keys: 3 runs for the 6 x 7 default grid.  Runs hold
     up to `LANES` lanes each.  A cell's class counts are the soldout
     counts with the (day, user) pairs its corrective lane reaches, then
     those its misinformation lane reaches, moved to the class that adds
@@ -318,17 +318,18 @@ def sweep(
         corrective = list(
             _lane_runs(graph, by_cat[TweetCategory.CORRECTIVE], corrective_rates, period, ts)
         )
-        bases = []
-        for run, lane in corrective:
-            if lane == 0:  # a new run: count all its lanes
-                lanes = len(run.first_correction)
-                tally = _lane_tally(code, soldout_counts, run.reach, run.reach_lanes, c_bit, lanes)
-                bases.extend(tally)
-        # pair lane j * width + i gates misinformation rate i by corrective lane j
-        gates = [run.first_correction[c] for run, c in corrective for _ in range(width)]
+        bases, corrections = [], []
+        for j, (run, lane) in enumerate(corrective):
+            if lane == 0:  # a new run: count all its lanes, and gate by them
+                bases.extend(
+                    _lane_tally(code, soldout_counts, run.reach, run.reach_lanes, c_bit, run.width)
+                )
+                # pair lane k * width + i gates misinformation rate i by corrective lane k
+                gated = [((1 << width) - 1) << k * width for k in range(j, j + run.width)]
+                corrections.append((run.reach, run.reach_lanes, gated))
         mis_runs = _lane_runs(
             graph, by_cat[TweetCategory.MISINFORMATION], np.tile(misinfo_rates, len(corrective)),
-            period, ts, blocks=True, first_correction=gates,
+            period, ts, corrections, blocks=True,
         )
         for p, (mis, lane) in enumerate(mis_runs):
             j, i = divmod(p, width)
@@ -337,7 +338,7 @@ def sweep(
                 reach = run.lane_reach(c)
                 flat[reach] |= c_bit
                 masks = mis.reach_lanes >> mis.reach_lanes.dtype.type(lane)
-                lanes = min(width - i, len(mis.first_correction) - lane)
+                lanes = min(width - i, mis.width - lane)
                 counts = _lane_tally(code, bases[j], mis.reach, masks, m_bit, lanes)
                 flat[reach] ^= c_bit  # clears the bit set above
             sums[i][j].append(sum_index(predict(model, _matrix(start, counts[min(i, lane)]))))

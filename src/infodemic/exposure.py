@@ -100,37 +100,6 @@ _CLASS_CODES = np.array([sum(_CATEGORY_BITS[c] for c in cats) for cats in CLASS_
 _LANE_BITS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.float64)
 
 
-def _reach(
-    graph: SocialGraph,
-    acts: np.ndarray,
-    start: date,
-    out: np.ndarray,
-    *,
-    cumulative: bool = False,
-    include_actors: bool = True,
-) -> np.ndarray:
-    """Mark in the all-False (n_days, n_users) bool `out` who the actor
-    rows `acts` (`_actors` of some cascades) reach on each day from
-    `start`, and return `out`.
-
-    An actor (a seed author on the seed day, a retweeter on the retweet
-    day) reaches its followers, and itself with `include_actors`.
-    `cumulative` counts activity before the period on its first day and
-    carries every day's reach forward.
-    """
-    n_days = len(out)
-    day = acts["day"] - start.toordinal()
-    if cumulative:
-        np.maximum(day, 0, out=day)
-    inside = (day >= 0) & (day < n_days)
-    actors = day[inside] * graph.n_users + acts["user"][inside]
-    keys = _audience(graph, actors)
-    out.reshape(-1)[keys if include_actors else keys[len(actors) :]] = True
-    if cumulative:
-        np.logical_or.accumulate(out, axis=0, out=out)
-    return out
-
-
 def _code_counts(code: np.ndarray) -> np.ndarray:
     """(n_days, 8) count of each category code per day of an
     (n_days, n_users) code array: one bincount over (day, code)."""
@@ -179,18 +148,38 @@ def exposure_matrix(
 
 
 def _category_code(
-    graph: SocialGraph, cascades: Sequence[Cascade], period: tuple[date, date], **reach
+    graph: SocialGraph,
+    cascades: Sequence[Cascade],
+    period: tuple[date, date],
+    *,
+    cumulative: bool = False,
+    include_actors: bool = True,
 ) -> np.ndarray:
     """(n_days, n_users) uint8 category code of who `cascades` reach on
-    each day of the inclusive period; `reach` is passed to `_reach`."""
+    each day of the inclusive period: each category's bit is set at the
+    `day * n_users + user` keys of its posts' audience.
+
+    An actor (a seed author on the seed day, a retweeter on the retweet
+    day) reaches its followers, and itself with `include_actors`.
+    `cumulative` counts activity before the period on its first day and
+    carries every day's reach forward.
+    """
     start, end = period
     if end < start:
         raise ExposureError("empty period")
     code = np.zeros(((end - start).days + 1, graph.n_users), dtype=np.uint8)
     for cat in TweetCategory:
-        mine = _actors([c for c in cascades if c.seed.category is cat])
-        reached = _reach(graph, mine, start, np.zeros(code.shape, dtype=bool), **reach)
-        code |= reached.view(np.uint8) * np.uint8(_CATEGORY_BITS[cat])
+        acts = _actors([c for c in cascades if c.seed.category is cat])
+        day = acts["day"] - start.toordinal()
+        if cumulative:
+            np.maximum(day, 0, out=day)
+        inside = (day >= 0) & (day < len(code))
+        actors = day[inside] * graph.n_users + acts["user"][inside]
+        keys = _audience(graph, actors)[0 if include_actors else len(actors) :]
+        # a repeated key writes the same code each time
+        code.reshape(-1)[keys] |= np.uint8(_CATEGORY_BITS[cat])
+    if cumulative:
+        np.bitwise_or.accumulate(code, axis=0, out=code)
     return code
 
 

@@ -16,7 +16,6 @@ from infodemic.cascade import (
     CascadeError,
     SeedTweet,
     TweetCategory,
-    _actors,
     _lane_reach,
     _lane_runs,
     _prune,
@@ -27,7 +26,7 @@ from infodemic.cascade import (
     save_cascades,
     simulate_cascades,
 )
-from infodemic.exposure import _reach
+from infodemic.exposure import _category_code
 from infodemic.graph import SocialGraph
 
 
@@ -431,21 +430,18 @@ def test_simulation_matches_per_tweet_reference(case):
     assert got == reference_simulate(graph, seeds, rates, period, rng_seed, **kw)
 
 
-def first_correction_days(graph, cascades, period):
-    """Per user, the period day index of the first corrective exposure
-    (as an actor or a follower of one); the period's length for never."""
-    start, end = period
-    n_days = (end - start).days + 1
-    first = np.full(graph.n_users, n_days)
-    for c in cascades:
-        assert c.seed.category is TweetCategory.CORRECTIVE
-        posts = [(c.seed.day.toordinal(), c.seed.author)]
-        for day, actor in posts + [(day, user) for user, day, _ in c.events.tolist()]:
-            d = day - start.toordinal()
-            if 0 <= d < n_days:
-                for u in [actor, *followers(graph, actor).tolist()]:
-                    first[u] = min(first[u], d)
-    return first
+def day_keys(row, period):
+    """The sorted `day * n_users + user` keys of a per-user row of period
+    day indices, as a corrective run's reach keys hold a user's exposure;
+    days past the period mean never."""
+    users = np.flatnonzero(row <= (period[1] - period[0]).days)
+    return np.sort(row[users] * len(row) + users)
+
+
+def correction(keys, lanes):
+    """A `_lane_runs` correction by which every one of `keys` gates the
+    lanes of the mask `lanes`."""
+    return keys, np.ones(len(keys), np.uint8), [lanes]
 
 
 def lane_cascades(seeds, run, lane):
@@ -460,7 +456,7 @@ def lane_cascades(seeds, run, lane):
 
 @given(simulation_cases())
 @settings(max_examples=200, deadline=None)
-def test_misinfo_run_given_first_correction_days_matches_joint_run(case):
+def test_misinfo_run_given_corrective_reach_matches_joint_run(case):
     graph, seeds, rates, period, rng_seed, _ = case
     joint = simulate_cascades(
         graph, seeds, rates, period, rng_seed, corrective_blocks_misinfo=True
@@ -470,12 +466,12 @@ def test_misinfo_run_given_first_correction_days_matches_joint_run(case):
         (s for s in seeds if s.category is TweetCategory.MISINFORMATION),
         key=lambda s: (s.day, s.seq),
     )
-    first = first_correction_days(
-        graph, simulate_cascades(graph, corrective, rates, period, rng_seed), period
+    ((corrected, _),) = _lane_runs(
+        graph, corrective, [rates.get(TweetCategory.CORRECTIVE, 0.0)], period, rng_seed
     )
     ((run, lane),) = _lane_runs(
         graph, misinfo, [rates.get(TweetCategory.MISINFORMATION, 0.0)], period, rng_seed,
-        blocks=True, first_correction=[first],
+        [(corrected.reach, corrected.reach_lanes, [1])], blocks=True,
     )
     alone = lane_cascades(misinfo, run, lane)
 
@@ -510,20 +506,24 @@ def lane_cases(draw):
 
 
 def assert_lanes_equal_one_lane_runs(graph, seeds, lanes, period, rng_seed, blocks, first):
-    """Every lane of `_lane_runs` holds exactly the events, reach and
-    first-correction days of the one-lane run at that lane's rates and
-    given first-correction days, as the per-tweet reference loop gives
-    them, and, without given first-correction days, `simulate_cascades`
-    too."""
+    """Every lane of `_lane_runs` holds exactly the events and reach of the
+    one-lane run at that lane's rates and given first-correction days, as
+    the per-tweet reference loop gives them, and, without given
+    first-correction days, `simulate_cascades` too.  The lanes are gated
+    by one correction per distinct row, its day keys in the lanes that
+    take the row."""
     seeds = sorted(seeds, key=lambda s: (s.day, s.seq))
     table = np.array([[rates.get(s.category, 0.0) for rates in lanes] for s in seeds])
+    rows = {}
+    for k, row in enumerate(first or ()):
+        keys, bits = rows.get(id(row), (day_keys(row, period), 0))
+        rows[id(row)] = (keys, bits | 1 << k)
     runs = list(_lane_runs(
         graph, seeds, table.reshape(len(seeds), len(lanes)), period, rng_seed,
-        blocks=blocks, first_correction=first,
+        [correction(keys, bits) for keys, bits in rows.values()], blocks=blocks,
     ))
     assert len(runs) == len(lanes)
     assert [lane for _, lane in runs] == [i % LANES for i in range(len(lanes))]
-    n_days = (period[1] - period[0]).days + 1
     # lanes repeat (rates, row) cases: each is worked out once
     wants = {}
     for k, (rates, (run, lane)) in enumerate(zip(lanes, runs)):
@@ -538,15 +538,8 @@ def assert_lanes_equal_one_lane_runs(graph, seeds, lanes, period, rng_seed, bloc
                 assert simulate_cascades(graph, seeds, rates, period, rng_seed, **kw) == wants[case]
         want = wants[case]
         assert lane_cascades(seeds, run, lane) == want
-        reach = _reach(graph, _actors(want), period[0], np.zeros((n_days, graph.n_users), bool))
+        reach = _category_code(graph, want, period)
         np.testing.assert_array_equal(run.lane_reach(lane), np.flatnonzero(reach))
-        corrective = [c for c in want if c.seed.category is TweetCategory.CORRECTIVE]
-        want_first = first_correction_days(graph, corrective, period)
-        if first is not None:
-            want_first = np.minimum(want_first, given)
-        # any day past the period means never
-        got_first = np.minimum(run.first_correction[lane], n_days)
-        np.testing.assert_array_equal(got_first, want_first)
 
 
 @given(lane_cases())
@@ -581,25 +574,53 @@ def test_rate_lanes_equal_one_lane_runs_on_denser_graphs():
 @settings(max_examples=100, deadline=None)
 def test_misinfo_pair_lanes_equal_one_lane_runs(case, corrective_rates, misinfo_rates):
     """A misinformation run with a lane per (corrective lane, misinformation
-    rate) pair, each gated by its own corrective lane's first-correction
-    row, as `sweep` spreads it: each lane equals the one-lane run gated
-    by that row alone."""
+    rate) pair, each gated by its own corrective lane's reach keys, as
+    `sweep` spreads it: each lane equals the one-lane run gated by that
+    reach alone."""
     graph, seeds, _, period, rng_seed, _ = case
     by_day = sorted(seeds, key=lambda s: (s.day, s.seq))
     corrective = [s for s in by_day if s.category is TweetCategory.CORRECTIVE]
     misinfo = [s for s in by_day if s.category is TweetCategory.MISINFORMATION]
-    rows = [run.first_correction[lane]
-            for run, lane in _lane_runs(graph, corrective, corrective_rates, period, rng_seed)]
-    pairs = [(row, rate) for row in rows for rate in misinfo_rates]
+    width = len(misinfo_rates)
+    reaches, corrections = [], []
+    for j, (run, lane) in enumerate(
+        _lane_runs(graph, corrective, corrective_rates, period, rng_seed)
+    ):
+        reaches.append(run.lane_reach(lane))
+        if lane == 0:
+            gated = [((1 << width) - 1) << k * width for k in range(j, j + run.width)]
+            corrections.append((run.reach, run.reach_lanes, gated))
+    pairs = [(reach, rate) for reach in reaches for rate in misinfo_rates]
     runs = _lane_runs(
-        graph, misinfo, [rate for _, rate in pairs], period, rng_seed,
-        blocks=True, first_correction=[row for row, _ in pairs],
+        graph, misinfo, [rate for _, rate in pairs], period, rng_seed, corrections, blocks=True
     )
-    for (row, rate), (run, lane) in zip(pairs, runs, strict=True):
+    for (reach, rate), (run, lane) in zip(pairs, runs, strict=True):
         ((alone, _),) = _lane_runs(graph, misinfo, [rate], period, rng_seed,
-                                   blocks=True, first_correction=[row])
+                                   [correction(reach, 1)], blocks=True)
         assert lane_cascades(misinfo, run, lane) == lane_cascades(misinfo, alone, 0)
         np.testing.assert_array_equal(run.lane_reach(lane), alone.lane_reach(0))
+
+
+def test_corrective_exposures_of_one_day_join_their_lanes():
+    """Two corrective tweets first reach user 2 on one day, one in both
+    lanes and one in lane 0 only: the misinformation that reaches 2 the
+    day after is gated in both lanes, as each lane's one-lane run gates
+    it."""
+    # 4 and 5 retweet the corrections of 0 and 1 to 2; 3 posts misinformation to 2
+    graph = SocialGraph(6, [(4, 0), (5, 1), (2, 4), (2, 5), (2, 3)])
+    draws = {u: uniform_for_users(derive_seed(9, "rt", f"c{u}"), [u + 4])[0] for u in (0, 1)}
+    low, high = sorted(draws, key=draws.get)  # the author of the lower draw posts first
+    seeds = [seed(low, seq=-3, tid=f"c{low}"), seed(high, seq=-2, tid=f"c{high}"),
+             seed(3, DAY0 + timedelta(days=2), -1, TweetCategory.MISINFORMATION, "m")]
+    lanes = [{CORRECTIVE: 1.0, TweetCategory.MISINFORMATION: 1.0},
+             {CORRECTIVE: (draws[low] + draws[high]) / 2, TweetCategory.MISINFORMATION: 1.0}]
+    assert_lanes_equal_one_lane_runs(graph, seeds, lanes, days(4), 9, True, None)
+    # lane 1 as described: only the first correction is retweeted, and 2 is gated
+    first, second, misinfo = reference_simulate(
+        graph, seeds, lanes[1], days(4), 9, corrective_blocks_misinfo=True
+    )
+    assert low + 4 in first.retweeters and high + 4 not in second.retweeters
+    assert 2 not in misinfo.retweeters
 
 
 @given(st.sampled_from([1, 8, 9, 33, 64]), st.data())

@@ -10,6 +10,7 @@ from infodemic import counterfactual
 from infodemic._rng import derive_seed
 from conftest import followers, prune, random_graph
 from infodemic.cascade import (
+    LANES,
     Cascade,
     CascadeError,
     SeedTweet,
@@ -341,6 +342,22 @@ def test_sweep_across_lane_groups_equals_per_cell_trials(small_replica, fitted):
     misinfo = [0.0, 0.3, 0.05, 0.00186, 0.05, 0.01, 0.2, 0.0, 0.03, 0.1]
     assert_sweep_equals_trials(r.graph, r.seed_tweets, fitted, corrective, misinfo, 1, 4,
                                r.config.period)
+
+
+def test_sweep_across_corrective_lane_groups_equals_per_cell_trials():
+    """`LANES` + 2 corrective rates, so the corrective tweets spread in two
+    lane groups, and the second group's rates differ from the first's:
+    each corrective lane must gate its own misinformation lanes."""
+    # 2 retweets 0's correction to 3, who follows the misinformation author 1
+    graph = SocialGraph(5, [(2, 0), (3, 2), (3, 1), (4, 3)])
+    day = REAL_PERIOD[0]
+    seeds = [
+        SeedTweet("c", 0, TweetCategory.CORRECTIVE, day, -2),
+        SeedTweet("m", 1, TweetCategory.MISINFORMATION, date(2020, 2, 23), -1),
+    ]
+    corrective = [0.0, 1.0] * (LANES // 2) + [1.0, 0.0]
+    assert_sweep_equals_trials(graph, seeds, reference_model(5, REAL_PERIOD), corrective,
+                               [1.0], 1, 3, REAL_PERIOD)
 
 
 @given(simulation_cases(), st.data())
