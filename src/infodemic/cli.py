@@ -161,6 +161,19 @@ def _require(cfg: dict, *keys: str) -> None:
         raise CliError(f"missing required option(s): {', '.join('--' + m.replace('_', '-') for m in missing)}")
 
 
+def _given(cfg: dict, *names: str, **renamed: str) -> dict:
+    """The library keywords of the options the command was given: each of
+    `names` under its own name, each key of `renamed` under its value.  An
+    option left out takes the default of the library call it feeds."""
+    pairs = [(n, n) for n in names] + list(renamed.items())
+    return {kw: cfg[key] for key, kw in pairs if key in cfg}
+
+
+def _levels(cfg: dict, key: str, studied) -> list[float]:
+    """The one value given for `key`, or else the studied levels."""
+    return [cfg[key]] if key in cfg else list(studied)
+
+
 def _load_seeds(cfg: dict):
     graph = load_edges_file(cfg["graph"])
     with open(cfg["tweets"], encoding="utf-8", newline="") as fh:
@@ -179,15 +192,8 @@ def _load_dataset(cfg: dict):
 def cmd_gen_graph(args) -> None:
     cfg = _effective(args)
     _require(cfg, "n_users")
-    g = generate_graph(
-        GraphGenConfig(
-            n_users=cfg["n_users"],
-            exponent=cfg.get("exponent", 2.5),
-            min_degree=cfg.get("min_degree", 1),
-            max_degree=cfg.get("max_degree"),
-            seed=cfg.get("seed", 0),
-        )
-    )
+    options = _given(cfg, "exponent", "min_degree", "max_degree", "seed")
+    g = generate_graph(GraphGenConfig(cfg["n_users"], **options))
     path = _outpath(cfg, "edges.csv")
     save_edges(g, path)
     print(f"wrote {path}: {g.n_users} users, {g.n_edges} edges")
@@ -218,13 +224,8 @@ def cmd_exposure(args) -> None:
     cfg = _effective(args)
     _require(cfg, "graph", "tweets", "retweets", "period")
     graph, _, cascades = _load_dataset(cfg)
-    m = exposure_matrix(
-        graph,
-        cascades,
-        cfg["period"],
-        cumulative=cfg.get("cumulative_exposure", False),
-        include_actors=cfg.get("include_authors", True),
-    )
+    options = _given(cfg, cumulative_exposure="cumulative", include_authors="include_actors")
+    m = exposure_matrix(graph, cascades, cfg["period"], **options)
     path = _outpath(cfg, "exposure.csv")
     m.to_csv(path, _comments(cfg))
     print(f"wrote {path}: {len(m.days)} days")
@@ -237,12 +238,7 @@ def cmd_fit(args) -> None:
     with open(cfg["sales"], encoding="utf-8", newline="") as fh:
         sales = SalesSeries.from_csv(fh)
     matrix = exposure_matrix(graph, cascades, cfg["period"])
-    model = fit(
-        matrix,
-        sales,
-        k=cfg.get("k", 4),
-        drop_nonsignificant=cfg.get("drop_nonsignificant_pcs", False),
-    )
+    model = fit(matrix, sales, **_given(cfg, "k", drop_nonsignificant_pcs="drop_nonsignificant"))
     mpath = _outpath(cfg, "model.json")
     save_model(model, mpath)
     d = model.diagnostics
@@ -288,11 +284,8 @@ def cmd_whatif(args) -> None:
     graph, _, cascades = _load_dataset(cfg)
     period = cfg["period"]
     seed = cfg.get("seed", 0)
-    retentions = (
-        [cfg["retention"]]
-        if cfg.get("retention") is not None
-        else [r / CORRECTIVE_RATE_LEVELS[0] for r in CORRECTIVE_RATE_LEVELS]
-    )
+    studied = [r / CORRECTIVE_RATE_LEVELS[0] for r in CORRECTIVE_RATE_LEVELS]
+    retentions = _levels(cfg, "retention", studied)
     # full retention, the baseline, does not depend on the seed
     levels = list(dict.fromkeys([1.0, *retentions]))
     seeds = [derive_seed(seed, "w", t) for t in range(trials)]
@@ -317,26 +310,16 @@ def cmd_sweep(args) -> None:
     _require(cfg, "model", "graph", "tweets", "period")
     model = load_model(cfg["model"])
     graph, seeds = _load_seeds(cfg)
-    corrective = (
-        [cfg["corrective_rate"]]
-        if cfg.get("corrective_rate") is not None
-        else list(CORRECTIVE_RATE_LEVELS)
-    )
-    misinfo = (
-        [cfg["misinfo_rate"]]
-        if cfg.get("misinfo_rate") is not None
-        else list(MISINFO_RATE_LEVELS)
-    )
     grid = sweep(
         graph,
         seeds,
         model,
-        corrective,
-        misinfo,
+        _levels(cfg, "corrective_rate", CORRECTIVE_RATE_LEVELS),
+        _levels(cfg, "misinfo_rate", MISINFO_RATE_LEVELS),
         trials=cfg.get("trials", 10),
         base_seed=cfg.get("seed", 0),
         period=cfg["period"],
-        soldout_rt_rate=cfg.get("soldout_rate", REAL_SOLDOUT_RT_RATE),
+        **_given(cfg, soldout_rate="soldout_rt_rate"),
     )
     p1, p2 = _outpath(cfg, "sweep_trials.csv"), _outpath(cfg, "sweep_summary.csv")
     sweep_trials_csv(grid, p1, _comments(cfg))

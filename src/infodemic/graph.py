@@ -201,8 +201,8 @@ class GraphGenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_users < 0:
-            raise GraphError("n_users must be >= 0")
+        if not 0 <= self.n_users <= _MAX_USERS:
+            raise GraphError(f"n_users must be in [0, {_MAX_USERS}]")
         if self.n_users == 0:
             return
         if self.fixed_degree is not None:

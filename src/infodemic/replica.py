@@ -23,7 +23,7 @@ from .counterfactual import REAL_CORRECTIVE_RT_RATE, REAL_MISINFO_RT_RATE, REAL_
 from .exposure import ExposureMatrix, exposure_matrix
 from .graph import GraphGenConfig, SocialGraph, generate_graph
 from .numerics import OlsResult, PcaResult
-from .salesmodel import FittedSalesModel, SalesSeries
+from .salesmodel import FittedSalesModel, SalesSeries, predict
 
 log = logging.getLogger("infodemic.replica")
 
@@ -186,14 +186,8 @@ def build_replica(config: ReplicaConfig = ReplicaConfig()) -> Replica:
         derive_seed(config.seed, "replica-cascades"),
     )
     matrix = exposure_matrix(graph, cascades, config.period)
-    scale = REAL_ACCOUNT_COUNT / config.n_users
-    impacts = REFERENCE_IMPACTS * scale
-    values = (
-        REFERENCE_INTERCEPT
-        + matrix.counts @ impacts
-        + rng.normal(0.0, SALES_NOISE, size=len(matrix.days))
-    )
-    sales = SalesSeries(matrix.days, values)
+    exact = predict(reference_model(config.n_users, config.period), matrix).values
+    sales = SalesSeries(matrix.days, exact + rng.normal(0.0, SALES_NOISE, size=len(matrix.days)))
     log.info(
         "replica: %d users, %d edges, %d cascades, %d retweets",
         graph.n_users,
@@ -208,5 +202,5 @@ def build_replica(config: ReplicaConfig = ReplicaConfig()) -> Replica:
         cascades=tuple(cascades),
         matrix=matrix,
         sales=sales,
-        impact_scale=scale,
+        impact_scale=REAL_ACCOUNT_COUNT / config.n_users,
     )

@@ -22,6 +22,7 @@ from .exposure import ExposureMatrix
 from .numerics import NumericsError, OlsResult, PcaResult, ols, pca, project
 
 MODEL_FORMAT_VERSION = 1
+_SIGNIFICANCE = 0.05  # the p-value above which `fit` may drop a component
 
 # sales.csv holds the index itself, or raw sales it is computed from
 SALES_HEADERS = (["date", "sales_index"], ["date", "sales", "sales_prev_year"])
@@ -109,13 +110,12 @@ def fit(
     k: int = 4,
     *,
     drop_nonsignificant: bool = False,
-    alpha: float = 0.05,
 ) -> FittedSalesModel:
     """PCA the seven viewer-count columns, regress k scores on the index.
 
-    `drop_nonsignificant` zeroes coefficients whose p-value exceeds
-    `alpha`; because centered PC scores are exactly uncorrelated this
-    equals refitting without those components (intercept included).
+    `drop_nonsignificant` zeroes coefficients whose p-value exceeds 0.05;
+    because centered PC scores are exactly uncorrelated this equals
+    refitting without those components (intercept included).
     """
     if matrix.days != sales.days:
         raise SalesModelError("exposure matrix and sales series cover different days")
@@ -130,7 +130,7 @@ def fit(
         raise SalesModelError(str(e)) from e
     coef = diag.coefficients.copy()
     if drop_nonsignificant:
-        coef[diag.p_values[:k] > alpha] = 0.0
+        coef[diag.p_values[:k] > _SIGNIFICANCE] = 0.0
     return FittedSalesModel(
         pca=p,
         k=k,

@@ -2,14 +2,22 @@ import hashlib
 import json
 import os
 import shutil
+from datetime import date
 
 import numpy as np
 import pytest
 
-from infodemic.cascade import save_cascades
+from infodemic.cascade import load_retweets, load_seed_tweets, save_cascades
 from infodemic.cli import main
-from infodemic.exposure import ExposureMatrix
-from infodemic.graph import SocialGraph, load_edges_file, save_edges
+from infodemic.counterfactual import sweep, sweep_summary_csv, sweep_trials_csv
+from infodemic.exposure import ExposureMatrix, exposure_matrix
+from infodemic.graph import (
+    GraphGenConfig,
+    SocialGraph,
+    generate_graph,
+    load_edges_file,
+    save_edges,
+)
 from infodemic.salesmodel import SalesSeries, fit, load_model, save_model
 
 PERIOD = "2020-02-21..2020-03-01"
@@ -344,6 +352,63 @@ def test_sweep_command_deterministic(pipeline, tmp_path):
 
     for name in ("sweep_trials.csv", "sweep_summary.csv"):
         assert data_lines(os.path.join(d1, name)) == data_lines(os.path.join(d2, name))
+
+
+def test_options_left_out_take_the_library_defaults(pipeline, replica_inputs, tmp_path):
+    """gen-graph, exposure, fit and sweep without their optional library
+    flags write what the library call writes given no optional keyword."""
+    cli, lib = tmp_path / "cli", tmp_path / "lib"
+    lib.mkdir()
+
+    def rows(path):
+        return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+    def load(graph_path, tweets_path, period):
+        graph = load_edges_file(graph_path)
+        with open(tweets_path, encoding="utf-8", newline="") as fh:
+            seeds = load_seed_tweets(fh, graph)
+        return graph, seeds, tuple(date.fromisoformat(x) for x in period.split(".."))
+
+    assert run("gen-graph", "--n-users", "300", "--out", str(cli)) == 0
+    save_edges(generate_graph(GraphGenConfig(n_users=300)), lib / "edges.csv")
+    assert (cli / "edges.csv").read_bytes() == (lib / "edges.csv").read_bytes()
+
+    edges, tweets, retweets, sales = (
+        os.path.join(pipeline, f"{n}.csv") for n in ("edges", "tweets", "retweets", "sales")
+    )
+    dataset = ["--graph", edges, "--tweets", tweets, "--retweets", retweets, "--period", PERIOD]
+    assert run("exposure", *dataset, "--out", str(cli)) == 0
+    assert run("fit", *dataset, "--sales", sales, "--out", str(cli)) == 0
+    graph, seeds, period = load(edges, tweets, PERIOD)
+    with open(retweets, encoding="utf-8", newline="") as fh:
+        matrix = exposure_matrix(graph, load_retweets(fh, graph, seeds), period)
+    matrix.to_csv(lib / "exposure.csv")
+    assert rows(cli / "exposure.csv") == rows(lib / "exposure.csv")
+    with open(sales, encoding="utf-8", newline="") as fh:
+        save_model(fit(matrix, SalesSeries.from_csv(fh)), lib / "model.json")
+    assert (cli / "model.json").read_bytes() == (lib / "model.json").read_bytes()
+
+    # the replica has 42 sold-out seeds, so the sold-out rate moves the sums
+    d, replica_period = replica_inputs
+    assert run(
+        "sweep", "--model", str(d / "model.json"), "--graph", str(d / "edges.csv"),
+        "--tweets", str(d / "tweets.csv"), "--period", replica_period,
+        "--corrective-rate", "0.02", "--misinfo-rate", "0.05", "--trials", "2", "--out", str(cli),
+    ) == 0
+    graph, seeds, period = load(d / "edges.csv", d / "tweets.csv", replica_period)
+    model = load_model(d / "model.json")
+    grid = sweep(graph, seeds, model, [0.02], [0.05], trials=2, base_seed=0, period=period)
+    sweep_trials_csv(grid, lib / "sweep_trials.csv")
+    sweep_summary_csv(grid, lib / "sweep_summary.csv")
+    for name in ("sweep_trials.csv", "sweep_summary.csv"):
+        assert rows(cli / name) == rows(lib / name)
+
+
+def test_gen_graph_rejects_more_users_than_a_graph_holds(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("gen-graph", "--n-users", "2147483648", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: n_users must be in [0, 2147483647]\n"
+    assert not out.exists()
 
 
 # retweets.csv digest -> the digest of the exposure.csv counted from it

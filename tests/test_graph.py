@@ -280,6 +280,10 @@ def test_too_many_users_fail_before_any_allocation(monkeypatch):
     # the largest graph passes the check, up to its first allocation
     with pytest.raises(AssertionError, match="allocated"):
         SocialGraph(2**31 - 1, [])
+    # a recipe checks the bound itself, before `generate_graph` allocates
+    with pytest.raises(GraphError, match="n_users"):
+        GraphGenConfig(n_users=2**31)
+    GraphGenConfig(n_users=2**31 - 1, min_degree=0, max_degree=0)
 
 
 def test_save_load_roundtrip(tmp_path):
