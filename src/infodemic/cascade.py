@@ -191,6 +191,8 @@ def sample_keep_set(cascade: Cascade, retention: float, rng_seed: int) -> np.nda
 
 # the most rate lanes one `_spread` run carries: one bit each of a uint64 mask
 LANES = 64
+# (mask byte, lane) -> 1 where the byte holds the lane
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(np.uint8)
 
 
 class _Run(NamedTuple):
@@ -208,10 +210,6 @@ class _Run(NamedTuple):
     width: int
     reach: np.ndarray | None = None
     reach_lanes: np.ndarray | None = None
-
-    def lane_reach(self, lane: int) -> np.ndarray:
-        """The sorted reach keys of lane `lane`."""
-        return self.reach[np.flatnonzero((self.reach_lanes & (1 << lane)) > 0)]
 
 
 def _check_run(graph: SocialGraph, seeds: Iterable[SeedTweet], period: tuple[date, date]) -> None:
@@ -367,7 +365,9 @@ def _lane_runs(
     or one row for every seed: runs of up to `LANES` lanes each, with
     their reach; one (run, lane) per column.  Each of `corrections` is a
     corrective run's reach keys and lane masks, and per lane c of those
-    masks, the mask of the columns that lane c gates.  A run reaches on
+    masks, the mask of the columns that lane c gates.  A key gates the OR
+    of its lanes' column masks, looked up for each byte of its mask in a
+    256-entry table of that byte's lanes.  A run reaches on
     each day whoever its posts of that day reach: the seeds of the
     period, in every lane, and the landed retweets, in theirs."""
     n, start = graph.n_users, period[0]
@@ -382,8 +382,11 @@ def _lane_runs(
         mine, dtype = [], np.min_scalar_type(low)
         for keys, masks, lane_map in corrections:  # each key's gates in this run's lanes
             gates = np.zeros(len(keys), dtype)
-            for c, gated in enumerate(lane_map):
-                gates[(masks >> masks.dtype.type(c) & 1) > 0] |= dtype.type(gated >> group & low)
+            for first in range(0, len(lane_map), 8):
+                # per value of the mask byte, the OR of its lanes' gates
+                gated = np.array([g >> group & low for g in lane_map[first : first + 8]], dtype)
+                table = np.bitwise_or.reduce(_BYTE_BITS[:, : len(gated)] * gated, axis=1)
+                gates |= table[masks >> masks.dtype.type(first) & masks.dtype.type(0xFF)]
             mine.append((keys, gates))
         run = _spread(graph, seeds, columns, period, rng_seed, corrections=mine, **kw)
         keys = np.concatenate([seed_keys, (run.day - start.toordinal()) * n + run.user])

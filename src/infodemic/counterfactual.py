@@ -290,6 +290,10 @@ def sweep(
     those its misinformation lane reaches, moved to the class that adds
     the category: one tally counts every lane of a corrective run, and one
     per corrective lane counts all its misinformation lanes in a run.
+    That tally reads the code only at the misinformation run's reach keys,
+    so the corrective lane's bit is set and cleared only there: each
+    misinformation run looks its keys up once in the corrective run's
+    sorted reach keys, and a key that is absent has no corrective lanes.
     """
     if not corrective_rates or not misinfo_rates:
         raise ExperimentError("rate lists must be non-empty")
@@ -335,12 +339,20 @@ def sweep(
             j, i = divmod(p, width)
             if lane == 0 or i == 0:  # a new run or corrective lane: count its lanes from here
                 run, c = corrective[j]
-                reach = run.lane_reach(c)
-                flat[reach] |= c_bit
+                if lane == 0:  # a new misinformation run, as each corrective run starts one
+                    # each of its keys' lanes in the corrective run; an absent key has none
+                    at = np.searchsorted(run.reach, mis.reach)
+                    held = np.zeros(len(at), run.reach_lanes.dtype)
+                    found = np.flatnonzero(at < len(run.reach))
+                    found = found[run.reach[at[found]] == mis.reach[found]]
+                    held[found] = run.reach_lanes[at[found]]
+                # the tally reads the code only at the misinformation keys
+                keys = mis.reach[(held >> held.dtype.type(c) & 1) > 0]
+                flat[keys] |= c_bit
                 masks = mis.reach_lanes >> mis.reach_lanes.dtype.type(lane)
                 lanes = min(width - i, mis.width - lane)
                 counts = _lane_tally(code, bases[j], mis.reach, masks, m_bit, lanes)
-                flat[reach] ^= c_bit  # clears the bit set above
+                flat[keys] ^= c_bit  # clears the bit set above
             sums[i][j].append(sum_index(predict(model, _matrix(start, counts[min(i, lane)]))))
         flat[soldout] = 0
     cells = [

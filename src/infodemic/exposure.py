@@ -20,7 +20,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from ._table import at_line, read_table, write_table
-from .cascade import Cascade, TweetCategory, _actors, _audience
+from .cascade import _BYTE_BITS, Cascade, TweetCategory, _actors, _audience
 from .graph import SocialGraph
 
 MATRIX_HEADER = ["day", "x1", "x2", "x3", "x4", "x5", "x6", "x7"]
@@ -97,7 +97,7 @@ _CATEGORY_BITS = {
 _CLASS_CODES = np.array([sum(_CATEGORY_BITS[c] for c in cats) for cats in CLASS_CATEGORIES])
 # (mask byte, lane) -> 1.0 where the byte holds the lane; float64, so that
 # its product is BLAS's (numpy's integer matmul is not), exact below 2**53
-_LANE_BITS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.float64)
+_LANE_BITS = _BYTE_BITS.astype(np.float64)
 
 
 def _code_counts(code: np.ndarray) -> np.ndarray:

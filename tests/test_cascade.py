@@ -444,6 +444,11 @@ def correction(keys, lanes):
     return keys, np.ones(len(keys), np.uint8), [lanes]
 
 
+def lane_reach(run, lane):
+    """The sorted reach keys of lane `lane` of a `_lane_runs` run."""
+    return run.reach[(run.reach_lanes & (1 << lane)) > 0]
+
+
 def lane_cascades(seeds, run, lane):
     """The cascades of `seeds` in lane `lane` of the `_spread` run `run`,
     numbered as `simulate_cascades` numbers its one lane."""
@@ -539,7 +544,7 @@ def assert_lanes_equal_one_lane_runs(graph, seeds, lanes, period, rng_seed, bloc
         want = wants[case]
         assert lane_cascades(seeds, run, lane) == want
         reach = _category_code(graph, want, period)
-        np.testing.assert_array_equal(run.lane_reach(lane), np.flatnonzero(reach))
+        np.testing.assert_array_equal(lane_reach(run, lane), np.flatnonzero(reach))
 
 
 @given(lane_cases())
@@ -569,10 +574,7 @@ def test_rate_lanes_equal_one_lane_runs_on_denser_graphs():
         assert_lanes_equal_one_lane_runs(graph, seeds, lanes, days(8), case, case % 3 > 0, first)
 
 
-@given(simulation_cases(), st.lists(RATES, min_size=1, max_size=5),
-       st.lists(RATES, min_size=1, max_size=17))
-@settings(max_examples=100, deadline=None)
-def test_misinfo_pair_lanes_equal_one_lane_runs(case, corrective_rates, misinfo_rates):
+def assert_pair_lanes_equal_one_lane_runs(case, corrective_rates, misinfo_rates):
     """A misinformation run with a lane per (corrective lane, misinformation
     rate) pair, each gated by its own corrective lane's reach keys, as
     `sweep` spreads it: each lane equals the one-lane run gated by that
@@ -586,7 +588,7 @@ def test_misinfo_pair_lanes_equal_one_lane_runs(case, corrective_rates, misinfo_
     for j, (run, lane) in enumerate(
         _lane_runs(graph, corrective, corrective_rates, period, rng_seed)
     ):
-        reaches.append(run.lane_reach(lane))
+        reaches.append(lane_reach(run, lane))
         if lane == 0:
             gated = [((1 << width) - 1) << k * width for k in range(j, j + run.width)]
             corrections.append((run.reach, run.reach_lanes, gated))
@@ -598,7 +600,35 @@ def test_misinfo_pair_lanes_equal_one_lane_runs(case, corrective_rates, misinfo_
         ((alone, _),) = _lane_runs(graph, misinfo, [rate], period, rng_seed,
                                    [correction(reach, 1)], blocks=True)
         assert lane_cascades(misinfo, run, lane) == lane_cascades(misinfo, alone, 0)
-        np.testing.assert_array_equal(run.lane_reach(lane), alone.lane_reach(0))
+        np.testing.assert_array_equal(lane_reach(run, lane), lane_reach(alone, 0))
+
+
+@given(simulation_cases(), st.lists(RATES, min_size=1, max_size=5),
+       st.lists(RATES, min_size=1, max_size=17))
+@settings(max_examples=100, deadline=None)
+def test_misinfo_pair_lanes_equal_one_lane_runs(case, corrective_rates, misinfo_rates):
+    assert_pair_lanes_equal_one_lane_runs(case, corrective_rates, misinfo_rates)
+
+
+@st.composite
+def gated_cases(draw):
+    """`simulation_cases` with one more correction on the first period day
+    and misinformation by its author the day after, so misinformation
+    reaches users whom a correction reached before, in every lane."""
+    graph, seeds, rates, period, rng_seed, kw = draw(simulation_cases())
+    author = draw(st.integers(0, graph.n_users - 1))
+    seeds = [*seeds, SeedTweet("gc", author, TweetCategory.CORRECTIVE, period[0], 0),
+             SeedTweet("gm", author, TweetCategory.MISINFORMATION, period[0] + timedelta(days=1), 1)]
+    return graph, seeds, rates, period, rng_seed, kw
+
+
+@given(gated_cases(), st.lists(RATES, min_size=9, max_size=16),
+       st.lists(RATES, min_size=1, max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_misinfo_pair_lanes_gated_by_two_mask_bytes(case, corrective_rates, misinfo_rates):
+    """9-16 corrective lanes: the corrective masks span two bytes, so a
+    misinformation run's gates come from one lane table per byte."""
+    assert_pair_lanes_equal_one_lane_runs(case, corrective_rates, misinfo_rates)
 
 
 def test_corrective_exposures_of_one_day_join_their_lanes():

@@ -1,5 +1,5 @@
 from dataclasses import replace
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from infodemic.cascade import (
     SeedTweet,
     TweetCategory,
     _events,
+    _lane_runs,
     _with_neighbors,
     sample_keep_set,
     simulate_cascades,
@@ -358,6 +359,39 @@ def test_sweep_across_corrective_lane_groups_equals_per_cell_trials():
     corrective = [0.0, 1.0] * (LANES // 2) + [1.0, 0.0]
     assert_sweep_equals_trials(graph, seeds, reference_model(5, REAL_PERIOD), corrective,
                                [1.0], 1, 3, REAL_PERIOD)
+
+
+def test_sweep_without_corrective_seeds_in_the_period_equals_per_cell_trials():
+    """The only corrective seed is dated after the period, so the corrective
+    reach is empty and no misinformation key finds a corrective lane."""
+    period = (REAL_PERIOD[0], REAL_PERIOD[0] + timedelta(days=3))
+    graph = SocialGraph(4, [(1, 0), (2, 1), (3, 2), (0, 3)])
+    seeds = [
+        SeedTweet("m", 0, TweetCategory.MISINFORMATION, period[0], -2),
+        SeedTweet("c", 3, TweetCategory.CORRECTIVE, period[1] + timedelta(days=1), -1),
+    ]
+    assert_sweep_equals_trials(graph, seeds, reference_model(4, period), [0.0079, 1.0],
+                               [0.0, 1.0], 2, 5, period)
+
+
+def test_sweep_with_misinfo_keys_beyond_both_ends_of_the_corrective_reach():
+    """A misinformation reach key below every corrective reach key and one
+    above every one, beside keys that both reach."""
+    # 2 follows the misinformation author 0 and the corrective author 1, and
+    # 3 follows 2; the misinformation author 4, followed by no one, posts last
+    graph = SocialGraph(5, [(2, 0), (2, 1), (3, 2)])
+    day = REAL_PERIOD[0]
+    period = (day, day + timedelta(days=2))
+    misinfo = [SeedTweet("m0", 0, TweetCategory.MISINFORMATION, day, -3),
+               SeedTweet("m1", 4, TweetCategory.MISINFORMATION, period[1], -1)]
+    corrective = SeedTweet("c", 1, TweetCategory.CORRECTIVE, day + timedelta(days=1), -2)
+    ts = derive_seed(0, "trial", 0)
+    (c, _), _ = _lane_runs(graph, [corrective], [0.0, 1.0], period, ts)
+    (m, _), _ = _lane_runs(graph, misinfo, [0.0, 1.0], period, ts)
+    assert m.reach[0] < c.reach[0] and m.reach[-1] > c.reach[-1]
+    assert len(np.intersect1d(m.reach, c.reach)) > 0
+    assert_sweep_equals_trials(graph, [*misinfo, corrective], reference_model(5, period),
+                               [0.0, 1.0], [0.0, 1.0], 1, 0, period)
 
 
 @given(simulation_cases(), st.data())
