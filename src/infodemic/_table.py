@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import os
 import re
+from datetime import date
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -71,6 +72,15 @@ def read_table(
             line_no = prologue + reader.line_num + 1
     except csv.Error as e:
         raise error(prologue + reader.line_num, str(e)) from None
+
+
+def parse_day(text: str) -> date:
+    """The day `text` names in exactly `YYYY-MM-DD`, ASCII digits only; a
+    `ValueError` worded as `date.fromisoformat`'s otherwise, also for the
+    other forms that it reads on Python 3.11+."""
+    if not re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", text):  # `\d` takes any Unicode digit
+        raise ValueError(f"Invalid isoformat string: {text!r}, not YYYY-MM-DD")
+    return date.fromisoformat(text)
 
 
 def write_table(

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from ._rng import derive_seed, uniform_for_users
-from ._table import at_line, read_table, write_table
+from ._table import at_line, parse_day, read_table, write_table
 from .graph import SocialGraph, _Csr, _row_gather, _run_starts, _sorted_unique
 
 log = logging.getLogger("infodemic.cascade")
@@ -397,7 +397,7 @@ def _lane_runs(
             yield run, lane
 
 
-def _lane_mask(lanes: Iterable[np.ndarray], dtype: np.dtype = np.dtype(np.uint8)) -> np.ndarray:
+def _lane_mask(lanes: Iterable[np.ndarray], dtype: np.dtype) -> np.ndarray:
     """`dtype` masks with bit l set where the l-th bool array of `lanes` is."""
     return reduce(np.bitwise_or, (b.astype(dtype) << dtype.type(i) for i, b in enumerate(lanes)))
 
@@ -475,7 +475,7 @@ def load_seed_tweets(stream: TextIO | Iterable[str], graph: SocialGraph) -> list
         if (prev := first_line.setdefault(row[0], line_no)) != line_no:
             raise CascadeError(f"line {line_no}: tweet id {row[0]!r} repeats line {prev}")
         try:
-            d, author = date.fromisoformat(row[3]), graph.dense_id(row[1])
+            d, author = parse_day(row[3]), graph.dense_id(row[1])
             parsed.append((d, row[0], author, TweetCategory.from_label(row[2])))
         except ValueError as e:
             raise CascadeError(f"line {line_no}: {e}") from None
@@ -510,7 +510,7 @@ def load_retweets(
         if (t := by_tweet.get(tid)) is None:
             raise CascadeError(f"line {line_no}: retweet of unknown tweet {tid!r}")
         try:
-            user, d, seq = graph.dense_id(row[0]), date.fromisoformat(row[2]), int(row[3])
+            user, d, seq = graph.dense_id(row[0]), parse_day(row[2]), int(row[3])
         except ValueError as e:
             raise CascadeError(f"line {line_no}: {e}") from None
         if d < seeds[t].day:

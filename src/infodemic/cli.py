@@ -21,7 +21,7 @@ from datetime import date
 
 from . import __version__
 from ._rng import derive_seed
-from ._table import write_table
+from ._table import parse_day, write_table
 from .cascade import (
     TweetCategory,
     load_retweets,
@@ -59,7 +59,7 @@ class CliError(Exception):
 def _period_arg(text: str) -> tuple[date, date]:
     try:
         a, b = text.split("..")
-        return date.fromisoformat(a), date.fromisoformat(b)
+        return parse_day(a), parse_day(b)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"--period must look like 2020-02-21..2020-03-10, got {text!r}"

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from ._table import at_line, read_table, write_table
+from ._table import at_line, parse_day, read_table, write_table
 from .cascade import _BYTE_BITS, Cascade, TweetCategory, _actors, _audience
 from .graph import SocialGraph
 
@@ -73,7 +73,7 @@ class ExposureMatrix:
         rows: list[list[int]] = []
         for line_no, row in read_table(stream, [MATRIX_HEADER], at_line(ExposureError)):
             try:
-                days.append(date.fromisoformat(row[0]))
+                days.append(parse_day(row[0]))
                 rows.append([int(x) for x in row[1:]])
             except ValueError as e:
                 raise ExposureError(f"line {line_no}: {e}") from None

@@ -91,10 +91,10 @@ class SocialGraph:
     2**31 - 1 of them.
 
     External (string) ids from ingestion are retained for round-trip
-    export.  A graph built without them (every synthesized graph) stores
+    export; they are distinct, and their id-to-dense-id dict is built with
+    the graph.  A graph built without them (every synthesized graph) stores
     none: its external ids are its dense ids in decimal, built when
-    `external_ids` is read.  The id-to-dense-id dict of `dense_id` is
-    built on its first call.
+    `external_ids` is read, and their dict on the first `dense_id`.
     """
 
     def __init__(
@@ -123,12 +123,19 @@ class SocialGraph:
         self, n: int, keys: np.ndarray, external_ids: Sequence[str] | None, self_edges_dropped: int
     ) -> None:
         """Every graph is built here, from edge keys `follower * n +
-        followee`; a `GraphError` unless `n` is at most `_MAX_USERS` and
-        they strictly increase within [0, n*n) and hold no self-edge."""
+        followee`; a `GraphError` unless `n` is at most `_MAX_USERS`, they
+        strictly increase within [0, n*n) without a self-edge, and no id repeats."""
         if not 0 <= n <= _MAX_USERS:
             raise GraphError(f"n_users must be in [0, {_MAX_USERS}]")
-        if external_ids is not None and len(external_ids) != n:
-            raise GraphError("external_ids length must equal n_users")
+        self._ids = self._id_index = None
+        if external_ids is not None:
+            if len(external_ids) != n:
+                raise GraphError("external_ids length must equal n_users")
+            self._ids = tuple(external_ids)
+            self._id_index = dict(zip(self._ids, range(n)))
+            if len(self._id_index) != n:  # a repeat keeps its last dense id
+                u = next(u for u, x in enumerate(self._ids) if self._id_index[x] != u)
+                raise GraphError(f"repeated user id {self._ids[u]!r}")
         if len(keys) and (keys[0] < 0 or int(keys[-1]) >= n * n or np.any(keys[1:] <= keys[:-1])):
             raise GraphError("edge keys not strictly increasing within [0, n_users**2)")
         src, dst = np.divmod(keys, n)
@@ -145,8 +152,6 @@ class SocialGraph:
         t.sort()
         t %= n
         self._followers = _Csr(n, dst, t)
-        self._ids = None if external_ids is None else tuple(external_ids)
-        self._id_index: dict[str, int] | None = None
 
     @property
     def external_ids(self) -> tuple[str, ...]:
@@ -159,25 +164,12 @@ class SocialGraph:
         return np.diff(self._followers.indptr)
 
     def dense_id(self, external: str) -> int:
-        if self._ids is None:
-            u = _digit_id(external, self.n_users)
-        else:
-            if self._id_index is None:
-                self._id_index = {x: i for i, x in enumerate(self._ids)}
-            u = self._id_index.get(external, -1)
+        if self._id_index is None:
+            self._id_index = dict(zip(self.external_ids, range(self.n_users)))
+        u = self._id_index.get(external, -1)
         if u < 0:
             raise GraphError(f"unknown user id {external!r}")
         return u
-
-
-def _digit_id(external: str, n: int) -> int:
-    """`external` as a dense id below `n` when it is one in decimal, as
-    `str` writes it; -1 otherwise."""
-    try:
-        u = int(external)
-    except (TypeError, ValueError):
-        return -1
-    return u if 0 <= u < n and str(u) == external else -1
 
 
 @dataclass(frozen=True)
@@ -392,6 +384,7 @@ def load_edges(stream: TextIO | Iterable[str]) -> SocialGraph:
     if self_edges:
         log.warning("dropped %d self-follow edge(s)", self_edges)
     edges = np.array(codes, dtype=np.int64).reshape(-1, 2)
+    del codes  # its int objects outweigh the graph: free them before the graph is built
     return SocialGraph(len(index), edges, external_ids=list(index), self_edges_dropped=self_edges)
 
 
@@ -460,13 +453,12 @@ def save_edges(graph: SocialGraph, path: str | os.PathLike) -> None:
 
 
 def _ids_reload_intact(ids: Sequence[str]) -> bool:
-    """Whether the saved ids parse back as themselves, each its own user:
-    distinct, non-empty, free of surrounding whitespace, and neither
+    """Whether the saved ids, distinct as a graph's are, parse back as
+    themselves: non-empty, free of surrounding whitespace, and neither
     holding a NUL (a csv error before Python 3.11, and the sidecar's id
     separator) nor over the csv module's field size limit."""
     return (
-        len(set(ids)) == len(ids)
-        and all(ids)
+        all(ids)
         and all(map(str.__eq__, ids, map(str.strip, ids)))
         and "\0" not in "".join(ids)
         and max(map(len, ids), default=0) <= csv.field_size_limit()
@@ -540,12 +532,8 @@ def _read_sidecar(path: str, digest: bytes) -> SocialGraph:
         keys = _load_array(fh, np.int64)
         text = _load_array(fh, np.uint8).tobytes().decode("utf-8")
     ids = text.split("\0") if text else []
-    if len(ids) != n:
-        raise ValueError("the id blob does not hold one id per user")
-    if len(set(ids)) != n:
-        raise ValueError("repeated id")
     graph = SocialGraph.__new__(SocialGraph)  # keys sorted and distinct: no deduplication
-    graph._assign(n, keys, ids, dropped)  # a GraphError on bad keys
+    graph._assign(n, keys, ids, dropped)  # a GraphError on bad keys or ids
     return graph
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from ._table import at_line, atomic_write, read_table, write_table
+from ._table import at_line, atomic_write, parse_day, read_table, write_table
 from .exposure import ExposureMatrix
 from .numerics import NumericsError, OlsResult, PcaResult, ols, pca, project
 
@@ -65,7 +65,7 @@ class SalesSeries:
         vals: list[float] = []
         for line_no, row in read_table(stream, SALES_HEADERS, at_line(SalesModelError)):
             try:
-                days.append(date.fromisoformat(row[0]))
+                days.append(parse_day(row[0]))
                 nums = [float(x) for x in row[1:]]
                 if not np.isfinite(nums).all():
                     raise ValueError(f"non-finite value in {','.join(row[1:])!r}")
@@ -235,7 +235,7 @@ def model_from_json(text: str) -> FittedSalesModel:
         raise SalesModelError(f"k={k} needs at least k eigenvectors and exactly k coefficients")
     days = _value(doc, "train_days", list)
     try:
-        train_days = tuple(date.fromisoformat(x) for x in days)
+        train_days = tuple(parse_day(x) for x in days)
     except (TypeError, ValueError) as e:
         raise SalesModelError(f"model field 'train_days': {e}") from None
     return FittedSalesModel(

@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -7,10 +9,10 @@ from datetime import date
 import numpy as np
 import pytest
 
-from infodemic.cascade import load_retweets, load_seed_tweets, save_cascades
-from infodemic.cli import main
+from infodemic.cascade import CascadeError, load_retweets, load_seed_tweets, save_cascades
+from infodemic.cli import _period_arg, main
 from infodemic.counterfactual import sweep, sweep_summary_csv, sweep_trials_csv
-from infodemic.exposure import ExposureMatrix, exposure_matrix
+from infodemic.exposure import ExposureError, ExposureMatrix, exposure_matrix
 from infodemic.graph import (
     GraphGenConfig,
     SocialGraph,
@@ -18,7 +20,14 @@ from infodemic.graph import (
     load_edges_file,
     save_edges,
 )
-from infodemic.salesmodel import SalesSeries, fit, load_model, save_model
+from infodemic.salesmodel import (
+    SalesModelError,
+    SalesSeries,
+    fit,
+    load_model,
+    model_from_json,
+    save_model,
+)
 
 PERIOD = "2020-02-21..2020-03-01"
 
@@ -576,6 +585,61 @@ def test_bad_period_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run("exposure", "--period", "yesterday")
     assert exc.value.code == 2
+
+
+TWO_USERS = SocialGraph(2, [(0, 1)], external_ids=["u0", "u1"])
+
+
+def read_tweets(day):
+    text = f"tweet_id,author_id,category,day\nt0,u0,misinformation,{day}\n"
+    return load_seed_tweets(io.StringIO(text), TWO_USERS)
+
+
+def model_with_train_day(day, pipeline):
+    with open(os.path.join(pipeline, "model.json")) as fh:
+        doc = json.load(fh)
+    doc["train_days"][0] = day
+    return model_from_json(json.dumps(doc))
+
+
+# every reader of a day: (its call on a day and the pipeline directory,
+# the error it raises, the start of its message)
+DAY_SITES = {
+    "tweets": (lambda day, _: read_tweets(day), CascadeError, "line 2: "),
+    "retweets": (
+        lambda day, _: load_retweets(
+            io.StringIO(f"user_id,tweet_id,day,seq\nu1,t0,{day},5\n"),
+            TWO_USERS, read_tweets("2020-02-21"),
+        ),
+        CascadeError, "line 2: ",
+    ),
+    "exposure": (
+        lambda day, _: ExposureMatrix.from_csv(
+            io.StringIO(f"day,x1,x2,x3,x4,x5,x6,x7\n{day},1,2,3,4,5,6,7\n")
+        ),
+        ExposureError, "line 2: ",
+    ),
+    "sales": (
+        lambda day, _: SalesSeries.from_csv(io.StringIO(f"date,sales_index\n{day},0.1\n")),
+        SalesModelError, "line 2: ",
+    ),
+    "model": (model_with_train_day, SalesModelError, "model field 'train_days': "),
+    "period": (
+        lambda day, _: _period_arg(f"{day}..2020-03-01"),
+        argparse.ArgumentTypeError, "--period must look like",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", DAY_SITES)
+@pytest.mark.parametrize("day", ["20200221", "2020-W09-5", "2020-2-21"])
+def test_days_are_exactly_yyyy_mm_dd(pipeline, site, day):
+    """Python 3.11+'s `date.fromisoformat` reads the first two as days
+    (the week date as 2020-02-28); no Python reads them at any site."""
+    read, error, message = DAY_SITES[site]
+    read("2020-02-21", pipeline)
+    with pytest.raises(error, match=f"^{message}"):
+        read(day, pipeline)
 
 
 def test_version_flag():

@@ -258,6 +258,11 @@ def test_unknown_external_id():
         g.dense_id("mallory")
 
 
+def test_repeated_external_id_is_rejected():
+    with pytest.raises(GraphError, match="^repeated user id 'a'$"):
+        SocialGraph(3, [(0, 1), (1, 2)], external_ids=["b", "a", "a"])
+
+
 def test_graph_without_ids_has_its_decimal_dense_ids():
     g = SocialGraph(12, [(0, 11), (3, 2)])
     assert g.external_ids == tuple(str(u) for u in range(12))
@@ -851,13 +856,13 @@ SAVE_IDS = st.sampled_from(
 
 
 @given(
-    st.lists(SAVE_IDS, min_size=1, max_size=8),
+    st.lists(SAVE_IDS, min_size=1, max_size=8, unique=True),
     st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20),
 )
 @settings(max_examples=150, deadline=None)
 def test_saved_sidecar_graph_equals_parse(tmp_path_factory, ids, raw):
     n = len(ids)
-    # users without an edge are isolated; repeated ids are allowed
+    # users without an edge are isolated
     g = SocialGraph(n, [(a % n, b % n) for a, b in raw], external_ids=ids)
     path = tmp_path_factory.mktemp("saved") / "edges.csv"
     save_edges(g, path)
