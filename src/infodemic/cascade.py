@@ -242,67 +242,68 @@ def simulate_cascades(
 
     Retweet decisions use one fixed uniform draw per (tweet, user) keyed
     off the seed, so runs with the same seed are coupled across rates:
-    raising a rate only ever adds events.  This is the one-lane run of
-    `_spread`; seq numbers follow (day, tweet, user) order from one past
-    the highest seed seq.
+    raising a rate only ever adds events.  Each category spreads as one
+    one-lane `_spread` run, the corrective tweets first, whose reach
+    gates the misinformation run as `sweep` gates it; seq numbers follow
+    (day, tweet, user) order from one past the highest seed seq.
     """
     for cat, r in rt_rates.items():
         if not 0.0 <= r <= 1.0:
             raise CascadeError(f"rt_rate for {cat.value} must be in [0, 1]")
     _check_run(graph, seeds, period)
     seeds = sorted(seeds, key=lambda s: (s.day, s.seq))
-    seq = max((s.seq for s in seeds), default=0) + 1
-    rates = np.array([rt_rates.get(s.category, 0.0) for s in seeds], dtype=np.float64)
-    run = _spread(graph, seeds, rates[:, None], period, rng_seed, blocks=corrective_blocks_misinfo)
-    events = np.empty(len(run.user), dtype=EVENT)
-    events["user"], events["day"], events["seq"] = run.user, run.day, seq + np.arange(len(run.user))
-    return _split(seeds, run.tweet, events)
+    gates, rows = {}, []
+    for cat in (TweetCategory.CORRECTIVE, TweetCategory.SOLDOUT, TweetCategory.MISINFORMATION):
+        index = np.array([i for i, s in enumerate(seeds) if s.category is cat], dtype=np.int64)
+        mine = [seeds[i] for i in index]
+        run = _spread(graph, mine, [rt_rates.get(cat, 0.0)], period, rng_seed, gates.get(cat, ()))
+        if corrective_blocks_misinfo and cat is TweetCategory.CORRECTIVE:
+            gates[TweetCategory.MISINFORMATION] = [_reach(graph, mine, run, period)]
+        rows.append((run.day, index[run.tweet], run.user))
+    day, tweet, user = (np.concatenate(column) for column in zip(*rows))
+    order = np.lexsort((user, tweet, day))
+    events = np.empty(len(order), dtype=EVENT)
+    events["user"], events["day"] = user[order], day[order]
+    events["seq"] = np.arange(len(order)) + max((s.seq for s in seeds), default=0) + 1
+    return _split(seeds, tweet[order], events)
 
 
 def _spread(
     graph: SocialGraph,
     seeds: Sequence[SeedTweet],
-    rates: np.ndarray,
+    rates: Sequence[float],
     period: tuple[date, date],
     rng_seed: int,
-    *,
-    blocks: bool = False,
     corrections: Sequence[tuple[np.ndarray, np.ndarray]] = (),
 ) -> _Run:
     """`simulate_cascades`' diffusion of `seeds` in up to `LANES` rate
-    lanes at once: lane l runs at the rates `rates[:, l]`, one per seed.
-    `blocks` is `corrective_blocks_misinfo`.  Each of `corrections` is a
-    pair of distinct sorted `day * n_users + user` keys, the period days
-    on which corrective posts reach users, and per key the mask of the
-    lanes it gates; so a misinformation run given a corrective run's
-    reach blocks exactly as the run holding both would.
+    lanes at once: lane l runs every seed at the rate `rates[l]`.  Each of
+    `corrections` is a pair of distinct sorted `day * n_users + user`
+    keys, the period days on which corrective posts reach users, and per
+    key the mask of the lanes it gates: from the next day on, a gated
+    user retweets none of `seeds` in those lanes.
 
     Every lane uses each (tweet, user) key's one draw, so a key's state is
     a mask of the lanes it holds in, of the narrowest unsigned dtype with
     a bit per lane.  A day's audience keys carry the union of their
     actors' lanes; a key decides in the lanes that newly expose it, and
-    retweets in those whose rate is above its draw and that do not block
-    it: those of the user's corrective exposures on earlier days.  Each
-    lane so gets exactly the run at its own rates.
+    retweets in those whose rate is above its draw and that do not gate
+    its user.  Each lane so gets exactly the run at its own rate.
     """
     n, t = graph.n_users, len(seeds)
     start, end = period
     n_days = (end - start).days + 1
-    lanes = rates.shape[1]
+    lanes = len(rates)
     dtype = np.min_scalar_type((1 << lanes) - 1)
     # per-tweet columns, indexed like `seeds`
     author = np.array([s.author for s in seeds], dtype=np.int64)
     seed_day = np.array([(s.day - start).days for s in seeds], dtype=np.int64)
-    corrective = np.array([s.category is TweetCategory.CORRECTIVE for s in seeds], dtype=bool)
-    blockable = np.array(
-        [blocks and s.category is TweetCategory.MISINFORMATION for s in seeds], dtype=bool
-    )
-    top = rates.max(axis=1, initial=0.0)
+    top = max(rates)
     skey = np.array([derive_seed(rng_seed, "rt", s.tweet_id) for s in seeds], dtype=np.uint64)
 
     # (tweet, user) state lives under the key tweet * n + user
     exposed = np.zeros(t * n, dtype=dtype)
-    # per user, the lanes of a corrective exposure before the current day
+    # per user, the lanes that gate it as of the current day
     corrected = np.zeros(n, dtype=dtype)
     # keys and lanes of retweets landing today, sorted, so seq follows
     # (day, tweet, user) order; the empty first entries keep the
@@ -335,16 +336,11 @@ def _spread(
         # the newly exposed decide once, on their first exposure: they
         # retweet in the lanes whose rate is above their draw
         draw = uniform_for_users(skey[tweet], user)
-        # a draw at or above the tweet's top rate hits in no lane; draws are
-        # in [0, 1), so a tweet at rate 0 in every lane never hits
-        i = np.flatnonzero((draw < top[tweet]) & (user != author[tweet]))
-        tweet_i, user_i, draw = tweet[i], user[i], draw[i]
-        hit = new[i] & _lane_mask((draw < rate[tweet_i] for rate in rates.T), dtype)
-        if blockable.any():  # corrective exposure counts from the next day on
-            gated = np.flatnonzero(blockable[tweet_i] & (hit > 0))
-            hit[gated] &= ~corrected[user_i[gated]]
-            c = np.flatnonzero(corrective[tweet])
-            np.bitwise_or.at(corrected, user[c], new[c])
+        # a draw at or above the top rate hits in no lane; draws are in
+        # [0, 1), so a run at rate 0 in every lane never hits
+        i = np.flatnonzero((draw < top) & (user != author[tweet]))
+        draw = draw[i]
+        hit = new[i] & ~corrected[user[i]] & _lane_mask((draw < rate for rate in rates), dtype)
         retweets = np.flatnonzero(hit > 0)
         pending, pending_lanes = keys[i[retweets]], hit[retweets]
     tweet, user = np.divmod(np.concatenate(landed), n)
@@ -352,33 +348,38 @@ def _spread(
     return _Run(day, tweet, user, np.concatenate(landed_lanes), lanes)
 
 
-def _lane_runs(
-    graph: SocialGraph,
-    seeds: Sequence[SeedTweet],
-    rates: Sequence[float] | np.ndarray,
-    period: tuple[date, date],
-    rng_seed: int,
-    corrections: Sequence[tuple[np.ndarray, np.ndarray, Sequence[int]]] = (),
-    **kw,
-) -> Iterator[tuple[_Run, int]]:
-    """`_spread` in one lane per column of `rates`, a (seeds, lanes) table
-    or one row for every seed: runs of up to `LANES` lanes each, with
-    their reach; one (run, lane) per column.  Each of `corrections` is a
-    corrective run's reach keys and lane masks, and per lane c of those
-    masks, the mask of the columns that lane c gates.  A key gates the OR
-    of its lanes' column masks, looked up for each byte of its mask in a
-    256-entry table of that byte's lanes.  A run reaches on
-    each day whoever its posts of that day reach: the seeds of the
-    period, in every lane, and the landed retweets, in theirs."""
+def _reach(
+    graph: SocialGraph, seeds: Sequence[SeedTweet], run: _Run, period: tuple[date, date]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Who the posts of `run`, a `_spread` run of `seeds`, reach on each
+    period day: sorted `day * n_users + user` keys and their lanes.  A
+    day's posts are its seeds, in every lane, and its retweets, in theirs."""
     n, start = graph.n_users, period[0]
-    rates = np.asarray(rates, dtype=np.float64)
-    rates = np.broadcast_to(rates, (len(seeds), rates.shape[-1]))
     author = np.array([s.author for s in seeds], dtype=np.int64)
     day = np.array([(s.day - start).days for s in seeds], dtype=np.int64)
     seed_keys = (day * n + author)[(day >= 0) & (day <= (period[1] - start).days)]
-    for group in range(0, rates.shape[1], LANES):
-        columns = rates[:, group : group + LANES]
-        low = (1 << columns.shape[1]) - 1
+    keys = np.concatenate([seed_keys, (run.day - start.toordinal()) * n + run.user])
+    every = np.full(len(seed_keys), (1 << run.width) - 1, run.lanes.dtype)
+    return _lane_reach(graph, keys, np.concatenate([every, run.lanes]))
+
+
+def _lane_runs(
+    graph: SocialGraph,
+    seeds: Sequence[SeedTweet],
+    rates: Sequence[float],
+    period: tuple[date, date],
+    rng_seed: int,
+    corrections: Sequence[tuple[np.ndarray, np.ndarray, Sequence[int]]] = (),
+) -> Iterator[tuple[_Run, int]]:
+    """`_spread` in one lane per rate of `rates`: runs of up to `LANES`
+    lanes each, with their `_reach`; one (run, lane) per rate.  Each of
+    `corrections` is a corrective run's reach keys and lane masks, and per
+    lane c of those masks, the mask of the rates that lane c gates.  A key
+    gates the OR of its lanes' rate masks, looked up for each byte of its
+    mask in a 256-entry table of that byte's lanes."""
+    for group in range(0, len(rates), LANES):
+        columns = rates[group : group + LANES]
+        low = (1 << len(columns)) - 1
         mine, dtype = [], np.min_scalar_type(low)
         for keys, masks, lane_map in corrections:  # each key's gates in this run's lanes
             gates = np.zeros(len(keys), dtype)
@@ -388,10 +389,8 @@ def _lane_runs(
                 table = np.bitwise_or.reduce(_BYTE_BITS[:, : len(gated)] * gated, axis=1)
                 gates |= table[masks >> masks.dtype.type(first) & masks.dtype.type(0xFF)]
             mine.append((keys, gates))
-        run = _spread(graph, seeds, columns, period, rng_seed, corrections=mine, **kw)
-        keys = np.concatenate([seed_keys, (run.day - start.toordinal()) * n + run.user])
-        every = np.full(len(seed_keys), low, run.lanes.dtype)
-        reach, reach_lanes = _lane_reach(graph, keys, np.concatenate([every, run.lanes]))
+        run = _spread(graph, seeds, columns, period, rng_seed, mine)
+        reach, reach_lanes = _reach(graph, seeds, run, period)
         run = run._replace(reach=reach, reach_lanes=reach_lanes)
         for lane in range(run.width):
             yield run, lane

@@ -333,7 +333,7 @@ def sweep(
                 corrections.append((run.reach, run.reach_lanes, gated))
         mis_runs = _lane_runs(
             graph, by_cat[TweetCategory.MISINFORMATION], np.tile(misinfo_rates, len(corrective)),
-            period, ts, corrections, blocks=True,
+            period, ts, corrections,
         )
         for p, (mis, lane) in enumerate(mis_runs):
             j, i = divmod(p, width)

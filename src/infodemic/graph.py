@@ -112,10 +112,10 @@ class SocialGraph:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise GraphError("edges must be (follower, followee) pairs")
-        loops = arr[:, 0] == arr[:, 1]
-        arr = arr[~loops]
         if len(arr) and (arr.min() < 0 or arr.max() >= n):
             raise GraphError("edge endpoint outside 0..n_users-1")
+        loops = arr[:, 0] == arr[:, 1]
+        arr = arr[~loops]
         keys = _sorted_unique(arr[:, 0] * n + arr[:, 1])
         self._assign(n, keys, external_ids, self_edges_dropped + np.count_nonzero(loops))
 

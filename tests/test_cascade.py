@@ -1,5 +1,6 @@
 import io
 import re
+from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
@@ -236,6 +237,7 @@ def days(n):
 
 
 CORRECTIVE = TweetCategory.CORRECTIVE
+MISINFORMATION = TweetCategory.MISINFORMATION
 
 
 def line_graph(n):
@@ -400,11 +402,13 @@ RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 @st.composite
 def simulation_cases(draw):
-    """Small graph, seeds dated before/inside/after the period (several
-    per author and day), rates at and between 0 and 1, both flags."""
+    """Small graph of at least 2n drawn pairs, so that seeds have
+    followers, seeds dated before/inside/after the period (several per
+    author and day), rates at and between 0 and 1, both flags."""
     n = draw(st.integers(1, 12))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    graph = SocialGraph(n, [p for p in draw(st.lists(pairs, max_size=40)) if p[0] != p[1]])
+    edges = draw(st.lists(pairs, min_size=2 * n, max_size=40))
+    graph = SocialGraph(n, [p for p in edges if p[0] != p[1]])
     days = draw(st.integers(1, 6))
     period = (DAY0, DAY0 + timedelta(days=days - 1))
     authors = st.integers(0, min(n - 1, 2))  # few authors: shared author-days
@@ -428,6 +432,32 @@ def test_simulation_matches_per_tweet_reference(case):
     graph, seeds, rates, period, rng_seed, kw = case
     got = simulate_cascades(graph, seeds, rates, period, rng_seed, **kw)
     assert got == reference_simulate(graph, seeds, rates, period, rng_seed, **kw)
+
+
+def test_simulation_matches_per_tweet_reference_on_denser_graphs():
+    """Graphs of up to 30 users with many paths and every category at
+    once, so that corrections often reach users before misinformation
+    does: with the flag, the gate acts in at least one case in six."""
+    rng = np.random.default_rng(27)
+    gated = 0
+    for case in range(60):
+        graph = random_graph(rng, max_nodes=30)
+        seeds = [
+            SeedTweet(f"t{i}", int(rng.integers(graph.n_users)), cat,
+                      DAY0 + timedelta(days=int(rng.integers(-1, 4))), -i - 1)
+            for i, cat in enumerate(rng.choice(list(TweetCategory), size=int(rng.integers(2, 8))))
+        ]
+        rates = {c: float(rng.choice([0.0, 1.0, *rng.uniform(0, 1, 2)])) for c in TweetCategory}
+        free, blocked = (
+            simulate_cascades(graph, seeds, rates, days(8), case, corrective_blocks_misinfo=flag)
+            for flag in (False, True)
+        )
+        assert free == reference_simulate(graph, seeds, rates, days(8), case)
+        assert blocked == reference_simulate(
+            graph, seeds, rates, days(8), case, corrective_blocks_misinfo=True
+        )
+        gated += free != blocked
+    assert gated >= 10
 
 
 def day_keys(row, period):
@@ -459,88 +489,51 @@ def lane_cascades(seeds, run, lane):
     return _split(seeds, run.tweet[mine], events)
 
 
-@given(simulation_cases())
-@settings(max_examples=200, deadline=None)
-def test_misinfo_run_given_corrective_reach_matches_joint_run(case):
-    graph, seeds, rates, period, rng_seed, _ = case
-    joint = simulate_cascades(
-        graph, seeds, rates, period, rng_seed, corrective_blocks_misinfo=True
-    )
-    corrective = [s for s in seeds if s.category is TweetCategory.CORRECTIVE]
-    misinfo = sorted(
-        (s for s in seeds if s.category is TweetCategory.MISINFORMATION),
-        key=lambda s: (s.day, s.seq),
-    )
-    ((corrected, _),) = _lane_runs(
-        graph, corrective, [rates.get(TweetCategory.CORRECTIVE, 0.0)], period, rng_seed
-    )
-    ((run, lane),) = _lane_runs(
-        graph, misinfo, [rates.get(TweetCategory.MISINFORMATION, 0.0)], period, rng_seed,
-        [(corrected.reach, corrected.reach_lanes, [1])], blocks=True,
-    )
-    alone = lane_cascades(misinfo, run, lane)
-
-    def acts(cascades):
-        return {
-            c.seed.tweet_id: [(user, day) for user, day, _ in c.events.tolist()]
-            for c in cascades
-            if c.seed.category is TweetCategory.MISINFORMATION
-        }
-
-    assert acts(alone) == acts(joint)
-
-
 @st.composite
 def lane_cases(draw):
-    """`simulation_cases` spread in 1-17 or about `LANES` rate lanes, each
-    one of a few rates mappings drawn from a few rates, so lanes repeat
-    rates, hold 0 and 1 and come unsorted; with or without given
-    first-correction days, one of a few rows for each lane."""
-    graph, seeds, _, period, rng_seed, kw = draw(simulation_cases())
-    pool = st.sampled_from(draw(st.lists(RATES, min_size=1, max_size=4)))
-    kinds = draw(st.lists(st.dictionaries(st.sampled_from(list(TweetCategory)), pool),
-                          min_size=1, max_size=4))
+    """`simulation_cases`' seeds, all misinformation as a run holds one
+    category, spread in 1-17 or about `LANES` rate lanes drawn from a few
+    rates, so lanes repeat rates, hold 0 and 1 and come unsorted; with or
+    without given first-correction days, one of a few rows for each lane."""
+    graph, seeds, _, period, rng_seed, _ = draw(simulation_cases())
+    seeds = [replace(s, category=MISINFORMATION) for s in seeds]
+    rates = draw(st.lists(RATES, min_size=1, max_size=4))
     count = draw(st.integers(1, 17) | st.integers(LANES - 1, LANES + 2))
     picks = draw(st.lists(st.integers(0, 3), min_size=count, max_size=count))
     days = (period[1] - period[0]).days + 1
     given_days = st.lists(st.integers(0, days + 1), min_size=graph.n_users, max_size=graph.n_users)
     rows = draw(st.lists(given_days.map(np.array), min_size=1, max_size=3))
     first = draw(st.none() | st.just([rows[p % len(rows)] for p in picks[::-1]]))
-    lanes = [kinds[p % len(kinds)] for p in picks]
-    return graph, seeds, lanes, period, rng_seed, kw["corrective_blocks_misinfo"], first
+    lanes = [rates[p % len(rates)] for p in picks]
+    return graph, seeds, lanes, period, rng_seed, first
 
 
-def assert_lanes_equal_one_lane_runs(graph, seeds, lanes, period, rng_seed, blocks, first):
-    """Every lane of `_lane_runs` holds exactly the events and reach of the
-    one-lane run at that lane's rates and given first-correction days, as
-    the per-tweet reference loop gives them, and, without given
-    first-correction days, `simulate_cascades` too.  The lanes are gated
-    by one correction per distinct row, its day keys in the lanes that
-    take the row."""
+def assert_lanes_equal_one_lane_runs(graph, seeds, lanes, period, rng_seed, first):
+    """Every lane of `_lane_runs` over misinformation `seeds`, one rate
+    per lane, holds exactly the events and reach of the one-lane run at
+    that lane's rate and given first-correction days, as the per-tweet
+    reference loop gives them.  The lanes are gated by one correction
+    per distinct row, its day keys in the lanes that take the row."""
     seeds = sorted(seeds, key=lambda s: (s.day, s.seq))
-    table = np.array([[rates.get(s.category, 0.0) for rates in lanes] for s in seeds])
     rows = {}
     for k, row in enumerate(first or ()):
         keys, bits = rows.get(id(row), (day_keys(row, period), 0))
         rows[id(row)] = (keys, bits | 1 << k)
     runs = list(_lane_runs(
-        graph, seeds, table.reshape(len(seeds), len(lanes)), period, rng_seed,
-        [correction(keys, bits) for keys, bits in rows.values()], blocks=blocks,
+        graph, seeds, lanes, period, rng_seed,
+        [correction(keys, bits) for keys, bits in rows.values()],
     ))
     assert len(runs) == len(lanes)
     assert [lane for _, lane in runs] == [i % LANES for i in range(len(lanes))]
-    # lanes repeat (rates, row) cases: each is worked out once
+    # lanes repeat (rate, row) cases: each is worked out once
     wants = {}
-    for k, (rates, (run, lane)) in enumerate(zip(lanes, runs)):
+    for k, (rate, (run, lane)) in enumerate(zip(lanes, runs)):
         given = None if first is None else first[k]
-        if (case := (tuple(rates.items()), id(given))) not in wants:
+        if (case := (rate, id(given))) not in wants:
             wants[case] = reference_simulate(
-                graph, seeds, rates, period, rng_seed,
-                corrective_blocks_misinfo=blocks, first_correction=given,
+                graph, seeds, {MISINFORMATION: rate}, period, rng_seed,
+                corrective_blocks_misinfo=True, first_correction=given,
             )
-            if first is None:
-                kw = dict(corrective_blocks_misinfo=blocks)
-                assert simulate_cascades(graph, seeds, rates, period, rng_seed, **kw) == wants[case]
         want = wants[case]
         assert lane_cascades(seeds, run, lane) == want
         reach = _category_code(graph, want, period)
@@ -555,23 +548,22 @@ def test_rate_lanes_equal_one_lane_runs(case):
 
 def test_rate_lanes_equal_one_lane_runs_on_denser_graphs():
     """Graphs of up to 30 users with many paths, so lanes reach a user on
-    different days, and every category spreads at once, gated; a few
-    cases hold more lanes than one run, and given first-correction rows
-    repeat across lanes."""
+    different days; a few cases hold more lanes than one run, and given
+    first-correction rows repeat across lanes."""
     rng = np.random.default_rng(14)
     for case in range(30):
         graph = random_graph(rng, max_nodes=30)
         seeds = [
-            SeedTweet(f"t{i}", int(rng.integers(graph.n_users)), cat,
+            SeedTweet(f"t{i}", int(rng.integers(graph.n_users)), MISINFORMATION,
                       DAY0 + timedelta(days=int(rng.integers(-1, 4))), -i - 1)
-            for i, cat in enumerate(rng.choice(list(TweetCategory), size=int(rng.integers(1, 7))))
+            for i in range(int(rng.integers(1, 7)))
         ]
         pool = [0.0, 1.0, *rng.uniform(0, 1, 3).round(2)]
         count = int(rng.integers(LANES + 1, LANES + 20) if case % 5 == 0 else rng.integers(9, 18))
-        lanes = [{c: float(rng.choice(pool)) for c in TweetCategory} for _ in range(count)]
+        lanes = [float(rng.choice(pool)) for _ in range(count)]
         rows = rng.integers(0, 9, (3, graph.n_users))
         first = [rows[i % 3] for i in range(count)] if case % 2 else None
-        assert_lanes_equal_one_lane_runs(graph, seeds, lanes, days(8), case, case % 3 > 0, first)
+        assert_lanes_equal_one_lane_runs(graph, seeds, lanes, days(8), case, first)
 
 
 def assert_pair_lanes_equal_one_lane_runs(case, corrective_rates, misinfo_rates):
@@ -593,12 +585,9 @@ def assert_pair_lanes_equal_one_lane_runs(case, corrective_rates, misinfo_rates)
             gated = [((1 << width) - 1) << k * width for k in range(j, j + run.width)]
             corrections.append((run.reach, run.reach_lanes, gated))
     pairs = [(reach, rate) for reach in reaches for rate in misinfo_rates]
-    runs = _lane_runs(
-        graph, misinfo, [rate for _, rate in pairs], period, rng_seed, corrections, blocks=True
-    )
+    runs = _lane_runs(graph, misinfo, [rate for _, rate in pairs], period, rng_seed, corrections)
     for (reach, rate), (run, lane) in zip(pairs, runs, strict=True):
-        ((alone, _),) = _lane_runs(graph, misinfo, [rate], period, rng_seed,
-                                   [correction(reach, 1)], blocks=True)
+        ((alone, _),) = _lane_runs(graph, misinfo, [rate], period, rng_seed, [correction(reach, 1)])
         assert lane_cascades(misinfo, run, lane) == lane_cascades(misinfo, alone, 0)
         np.testing.assert_array_equal(lane_reach(run, lane), lane_reach(alone, 0))
 
@@ -633,24 +622,30 @@ def test_misinfo_pair_lanes_gated_by_two_mask_bytes(case, corrective_rates, misi
 
 def test_corrective_exposures_of_one_day_join_their_lanes():
     """Two corrective tweets first reach user 2 on one day, one in both
-    lanes and one in lane 0 only: the misinformation that reaches 2 the
-    day after is gated in both lanes, as each lane's one-lane run gates
+    lanes of a corrective run and one in lane 0 only: 2's reach key that
+    day holds both lanes, so the misinformation that reaches 2 the day
+    after is gated in both pair lanes, as each lane's one-lane run gates
     it."""
     # 4 and 5 retweet the corrections of 0 and 1 to 2; 3 posts misinformation to 2
     graph = SocialGraph(6, [(4, 0), (5, 1), (2, 4), (2, 5), (2, 3)])
     draws = {u: uniform_for_users(derive_seed(9, "rt", f"c{u}"), [u + 4])[0] for u in (0, 1)}
     low, high = sorted(draws, key=draws.get)  # the author of the lower draw posts first
-    seeds = [seed(low, seq=-3, tid=f"c{low}"), seed(high, seq=-2, tid=f"c{high}"),
-             seed(3, DAY0 + timedelta(days=2), -1, TweetCategory.MISINFORMATION, "m")]
-    lanes = [{CORRECTIVE: 1.0, TweetCategory.MISINFORMATION: 1.0},
-             {CORRECTIVE: (draws[low] + draws[high]) / 2, TweetCategory.MISINFORMATION: 1.0}]
-    assert_lanes_equal_one_lane_runs(graph, seeds, lanes, days(4), 9, True, None)
-    # lane 1 as described: only the first correction is retweeted, and 2 is gated
-    first, second, misinfo = reference_simulate(
-        graph, seeds, lanes[1], days(4), 9, corrective_blocks_misinfo=True
-    )
+    corrective = [seed(low, seq=-3, tid=f"c{low}"), seed(high, seq=-2, tid=f"c{high}")]
+    misinfo = [seed(3, DAY0 + timedelta(days=2), -1, MISINFORMATION, "m")]
+    rates = [1.0, (draws[low] + draws[high]) / 2]
+    case = (graph, corrective + misinfo, {}, days(4), 9, {})
+    assert_pair_lanes_equal_one_lane_runs(case, rates, [1.0])
+    (run, _), _ = _lane_runs(graph, corrective, rates, days(4), 9)
+    # lane 1 as described: only the first correction is retweeted
+    first, second = lane_cascades(corrective, run, 1)
     assert low + 4 in first.retweeters and high + 4 not in second.retweeters
-    assert 2 not in misinfo.retweeters
+    # both lanes reach 2 on day 1
+    np.testing.assert_array_equal(run.reach_lanes[run.reach == 1 * graph.n_users + 2], [0b11])
+    ((free, _),) = _lane_runs(graph, misinfo, [1.0], days(4), 9)
+    assert 2 in lane_cascades(misinfo, free, 0)[0].retweeters
+    for mis, lane in _lane_runs(graph, misinfo, [1.0, 1.0], days(4), 9,
+                                [(run.reach, run.reach_lanes, [0b01, 0b10])]):
+        assert 2 not in lane_cascades(misinfo, mis, lane)[0].retweeters
 
 
 @given(st.sampled_from([1, 8, 9, 33, 64]), st.data())

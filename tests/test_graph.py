@@ -66,6 +66,11 @@ def test_edge_endpoint_out_of_range():
         SocialGraph(2, [(0, 5)])
     with pytest.raises(GraphError):
         SocialGraph(2, [(-1, 0)])
+    # an out-of-range self-edge is out of range, not a dropped self-edge
+    with pytest.raises(GraphError):
+        SocialGraph(3, [(5, 5), (0, 1)])
+    with pytest.raises(GraphError):
+        SocialGraph(3, [(-1, -1)])
 
 
 def test_degrees_match_edge_list():
