@@ -284,11 +284,20 @@ def _spread(
     user retweets none of `seeds` in those lanes.
 
     Every lane uses each (tweet, user) key's one draw, so a key's state is
-    a mask of the lanes it holds in, of the narrowest unsigned dtype with
-    a bit per lane.  A day's audience keys carry the union of their
-    actors' lanes; a key decides in the lanes that newly expose it, and
-    retweets in those whose rate is above its draw and that do not gate
-    its user.  Each lane so gets exactly the run at its own rate.
+    a mask of lanes, of the narrowest unsigned dtype with a bit per lane.
+    Each day the whole audience of the day's actors is drawn, repeats and
+    all; only the keys that draw below the top rate and are not the
+    tweet's author are made distinct, each with the union of its actors'
+    lanes.  Such a key retweets in the lanes that reach it, whose rate is
+    above its draw, that do not gate its user, and in which it has not
+    retweeted yet.  A key so decides again at every exposure, yet each
+    lane gets exactly the run at its own rate, where a key decides once,
+    on its first exposure: its draw is fixed and a user's gates only gain
+    lanes, so a key that did not retweet in a lane then never can.  The
+    work so grows with every exposure whose draw is below the top rate.
+    A draw's lanes come from one threshold table per run: `above[j]`
+    holds the lanes whose rate is above `floors[j]`, -1 and then the
+    rates in order, and a draw takes j, the count of rates at or below it.
     """
     n, t = graph.n_users, len(seeds)
     start, end = period
@@ -298,11 +307,16 @@ def _spread(
     # per-tweet columns, indexed like `seeds`
     author = np.array([s.author for s in seeds], dtype=np.int64)
     seed_day = np.array([(s.day - start).days for s in seeds], dtype=np.int64)
-    top = max(rates)
     skey = np.array([derive_seed(rng_seed, "rt", s.tweet_id) for s in seeds], dtype=np.uint64)
+    # a draw at or above the top rate hits in no lane; draws are in [0, 1),
+    # so a run at rate 0 in every lane never hits
+    top = max(rates)
+    floors = np.array([-1.0, *sorted(rates)])
+    above = _lane_mask((floors < rate for rate in rates), dtype)
 
-    # (tweet, user) state lives under the key tweet * n + user
-    exposed = np.zeros(t * n, dtype=dtype)
+    # per (tweet, user) key tweet * n + user, the lanes in which it has
+    # retweeted: written only at retweets, so its pages are mostly never touched
+    done = np.zeros(t * n, dtype=dtype)
     # per user, the lanes that gate it as of the current day
     corrected = np.zeros(n, dtype=dtype)
     # keys and lanes of retweets landing today, sorted, so seq follows
@@ -321,28 +335,28 @@ def _spread(
         landed.append(pending)
         landed_lanes.append(pending_lanes)
         landed_day.append(start.toordinal() + d)
-        # every actor (author or retweeter) exposes itself and its followers;
-        # a key holds in the union of its actors' lanes
-        actors = np.concatenate([seeded * n + author[seeded], pending])
+        # every actor (author or retweeter) exposes itself and its followers
+        # in its lanes
+        tweet, user = np.divmod(np.concatenate([seeded * n + author[seeded], pending]), n)
         actor_lanes = np.concatenate([np.full(len(seeded), (1 << lanes) - 1, dtype), pending_lanes])
-        keys, reached = _lane_reach(graph, actors, actor_lanes)
-        seen = exposed[keys]
-        new = reached & ~seen
-        fresh = np.flatnonzero(new > 0)
-        keys, new = keys[fresh], new[fresh]
-        exposed[keys] = seen[fresh] | new
-        tweet = keys // n
-        user = keys - tweet * n
-        # the newly exposed decide once, on their first exposure: they
-        # retweet in the lanes whose rate is above their draw
+        reached, counts = _neighbors(graph._followers, user)
+        tweet = np.concatenate([tweet, np.repeat(tweet, counts)])
+        user = np.concatenate([user, reached])
         draw = uniform_for_users(skey[tweet], user)
-        # a draw at or above the top rate hits in no lane; draws are in
-        # [0, 1), so a run at rate 0 in every lane never hits
         i = np.flatnonzero((draw < top) & (user != author[tweet]))
-        draw = draw[i]
-        hit = new[i] & ~corrected[user[i]] & _lane_mask((draw < rate for rate in rates), dtype)
-        retweets = np.flatnonzero(hit > 0)
-        pending, pending_lanes = keys[i[retweets]], hit[retweets]
+        # only these are made distinct, each in the union of its actors' lanes
+        keys = tweet[i] * n + user[i]
+        order = np.argsort(keys)
+        keys, i = keys[order], i[order]
+        heads = np.flatnonzero(_run_starts(keys))
+        key_lanes = np.concatenate([actor_lanes, np.repeat(actor_lanes, counts)])[i]
+        key_lanes = np.bitwise_or.reduceat(key_lanes, heads)
+        keys, i = keys[heads], i[heads]
+        rate_lanes = above[np.searchsorted(floors[1:], draw[i], side="right")]
+        hit = key_lanes & ~done[keys] & ~corrected[user[i]] & rate_lanes
+        retweets = np.flatnonzero(hit)
+        pending, pending_lanes = keys[retweets], hit[retweets]
+        done[pending] |= pending_lanes
     tweet, user = np.divmod(np.concatenate(landed), n)
     day = np.repeat(landed_day, [len(k) for k in landed])
     return _Run(day, tweet, user, np.concatenate(landed_lanes), lanes)

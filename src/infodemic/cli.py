@@ -366,10 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("INFODEMIC_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = (os.environ.get("INFODEMIC_LOG") or "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"error: INFODEMIC_LOG: unknown level {level!r}", file=sys.stderr)
+        return 1
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

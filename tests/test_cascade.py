@@ -397,31 +397,40 @@ def reference_simulate(graph, seeds, rt_rates, period, rng_seed, *,
     return [Cascade(s, evs) for s, evs in zip(seeds, events)]
 
 
-RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# 0, 1 and anything between, but mostly rates at which cascades spread
+RATES = st.one_of(st.floats(0.25, 1.0), st.sampled_from([1.0, 0.0]), st.floats(0.0, 1.0))
 
 
 @st.composite
 def simulation_cases(draw):
-    """Small graph of at least 2n drawn pairs, so that seeds have
-    followers, seeds dated before/inside/after the period (several per
-    author and day), rates at and between 0 and 1, both flags."""
-    n = draw(st.integers(1, 12))
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    edges = draw(st.lists(pairs, min_size=2 * n, max_size=40))
-    graph = SocialGraph(n, [p for p in edges if p[0] != p[1]])
-    days = draw(st.integers(1, 6))
-    period = (DAY0, DAY0 + timedelta(days=days - 1))
+    """Small graph of at least 3n drawn pairs, mostly into the few
+    authors, so that seeds have followers; at least two seeds, dated
+    mostly inside the period but also before and after it (several per
+    author and day); a rate for every category but at most one, at and
+    between 0 and 1; both flags.  Large graphs, long periods and rates
+    of at least 0.25 come first, so that most cases spread."""
+    n = draw(st.integers(0, 11).map(lambda k: 12 - k))  # the largest first
     authors = st.integers(0, min(n - 1, 2))  # few authors: shared author-days
+    # followers counted down from the last user and followees mostly
+    # authors, so that the simplest pairs are edges into an author
+    follower = st.integers(0, n - 1).map(lambda u: n - 1 - u)
+    pairs = st.tuples(follower, authors | st.integers(0, n - 1))
+    edges = draw(st.lists(pairs, min_size=3 * n, max_size=48))
+    graph = SocialGraph(n, [p for p in edges if p[0] != p[1]])
+    days = draw(st.integers(0, 5).map(lambda k: 6 - k))  # the longest first
+    period = (DAY0, DAY0 + timedelta(days=days - 1))
     specs = draw(st.lists(
-        st.tuples(authors, st.integers(-2, days + 1), st.sampled_from(list(TweetCategory))),
-        max_size=8,
+        st.tuples(authors, st.integers(0, max(days - 2, 0)) | st.integers(-2, days + 1),
+                  st.sampled_from(list(TweetCategory))),
+        min_size=2, max_size=8,
     ))
     seqs = draw(st.permutations(range(-len(specs), 0)))
     seeds = [
         SeedTweet(f"t{i}", a, cat, DAY0 + timedelta(days=d), q)
         for i, ((a, d, cat), q) in enumerate(zip(specs, seqs))
     ]
-    rates = {c: draw(RATES) for c in TweetCategory if draw(st.booleans())}
+    left_out = draw(st.sampled_from([None, *TweetCategory]))  # its rate defaults to 0
+    rates = {c: draw(RATES) for c in TweetCategory if c is not left_out}
     kw = dict(corrective_blocks_misinfo=draw(st.booleans()))
     return graph, seeds, rates, period, draw(st.integers(0, 2**64 - 1)), kw
 
@@ -646,6 +655,83 @@ def test_corrective_exposures_of_one_day_join_their_lanes():
     for mis, lane in _lane_runs(graph, misinfo, [1.0, 1.0], days(4), 9,
                                 [(run.reach, run.reach_lanes, [0b01, 0b10])]):
         assert 2 not in lane_cascades(misinfo, mis, lane)[0].retweeters
+
+
+# -- a key decides again at every exposure, in the lanes it has not retweeted in
+
+
+def rows_of(run, user):
+    """The (period day index, lane mask) of each row of `user` in the
+    one-tweet `_spread` run `run`."""
+    mine = run.user == user
+    return list(zip((run.day[mine] - DAY0.toordinal()).tolist(), run.lanes[mine].tolist()))
+
+
+def never(graph):
+    """A first-correction row by which no user is ever corrected."""
+    return np.full(graph.n_users, 99)
+
+
+def test_key_reached_in_a_second_lane_later_retweets_in_it_then():
+    """u is reached on day 1 in lane 0 only, through x, who draws between
+    the two lanes' rates, and on day 2 in lane 1 too, through the chain y
+    -> z: it decides in lane 0 on day 1 and in lane 1 on day 2, so its
+    retweets land on days 2 and 3, as each lane's one-lane run has it."""
+    draws = uniform_for_users(derive_seed(9, "rt", "m"), [1, 2, 3, 4])
+    order = np.argsort(-draws)
+    x, y, z, u = 1 + order  # x draws highest
+    graph = SocialGraph(5, [(x, 0), (y, 0), (u, x), (z, y), (u, z)])
+    rates = [1.0, draws[order[:2]].mean()]
+    seeds = [seed(0, cat=MISINFORMATION, tid="m")]
+    assert_lanes_equal_one_lane_runs(graph, seeds, rates, days(5), 9, None)
+    ((run, _), _) = _lane_runs(graph, seeds, rates, days(5), 9)
+    assert rows_of(run, x) == [(1, 0b01)]
+    assert rows_of(run, u) == [(2, 0b01), (3, 0b10)]
+
+
+def test_key_reached_in_two_lanes_on_one_day_gets_one_row():
+    """a and b retweet 0's tweet in one lane each, each gated in the other
+    from the day before; both reach u on day 2, and its one retweet, in
+    both lanes, lands on day 3."""
+    a, b, u = 1, 2, 3
+    graph = SocialGraph(4, [(a, 0), (b, 0), (u, a), (u, b)])
+    seeds = [seed(0, DAY0 + timedelta(days=1), cat=MISINFORMATION, tid="m")]
+    first = [never(graph), never(graph)]
+    first[0][b], first[1][a] = 0, 0
+    assert_lanes_equal_one_lane_runs(graph, seeds, [1.0, 1.0], days(5), 9, first)
+    gates = [correction(day_keys(row, days(5)), 1 << lane) for lane, row in enumerate(first)]
+    ((run, _), _) = _lane_runs(graph, seeds, [1.0, 1.0], days(5), 9, gates)
+    assert (rows_of(run, a), rows_of(run, b)) == ([(2, 0b01)], [(2, 0b10)])
+    assert rows_of(run, u) == [(3, 0b11)]
+
+
+def test_key_gated_at_first_exposure_never_retweets():
+    """u is gated in lane 0 from day 1 and first reached that day, by 0;
+    w's retweet reaches u again on day 2 in both lanes.  u retweets in
+    lane 1 only, landing on day 2, and never in lane 0."""
+    w, u = 1, 2
+    graph = SocialGraph(3, [(w, 0), (u, 0), (u, w)])
+    seeds = [seed(0, DAY0 + timedelta(days=1), cat=MISINFORMATION, tid="m")]
+    first = [never(graph), never(graph)]
+    first[0][u] = 0
+    assert_lanes_equal_one_lane_runs(graph, seeds, [1.0, 1.0], days(5), 9, first)
+    gates = [correction(day_keys(first[0], days(5)), 0b01)]
+    ((run, _), _) = _lane_runs(graph, seeds, [1.0, 1.0], days(5), 9, gates)
+    assert rows_of(run, w) == [(2, 0b11)]
+    assert rows_of(run, u) == [(2, 0b10)]
+
+
+def test_retweeter_reached_again_gets_no_second_row():
+    """u retweets on day 0's exposure in both lanes; on day 1 its own
+    retweet and w's reach it again, and on day 2 v's, yet it has one row,
+    landing on day 1."""
+    w, v, u = 1, 2, 3
+    graph = SocialGraph(4, [(w, 0), (u, 0), (v, w), (u, w), (u, v)])
+    seeds = [seed(0, cat=MISINFORMATION, tid="m")]
+    assert_lanes_equal_one_lane_runs(graph, seeds, [1.0, 1.0], days(5), 9, None)
+    ((run, _), _) = _lane_runs(graph, seeds, [1.0, 1.0], days(5), 9)
+    assert rows_of(run, v) == [(2, 0b11)]
+    assert rows_of(run, u) == [(1, 0b11)]
 
 
 @given(st.sampled_from([1, 8, 9, 33, 64]), st.data())

@@ -4,11 +4,14 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 from datetime import date
 
 import numpy as np
 import pytest
 
+import infodemic
 from infodemic.cascade import CascadeError, load_retweets, load_seed_tweets, save_cascades
 from infodemic.cli import _period_arg, main
 from infodemic.counterfactual import sweep, sweep_summary_csv, sweep_trials_csv
@@ -646,6 +649,29 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run("--version")
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("level", ["info", "Debug", ""])
+def test_log_level_names_a_logging_level(tmp_path, level):
+    assert infodemic_process(tmp_path, level).returncode == 0
+    assert (tmp_path / "edges.csv").exists()
+
+
+def test_unknown_log_level_is_input_error(tmp_path):
+    done = infodemic_process(tmp_path, "verbose")
+    assert (done.returncode, done.stderr) == (1, "error: INFODEMIC_LOG: unknown level 'VERBOSE'\n")
+    assert not (tmp_path / "edges.csv").exists()
+
+
+def infodemic_process(out, level):
+    """`infodemic gen-graph` in a fresh interpreter with `INFODEMIC_LOG`
+    set to `level`: in this one, the test runner's log handlers would make
+    the CLI's logging set-up a no-op."""
+    src = os.path.dirname(os.path.dirname(infodemic.__file__))
+    env = dict(os.environ, INFODEMIC_LOG=level, PYTHONPATH=src)
+    argv = ["gen-graph", "--n-users", "5", "--seed", "1", "--out", str(out)]
+    return subprocess.run([sys.executable, "-m", "infodemic.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
 
 
 def test_commands_reject_flags_they_do_not_read():
