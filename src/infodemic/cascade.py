@@ -21,7 +21,7 @@ import numpy as np
 
 from ._rng import derive_seed, uniform_for_users
 from ._table import at_line, parse_day, read_table, write_table
-from .graph import SocialGraph, _Csr, _row_gather, _run_starts, _sorted_unique
+from .graph import SocialGraph, _Csr, _row_gather, _run_starts
 
 log = logging.getLogger("infodemic.cascade")
 
@@ -285,7 +285,7 @@ def _spread(
 
     Every lane uses each (tweet, user) key's one draw, so a key's state is
     a mask of lanes, of the narrowest unsigned dtype with a bit per lane.
-    Each day the whole audience of the day's actors is drawn, repeats and
+    Each day the followers of the day's actors are drawn, repeats and
     all; only the keys that draw below the top rate and are not the
     tweet's author are made distinct, each with the union of its actors'
     lanes.  Such a key retweets in the lanes that reach it, whose rate is
@@ -335,13 +335,13 @@ def _spread(
         landed.append(pending)
         landed_lanes.append(pending_lanes)
         landed_day.append(start.toordinal() + d)
-        # every actor (author or retweeter) exposes itself and its followers
-        # in its lanes
+        # every actor (author or retweeter) exposes its followers in its
+        # lanes; an actor's own key cannot hit: an author's is skipped, a
+        # retweeter's has retweeted in all of its lanes
         tweet, user = np.divmod(np.concatenate([seeded * n + author[seeded], pending]), n)
         actor_lanes = np.concatenate([np.full(len(seeded), (1 << lanes) - 1, dtype), pending_lanes])
-        reached, counts = _neighbors(graph._followers, user)
-        tweet = np.concatenate([tweet, np.repeat(tweet, counts)])
-        user = np.concatenate([user, reached])
+        user, counts = _neighbors(graph._followers, user)
+        tweet = np.repeat(tweet, counts)
         draw = uniform_for_users(skey[tweet], user)
         i = np.flatnonzero((draw < top) & (user != author[tweet]))
         # only these are made distinct, each in the union of its actors' lanes
@@ -349,7 +349,7 @@ def _spread(
         order = np.argsort(keys)
         keys, i = keys[order], i[order]
         heads = np.flatnonzero(_run_starts(keys))
-        key_lanes = np.concatenate([actor_lanes, np.repeat(actor_lanes, counts)])[i]
+        key_lanes = np.repeat(actor_lanes, counts)[i]
         key_lanes = np.bitwise_or.reduceat(key_lanes, heads)
         keys, i = keys[heads], i[heads]
         rate_lanes = above[np.searchsorted(floors[1:], draw[i], side="right")]
@@ -437,9 +437,6 @@ def _lane_reach(
     """For actor keys `g * n + u` posting in the unsigned lane masks
     `masks`, the sorted distinct keys `g * n + v` of v the actor and each
     of its followers, and the OR of the lanes that reach each."""
-    if (masks[1:] == masks[:1]).all():  # one mask: the keys alone
-        keys = _sorted_unique(_audience(graph, keys))
-        return keys, np.broadcast_to(masks[:1], keys.shape)
     group, user = np.divmod(keys, graph.n_users)
     reached, counts = _neighbors(graph._followers, user)
     if masks.dtype == np.uint8:

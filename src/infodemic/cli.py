@@ -126,7 +126,7 @@ def _config_value(key: str, value):
 
 def _effective(args: argparse.Namespace) -> dict:
     """The config file's keys, overridden by every flag the command was given."""
-    cfg = dict(args.file_config)
+    cfg = _load_config_file(args.config) if args.config else {}
     cfg.update((k, v) for k, v in vars(args).items() if k in _OPTIONS and v is not None)
     cfg.setdefault("out", ".")
     return cfg
@@ -189,9 +189,7 @@ def _load_dataset(cfg: dict):
 # -- commands --------------------------------------------------------------
 
 
-def cmd_gen_graph(args) -> None:
-    cfg = _effective(args)
-    _require(cfg, "n_users")
+def cmd_gen_graph(cfg: dict) -> None:
     options = _given(cfg, "exponent", "min_degree", "max_degree", "seed")
     g = generate_graph(GraphGenConfig(cfg["n_users"], **options))
     path = _outpath(cfg, "edges.csv")
@@ -199,9 +197,7 @@ def cmd_gen_graph(args) -> None:
     print(f"wrote {path}: {g.n_users} users, {g.n_edges} edges")
 
 
-def cmd_simulate(args) -> None:
-    cfg = _effective(args)
-    _require(cfg, "graph", "tweets", "period")
+def cmd_simulate(cfg: dict) -> None:
     graph, seeds = _load_seeds(cfg)
     cascades = simulate_cascades(
         graph,
@@ -220,9 +216,7 @@ def cmd_simulate(args) -> None:
     print(f"wrote {tw} and {rt}: {sum(len(c.events) for c in cascades)} retweets")
 
 
-def cmd_exposure(args) -> None:
-    cfg = _effective(args)
-    _require(cfg, "graph", "tweets", "retweets", "period")
+def cmd_exposure(cfg: dict) -> None:
     graph, _, cascades = _load_dataset(cfg)
     options = _given(cfg, cumulative_exposure="cumulative", include_authors="include_actors")
     m = exposure_matrix(graph, cascades, cfg["period"], **options)
@@ -231,9 +225,7 @@ def cmd_exposure(args) -> None:
     print(f"wrote {path}: {len(m.days)} days")
 
 
-def cmd_fit(args) -> None:
-    cfg = _effective(args)
-    _require(cfg, "graph", "tweets", "retweets", "sales", "period")
+def cmd_fit(cfg: dict) -> None:
     graph, _, cascades = _load_dataset(cfg)
     with open(cfg["sales"], encoding="utf-8", newline="") as fh:
         sales = SalesSeries.from_csv(fh)
@@ -254,9 +246,7 @@ def cmd_fit(args) -> None:
     print(f"wrote {mpath} and {dpath}: R^2={d.r_squared:.4f} F={d.f_value:.2f}")
 
 
-def cmd_impacts(args) -> None:
-    cfg = _effective(args)
-    _require(cfg, "model")
+def cmd_impacts(cfg: dict) -> None:
     imp = load_model(cfg["model"]).per_viewer_impacts
     rows = [(f"x{i + 1}", v) for i, v in enumerate(imp.tolist())]
     # group impacts need the whole dataset, once any of it is given
@@ -274,9 +264,7 @@ def cmd_impacts(args) -> None:
     print("wrote " + " and ".join(paths))
 
 
-def cmd_whatif(args) -> None:
-    cfg = _effective(args)
-    _require(cfg, "model", "graph", "tweets", "retweets", "period")
+def cmd_whatif(cfg: dict) -> None:
     trials = cfg.get("trials", 10)
     if trials < 1:
         raise CliError("trials must be >= 1")
@@ -305,9 +293,7 @@ def cmd_whatif(args) -> None:
     print(f"wrote {path}: baseline sum {baseline.sum_index:.4f}")
 
 
-def cmd_sweep(args) -> None:
-    cfg = _effective(args)
-    _require(cfg, "model", "graph", "tweets", "period")
+def cmd_sweep(cfg: dict) -> None:
     model = load_model(cfg["model"])
     graph, seeds = _load_seeds(cfg)
     grid = sweep(
@@ -336,32 +322,32 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="infodemic", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
-    # (command, function, help, the flags it reads besides --config and --out);
-    # built per call, so a function rebound on the module (a tracing wrapper,
-    # say) is the one dispatched
+    # (command, function, help, the options it requires, the other flags it
+    # reads besides --config and --out); built per call, so a function rebound
+    # on the module (a tracing wrapper, say) is the one dispatched
     commands = (
         ("gen-graph", cmd_gen_graph, "synthesize a follower graph",
-         ("n_users", "exponent", "min_degree", "max_degree", "seed")),
+         ("n_users",), ("exponent", "min_degree", "max_degree", "seed")),
         ("simulate", cmd_simulate, "diffuse seed tweets stochastically",
-         ("graph", "tweets", "period", "misinfo_rate", "corrective_rate", "soldout_rate", "seed")),
+         ("graph", "tweets", "period"), ("misinfo_rate", "corrective_rate", "soldout_rate", "seed")),
         ("exposure", cmd_exposure, "compute the daily class matrix",
-         (*_DATASET, "cumulative_exposure", "exclude_authors")),
+         _DATASET, ("cumulative_exposure", "exclude_authors")),
         ("fit", cmd_fit, "fit the sales model (PCA + OLS)",
-         (*_DATASET, "sales", "k", "drop_nonsignificant_pcs")),
-        ("impacts", cmd_impacts, "per-viewer and per-group impact tables", (*_DATASET, "model")),
+         ("graph", "tweets", "retweets", "sales", "period"), ("k", "drop_nonsignificant_pcs")),
+        ("impacts", cmd_impacts, "per-viewer and per-group impact tables", ("model",), _DATASET),
         ("whatif", cmd_whatif, "corrective reduction + guideline experiments",
-         (*_DATASET, "model", "retention", "misinfo_rate", "trials", "seed")),
+         ("model", *_DATASET), ("retention", "misinfo_rate", "trials", "seed")),
         ("sweep", cmd_sweep, "RT-rate grid sweep",
-         ("graph", "tweets", "period", "model", "misinfo_rate", "corrective_rate", "soldout_rate",
-          "trials", "seed")),
+         ("model", "graph", "tweets", "period"),
+         ("misinfo_rate", "corrective_rate", "soldout_rate", "trials", "seed")),
     )
-    for name, func, help_text, flags in commands:
+    for name, func, help_text, required, optional in commands:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its keys")
         p.add_argument("--out", help="output directory (default .)")
-        for flag in flags:
+        for flag in (*required, *optional):
             p.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, required=required)
     return top
 
 
@@ -374,8 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.file_config = _load_config_file(args.config) if args.config else {}
-        args.func(args)
+        cfg = _effective(args)
+        _require(cfg, *args.required)
+        args.func(cfg)
         return 0
     except (CliError, *_INPUT_ERRORS) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -195,6 +195,8 @@ class GraphGenConfig:
     def __post_init__(self):
         if not 0 <= self.n_users <= _MAX_USERS:
             raise GraphError(f"n_users must be in [0, {_MAX_USERS}]")
+        if not self.popularity_exponent > 0:  # nan included
+            raise GraphError("popularity_exponent must be > 0")
         if self.n_users == 0:
             return
         if self.fixed_degree is not None:

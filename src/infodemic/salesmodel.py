@@ -167,31 +167,27 @@ def predict(model: FittedSalesModel, matrix: ExposureMatrix) -> SalesSeries:
 
 # -- persistence -----------------------------------------------------------
 
+_NUMBER = (int, float)
+# the PCA's fields, at the document's top level, and the OLS diagnostics',
+# under "diagnostics", in the order written and read: each -> its value, a
+# list of numbers of that many dimensions or else a value of that type
+_PCA_FIELDS = {"means": 1, "eigenvalues": 1, "eigenvectors": 2, "contribution": 1}
+_OLS_FIELDS = {
+    "coefficients": 1, "intercept": _NUMBER, "stderrs": 1, "t_values": 1, "p_values": 1,
+    "r_squared": _NUMBER, "f_value": _NUMBER, "dof": int, "sst_zero": bool,
+}
+
 
 def model_to_json(model: FittedSalesModel) -> str:
-    d = model.diagnostics
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "means": model.pca.means.tolist(),
-        "eigenvalues": model.pca.eigenvalues.tolist(),
-        "eigenvectors": model.pca.eigenvectors.tolist(),
-        "contribution": model.pca.contribution.tolist(),
+        **_to_fields(model.pca, _PCA_FIELDS),
         "k": model.k,
         "coefficients": model.coefficients.tolist(),
         "intercept": model.intercept,
         "per_viewer_impacts": model.per_viewer_impacts.tolist(),
         "train_days": [x.isoformat() for x in model.train_days],
-        "diagnostics": {
-            "coefficients": d.coefficients.tolist(),
-            "intercept": d.intercept,
-            "stderrs": d.stderrs.tolist(),
-            "t_values": d.t_values.tolist(),
-            "p_values": d.p_values.tolist(),
-            "r_squared": d.r_squared,
-            "f_value": d.f_value,
-            "dof": d.dof,
-            "sst_zero": d.sst_zero,
-        },
+        "diagnostics": _to_fields(model.diagnostics, _OLS_FIELDS),
     }
     return json.dumps(doc, indent=2)
 
@@ -206,24 +202,8 @@ def model_from_json(text: str) -> FittedSalesModel:
     version = doc.get("format_version")
     if isinstance(version, bool) or version != MODEL_FORMAT_VERSION:
         raise SalesModelError(f"unsupported model format {version!r}")
-    dg = _value(doc, "diagnostics", dict)
-    diag = OlsResult(
-        coefficients=_numbers(dg, "coefficients"),
-        intercept=_value(dg, "intercept", _NUMBER),
-        stderrs=_numbers(dg, "stderrs"),
-        t_values=_numbers(dg, "t_values"),
-        p_values=_numbers(dg, "p_values"),
-        r_squared=_value(dg, "r_squared", _NUMBER),
-        f_value=_value(dg, "f_value", _NUMBER),
-        dof=_value(dg, "dof", int),
-        sst_zero=_value(dg, "sst_zero", bool),
-    )
-    p = PcaResult(
-        means=_numbers(doc, "means"),
-        eigenvalues=_numbers(doc, "eigenvalues"),
-        eigenvectors=_numbers(doc, "eigenvectors", ndim=2),
-        contribution=_numbers(doc, "contribution"),
-    )
+    diag = OlsResult(**_from_fields(_value(doc, "diagnostics", dict), _OLS_FIELDS))
+    p = PcaResult(**_from_fields(doc, _PCA_FIELDS))
     components, features = p.eigenvectors.shape
     if len(p.eigenvalues) != components or len(p.contribution) != components:
         raise SalesModelError("eigenvalues and contribution need one entry per eigenvector")
@@ -248,7 +228,18 @@ def model_from_json(text: str) -> FittedSalesModel:
     )
 
 
-_NUMBER = (int, float)
+def _to_fields(result, fields: dict) -> dict:
+    """The JSON values of the `fields` of `result`."""
+    values = {key: getattr(result, key) for key in fields}
+    return {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in values.items()}
+
+
+def _from_fields(doc: dict, fields: dict) -> dict:
+    """The values of `fields` in `doc`, each checked in turn."""
+    return {
+        key: _numbers(doc, key, kind) if isinstance(kind, int) else _value(doc, key, kind)
+        for key, kind in fields.items()
+    }
 
 
 def _value(doc: dict, key: str, kind: type | tuple[type, ...]):

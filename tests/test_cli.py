@@ -566,6 +566,57 @@ def test_missing_required_flag_is_input_error(tmp_path):
     assert run("exposure", "--out", str(tmp_path)) == 1
 
 
+# each command's required options, in the order its error names them
+REQUIRED = {
+    "gen-graph": ["n_users"],
+    "simulate": ["graph", "tweets", "period"],
+    "exposure": ["graph", "tweets", "retweets", "period"],
+    "fit": ["graph", "tweets", "retweets", "sales", "period"],
+    "impacts": ["model"],
+    "whatif": ["model", "graph", "tweets", "retweets", "period"],
+    "sweep": ["model", "graph", "tweets", "period"],
+}
+
+
+def required_value(key, tmp_path):
+    """A value the option's flag takes; every path names no file."""
+    return {"n_users": "5", "period": PERIOD}.get(key, str(tmp_path / f"no-{key}"))
+
+
+@pytest.mark.parametrize(
+    "command, left_out",
+    [(c, out) for c, keys in REQUIRED.items() for out in ([k] for k in keys)]
+    + [(c, keys) for c, keys in REQUIRED.items() if len(keys) > 1],
+)
+def test_missing_required_options_are_named_before_any_input_is_read(
+    tmp_path, capsys, command, left_out
+):
+    argv = [command, "--out", str(tmp_path / "out")]
+    for key in REQUIRED[command]:
+        if key not in left_out:
+            argv += ["--" + key.replace("_", "-"), required_value(key, tmp_path)]
+    assert run(*argv) == 1
+    missing = ", ".join("--" + k.replace("_", "-") for k in left_out)
+    assert capsys.readouterr().err == f"error: missing required option(s): {missing}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", REQUIRED)
+def test_required_options_pass_the_check_as_config_keys(tmp_path, capsys, command):
+    """Every required option but --model, which a config file may not set."""
+    keys = [k for k in REQUIRED[command] if k != "model"]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({k: required_value(k, tmp_path) for k in keys}))
+    model = ["--model", required_value("model", tmp_path)] if "model" in REQUIRED[command] else []
+    code = run(command, "--config", str(p), *model, "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    # gen-graph reads no input; every other command fails reading its first
+    if command == "gen-graph":
+        assert (code, err) == (0, "")
+    else:
+        assert code == 1 and err.startswith("error: [Errno 2] No such file"), err
+
+
 def test_missing_file_is_input_error(tmp_path):
     code = run(
         "exposure", "--graph", "no-such.csv", "--tweets", "x", "--retweets", "y",

@@ -263,7 +263,7 @@ def test_lane_tally_counts_each_lane_as_its_own_code(case):
         lane_code.reshape(-1)[keys[[m >> lane & 1 == 1 for m in masks]]] |= bit
         want.append(_code_counts(lane_code))
     # every lane count, in the narrowest dtype that holds it, whose bits
-    # above the lanes must not count; equal masks as `_lane_reach`'s view
+    # above the lanes must not count; equal masks also as a broadcast view
     for lanes in range(1, 65):
         dtype = np.min_scalar_type((1 << lanes) - 1)
         narrow = np.array([m & np.iinfo(dtype).max for m in masks], dtype=dtype)

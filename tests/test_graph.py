@@ -158,6 +158,16 @@ def test_generate_config_validation(kwargs):
         GraphGenConfig(**kwargs)
 
 
+@pytest.mark.parametrize("exponent", [float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("shape", [dict(), dict(fixed_degree=3), dict(n_users=0)])
+def test_generate_config_rejects_a_popularity_exponent_not_above_zero(exponent, shape):
+    """A nan exponent would build a graph from nan weights, and one at or
+    below 0 fail inside numpy's pareto draw: every recipe rejects both."""
+    config = dict(n_users=50, seed=1, popularity_exponent=exponent) | shape
+    with pytest.raises(GraphError, match=r"^popularity_exponent must be > 0$"):
+        GraphGenConfig(**config)
+
+
 # -- CSV I/O -----------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import io
 import json
@@ -250,12 +251,31 @@ def test_model_json_roundtrip(tmp_path):
     assert back.k == model.k
     assert back.intercept == model.intercept
     assert np.array_equal(back.coefficients, model.coefficients)
-    assert np.array_equal(back.pca.eigenvectors, model.pca.eigenvectors)
     assert back.train_days == model.train_days
+    # every field of the PCA and of the diagnostics, values and types
+    for part in ("pca", "diagnostics"):
+        for f in dataclasses.fields(getattr(model, part)):
+            a, b = (getattr(getattr(m, part), f.name) for m in (back, model))
+            assert type(a) is type(b), f.name
+            assert np.array_equal(a, b), f.name
     assert np.array_equal(back.per_viewer_impacts, model.per_viewer_impacts)
     pred_a = predict(model, matrix)
     pred_b = predict(back, matrix)
     assert np.array_equal(pred_a.values, pred_b.values)
+
+
+def test_model_json_keys_in_order():
+    """The document's top-level and diagnostics keys, as written."""
+    matrix, sales, _ = planted_dataset()
+    doc = json.loads(model_to_json(fit(matrix, sales, k=4)))
+    assert list(doc) == [
+        "format_version", "means", "eigenvalues", "eigenvectors", "contribution", "k",
+        "coefficients", "intercept", "per_viewer_impacts", "train_days", "diagnostics",
+    ]
+    assert list(doc["diagnostics"]) == [
+        "coefficients", "intercept", "stderrs", "t_values", "p_values", "r_squared", "f_value",
+        "dof", "sst_zero",
+    ]
 
 
 def test_model_json_version_check():
