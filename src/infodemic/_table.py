@@ -83,6 +83,14 @@ def parse_day(text: str) -> date:
     return date.fromisoformat(text)
 
 
+def parse_number(text: str, kind: Callable[[str], Any]) -> Any:
+    """`kind(text)`, `int` or `float`, for ASCII text without `_`; else a
+    `ValueError`, where `kind` takes digit-group `_`s and any Unicode digit."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"number {text!r} is not ASCII decimal without '_'")
+    return kind(text)
+
+
 def write_table(
     path: str | os.PathLike,
     header: Sequence[str],

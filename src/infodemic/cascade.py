@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from ._rng import derive_seed, uniform_for_users
-from ._table import at_line, parse_day, read_table, write_table
+from ._table import at_line, parse_day, parse_number, read_table, write_table
 from .graph import SocialGraph, _Csr, _row_gather, _run_starts
 
 log = logging.getLogger("infodemic.cascade")
@@ -196,12 +196,12 @@ _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(np.uint8)
 
 
 class _Run(NamedTuple):
-    """A `_spread` run of `width` lanes.  Its retweets, in (day, tweet,
-    user) order: each one's day ordinal, tweet index and user, and
-    `lanes`, the mask of the lanes it happens in.  `_lane_runs` fills in
-    `reach`, the sorted `day * n_users + user` keys of who the run's
-    posts reach on each period day, and `reach_lanes`, the lanes in which
-    they do."""
+    """A `_spread` run of `width` lanes.  Its posts, laid out as `_actors`
+    lays out a cascade's: each seed in the run's seed order, then the
+    retweets in (day, tweet, user) order.  Per post, its day ordinal,
+    tweet index and user, and `lanes`, the mask of the lanes it happens
+    in; a seed is in every lane.  `_lane_runs` fills in `reach` and
+    `reach_lanes`, the `_reach` of the run's posts."""
 
     day: np.ndarray
     tweet: np.ndarray
@@ -258,8 +258,8 @@ def simulate_cascades(
         mine = [seeds[i] for i in index]
         run = _spread(graph, mine, [rt_rates.get(cat, 0.0)], period, rng_seed, gates.get(cat, ()))
         if corrective_blocks_misinfo and cat is TweetCategory.CORRECTIVE:
-            gates[TweetCategory.MISINFORMATION] = [_reach(graph, mine, run, period)]
-        rows.append((run.day, index[run.tweet], run.user))
+            gates[TweetCategory.MISINFORMATION] = [_reach(graph, run.user, run.day, run.lanes, period)]
+        rows.append((run.day[len(mine) :], index[run.tweet[len(mine) :]], run.user[len(mine) :]))
     day, tweet, user = (np.concatenate(column) for column in zip(*rows))
     order = np.lexsort((user, tweet, day))
     events = np.empty(len(order), dtype=EVENT)
@@ -281,7 +281,8 @@ def _spread(
     `corrections` is a pair of distinct sorted `day * n_users + user`
     keys, the period days on which corrective posts reach users, and per
     key the mask of the lanes it gates: from the next day on, a gated
-    user retweets none of `seeds` in those lanes.
+    user retweets none of `seeds` in those lanes.  The run's rows are the
+    seeds' posts, in `seeds`' order and in every lane, then the retweets.
 
     Every lane uses each (tweet, user) key's one draw, so a key's state is
     a mask of lanes, of the narrowest unsigned dtype with a bit per lane.
@@ -320,10 +321,10 @@ def _spread(
     # per user, the lanes that gate it as of the current day
     corrected = np.zeros(n, dtype=dtype)
     # keys and lanes of retweets landing today, sorted, so seq follows
-    # (day, tweet, user) order; the empty first entries keep the
-    # concatenations defined
+    # (day, tweet, user) order
     pending, pending_lanes = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype)
-    landed, landed_lanes, landed_day = [pending], [pending_lanes], [0]
+    landed, landed_lanes = [np.arange(t) * n + author], [np.full(t, (1 << lanes) - 1, dtype)]
+    landed_day = [seed_day + start.toordinal()]
     for d in range(n_days):
         # the corrective exposures of the day before; a day's keys hold each user once
         for keys, gates in corrections:
@@ -334,12 +335,12 @@ def _spread(
             continue
         landed.append(pending)
         landed_lanes.append(pending_lanes)
-        landed_day.append(start.toordinal() + d)
+        landed_day.append(np.full(len(pending), start.toordinal() + d))
         # every actor (author or retweeter) exposes its followers in its
         # lanes; an actor's own key cannot hit: an author's is skipped, a
         # retweeter's has retweeted in all of its lanes
-        tweet, user = np.divmod(np.concatenate([seeded * n + author[seeded], pending]), n)
-        actor_lanes = np.concatenate([np.full(len(seeded), (1 << lanes) - 1, dtype), pending_lanes])
+        tweet, user = np.divmod(np.concatenate([landed[0][seeded], pending]), n)
+        actor_lanes = np.concatenate([landed_lanes[0][seeded], pending_lanes])
         user, counts = _neighbors(graph._followers, user)
         tweet = np.repeat(tweet, counts)
         draw = uniform_for_users(skey[tweet], user)
@@ -358,23 +359,20 @@ def _spread(
         pending, pending_lanes = keys[retweets], hit[retweets]
         done[pending] |= pending_lanes
     tweet, user = np.divmod(np.concatenate(landed), n)
-    day = np.repeat(landed_day, [len(k) for k in landed])
-    return _Run(day, tweet, user, np.concatenate(landed_lanes), lanes)
+    return _Run(np.concatenate(landed_day), tweet, user, np.concatenate(landed_lanes), lanes)
 
 
 def _reach(
-    graph: SocialGraph, seeds: Sequence[SeedTweet], run: _Run, period: tuple[date, date]
+    graph: SocialGraph, users: np.ndarray, days: np.ndarray, masks: np.ndarray,
+    period: tuple[date, date],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Who the posts of `run`, a `_spread` run of `seeds`, reach on each
-    period day: sorted `day * n_users + user` keys and their lanes.  A
-    day's posts are its seeds, in every lane, and its retweets, in theirs."""
-    n, start = graph.n_users, period[0]
-    author = np.array([s.author for s in seeds], dtype=np.int64)
-    day = np.array([(s.day - start).days for s in seeds], dtype=np.int64)
-    seed_keys = (day * n + author)[(day >= 0) & (day <= (period[1] - start).days)]
-    keys = np.concatenate([seed_keys, (run.day - start.toordinal()) * n + run.user])
-    every = np.full(len(seed_keys), (1 << run.width) - 1, run.lanes.dtype)
-    return _lane_reach(graph, keys, np.concatenate([every, run.lanes]))
+    """Who the posts of `users` on the day ordinals `days`, in the
+    unsigned lane masks `masks`, reach on each period day: the
+    `_lane_reach` of the posts dated inside the period and in some lane."""
+    start, end = (d.toordinal() for d in period)
+    inside = (days >= start) & (days <= end) & (masks > 0)
+    keys = (days[inside] - start) * graph.n_users + users[inside]
+    return _lane_reach(graph, keys, masks[inside])
 
 
 def _lane_runs(
@@ -386,11 +384,12 @@ def _lane_runs(
     corrections: Sequence[tuple[np.ndarray, np.ndarray, Sequence[int]]] = (),
 ) -> Iterator[tuple[_Run, int]]:
     """`_spread` in one lane per rate of `rates`: runs of up to `LANES`
-    lanes each, with their `_reach`; one (run, lane) per rate.  Each of
-    `corrections` is a corrective run's reach keys and lane masks, and per
-    lane c of those masks, the mask of the rates that lane c gates.  A key
-    gates the OR of its lanes' rate masks, looked up for each byte of its
-    mask in a 256-entry table of that byte's lanes."""
+    lanes each, with the `_reach` of their rows, the seeds' posts and the
+    retweets; one (run, lane) per rate.  Each of `corrections` is a
+    corrective run's reach keys and lane masks, and per lane c of those
+    masks, the mask of the rates that lane c gates.  A key gates the OR of
+    its lanes' rate masks, looked up for each byte of its mask in a
+    256-entry table of that byte's lanes."""
     for group in range(0, len(rates), LANES):
         columns = rates[group : group + LANES]
         low = (1 << len(columns)) - 1
@@ -404,7 +403,7 @@ def _lane_runs(
                 gates |= table[masks >> masks.dtype.type(first) & masks.dtype.type(0xFF)]
             mine.append((keys, gates))
         run = _spread(graph, seeds, columns, period, rng_seed, mine)
-        reach, reach_lanes = _reach(graph, seeds, run, period)
+        reach, reach_lanes = _reach(graph, run.user, run.day, run.lanes, period)
         run = run._replace(reach=reach, reach_lanes=reach_lanes)
         for lane in range(run.width):
             yield run, lane
@@ -422,13 +421,6 @@ def _split(seeds: Sequence[SeedTweet], tweet: np.ndarray, run: np.ndarray) -> li
     bounds = np.searchsorted(tweet[order], np.arange(len(seeds) + 1))
     run = run[order]
     return [Cascade(s, run[a:b]) for s, a, b in zip(seeds, bounds[:-1], bounds[1:])]
-
-
-def _audience(graph: SocialGraph, actors: np.ndarray) -> np.ndarray:
-    """For actor keys `g * n + u`, the actor keys followed by
-    `g * n + v` for each follower v of u: one segment-gather over the
-    follower CSR, unsorted and with repeats."""
-    return _with_neighbors(graph._followers, actors, graph.n_users)
 
 
 def _lane_reach(
@@ -520,7 +512,7 @@ def load_retweets(
         if (t := by_tweet.get(tid)) is None:
             raise CascadeError(f"line {line_no}: retweet of unknown tweet {tid!r}")
         try:
-            user, d, seq = graph.dense_id(row[0]), parse_day(row[2]), int(row[3])
+            user, d, seq = graph.dense_id(row[0]), parse_day(row[2]), parse_number(row[3], int)
         except ValueError as e:
             raise CascadeError(f"line {line_no}: {e}") from None
         if d < seeds[t].day:

@@ -25,14 +25,14 @@ from .cascade import (
     SeedTweet,
     TweetCategory,
     _actors,
-    _audience,
     _check_run,
     _events,
     _keep_size,
     _lane_mask,
-    _lane_reach,
     _lane_runs,
     _prune,
+    _reach,
+    _with_neighbors,
     sample_keep_set,
     simulate_cascades,
 )
@@ -126,24 +126,20 @@ def _replay(
     The category code of `fixed` is built once.  Each group of `LANES`
     lanes adds the reach of its corrective posts to its counts in one tally.
     """
-    start = period[0]
     code = _category_code(graph, fixed, period)
     counts = _code_counts(code)
     acts = _actors(corrective)
-    day = acts["day"] - start.toordinal()
-    inside = (day >= 0) & (day < len(code))
-    keys = day[inside] * graph.n_users + acts["user"][inside]
     # every lane's posts: each seed author, then the kept retweets
-    posts = np.concatenate([np.ones((len(corrective), kept.shape[1]), dtype=bool), kept])[inside]
+    posts = np.concatenate([np.ones((len(corrective), kept.shape[1]), dtype=bool), kept])
     results = []
     for group in range(0, kept.shape[1], LANES):
         lanes = posts[:, group : group + LANES].T
         masks = _lane_mask(lanes, np.min_scalar_type((1 << len(lanes)) - 1))
-        reach, reach_lanes = _lane_reach(graph, keys[masks > 0], masks[masks > 0])
+        reach, reach_lanes = _reach(graph, acts["user"], acts["day"], masks, period)
         bit = _CATEGORY_BITS[TweetCategory.CORRECTIVE]
         tallies = _lane_tally(code, counts, reach, reach_lanes, bit, len(lanes))
         for rows, lane_counts in zip(kept[:, group : group + LANES].T, tallies):
-            matrix = _matrix(start, lane_counts)
+            matrix = _matrix(period[0], lane_counts)
             results.append(TrialResult(matrix, sum_index(predict(model, matrix)), int(rows.sum())))
     return results
 
@@ -232,7 +228,8 @@ def guideline_experiment(
     # each user's first misinformation exposure, as an actor or a follower
     n = graph.n_users
     first_mis = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    rank, user = np.divmod(_audience(graph, ranks[: len(mis)] * n + mis["user"]), n)
+    audience = _with_neighbors(graph._followers, ranks[: len(mis)] * n + mis["user"], n)
+    rank, user = np.divmod(audience, n)
     np.minimum.at(first_mis, user, rank)
     gated = first_mis[retweets["user"]] < ranks[len(mis) :]
     kept = _prune(graph, corrective, gated[:, None])

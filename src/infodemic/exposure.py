@@ -19,8 +19,8 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from ._table import at_line, parse_day, read_table, write_table
-from .cascade import _BYTE_BITS, Cascade, TweetCategory, _actors, _audience
+from ._table import at_line, parse_day, parse_number, read_table, write_table
+from .cascade import _BYTE_BITS, Cascade, TweetCategory, _actors, _with_neighbors
 from .graph import SocialGraph
 
 MATRIX_HEADER = ["day", "x1", "x2", "x3", "x4", "x5", "x6", "x7"]
@@ -74,7 +74,7 @@ class ExposureMatrix:
         for line_no, row in read_table(stream, [MATRIX_HEADER], at_line(ExposureError)):
             try:
                 days.append(parse_day(row[0]))
-                rows.append([int(x) for x in row[1:]])
+                rows.append([parse_number(x, int) for x in row[1:]])
             except ValueError as e:
                 raise ExposureError(f"line {line_no}: {e}") from None
             if min(rows[-1]) < 0:
@@ -175,7 +175,8 @@ def _category_code(
             np.maximum(day, 0, out=day)
         inside = (day >= 0) & (day < len(code))
         actors = day[inside] * graph.n_users + acts["user"][inside]
-        keys = _audience(graph, actors)[0 if include_actors else len(actors) :]
+        keys = _with_neighbors(graph._followers, actors, graph.n_users)
+        keys = keys[0 if include_actors else len(actors) :]
         # a repeated key writes the same code each time
         code.reshape(-1)[keys] |= np.uint8(_CATEGORY_BITS[cat])
     if cumulative:

@@ -119,7 +119,6 @@ class Replica:
     cascades: tuple[Cascade, ...]
     matrix: ExposureMatrix
     sales: SalesSeries
-    impact_scale: float
 
 
 def _place_seeds(
@@ -202,5 +201,4 @@ def build_replica(config: ReplicaConfig = ReplicaConfig()) -> Replica:
         cascades=tuple(cascades),
         matrix=matrix,
         sales=sales,
-        impact_scale=REAL_ACCOUNT_COUNT / config.n_users,
     )

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from ._table import at_line, atomic_write, parse_day, read_table, write_table
+from ._table import at_line, atomic_write, parse_day, parse_number, read_table, write_table
 from .exposure import ExposureMatrix
 from .numerics import NumericsError, OlsResult, PcaResult, ols, pca, project
 
@@ -66,7 +66,7 @@ class SalesSeries:
         for line_no, row in read_table(stream, SALES_HEADERS, at_line(SalesModelError)):
             try:
                 days.append(parse_day(row[0]))
-                nums = [float(x) for x in row[1:]]
+                nums = [parse_number(x, float) for x in row[1:]]
                 if not np.isfinite(nums).all():
                     raise ValueError(f"non-finite value in {','.join(row[1:])!r}")
                 vals.append(nums[0] if len(nums) == 1 else sales_index(*nums))

@@ -17,9 +17,9 @@ from infodemic.cascade import (
     CascadeError,
     SeedTweet,
     TweetCategory,
-    _lane_reach,
     _lane_runs,
     _prune,
+    _reach,
     _split,
     load_retweets,
     load_seed_tweets,
@@ -490,8 +490,9 @@ def lane_reach(run, lane):
 
 def lane_cascades(seeds, run, lane):
     """The cascades of `seeds` in lane `lane` of the `_spread` run `run`,
-    numbered as `simulate_cascades` numbers its one lane."""
-    mine = np.flatnonzero((run.lanes & (1 << lane)) > 0)
+    numbered as `simulate_cascades` numbers its one lane: the retweet
+    rows, past the seeds' own."""
+    mine = len(seeds) + np.flatnonzero((run.lanes[len(seeds) :] & (1 << lane)) > 0)
     events = np.empty(len(mine), dtype=EVENT)
     events["user"], events["day"] = run.user[mine], run.day[mine]
     events["seq"] = max((s.seq for s in seeds), default=0) + 1 + np.arange(len(mine))
@@ -534,6 +535,12 @@ def assert_lanes_equal_one_lane_runs(graph, seeds, lanes, period, rng_seed, firs
     ))
     assert len(runs) == len(lanes)
     assert [lane for _, lane in runs] == [i % LANES for i in range(len(lanes))]
+    # a run's first rows are its seeds' posts, each in every lane on its
+    # own day, inside the period or not
+    for run, _ in runs:
+        head = zip(*(column[: len(seeds)].tolist() for column in run[:4]))
+        every = (1 << run.width) - 1
+        assert list(head) == [(s.day.toordinal(), i, s.author, every) for i, s in enumerate(seeds)]
     # lanes repeat (rate, row) cases: each is worked out once
     wants = {}
     for k, (rate, (run, lane)) in enumerate(zip(lanes, runs)):
@@ -662,8 +669,8 @@ def test_corrective_exposures_of_one_day_join_their_lanes():
 
 def rows_of(run, user):
     """The (period day index, lane mask) of each row of `user` in the
-    one-tweet `_spread` run `run`."""
-    mine = run.user == user
+    one-tweet `_spread` run `run`, past the seed's own."""
+    mine = np.flatnonzero(run.user[1:] == user) + 1
     return list(zip((run.day[mine] - DAY0.toordinal()).tolist(), run.lanes[mine].tolist()))
 
 
@@ -737,24 +744,26 @@ def test_retweeter_reached_again_gets_no_second_row():
 @given(st.sampled_from([1, 8, 9, 33, 64]), st.data())
 @settings(max_examples=100, deadline=None)
 def test_lane_reach_is_the_union_of_each_keys_lanes(lanes, data):
-    """`_lane_reach` for masks of every width, equal or mixed, against a
-    per-key union over each actor and its followers."""
+    """`_reach`, and so `_lane_reach`, for masks of every width, equal or
+    mixed, against a per-key union over each actor and its followers, of
+    a 3-day period's posts; posts dated before or after the period and
+    posts in no lane reach no one."""
     n = data.draw(st.integers(1, 8))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     graph = SocialGraph(n, [p for p in data.draw(st.lists(pairs, max_size=30)) if p[0] != p[1]])
     count = data.draw(st.integers(0, 30))
-    keys = np.array(data.draw(st.lists(st.integers(0, 3 * n - 1), min_size=count,
+    keys = np.array(data.draw(st.lists(st.integers(-n, 4 * n - 1), min_size=count,
                                        max_size=count)), dtype=np.int64)
+    day, user = np.divmod(keys, n)
     dtype = np.min_scalar_type((1 << lanes) - 1)
-    masks = st.integers(1, (1 << lanes) - 1)
+    masks = st.integers(0, (1 << lanes) - 1)
     masks = st.lists(masks, min_size=count, max_size=count) | masks.map(lambda m: [m] * count)
     masks = np.array(data.draw(masks), dtype=dtype)
     want = {}
-    for key, mask in zip(keys.tolist(), masks.tolist()):
-        g, u = divmod(key, n)
-        for v in [u, *followers(graph, u).tolist()]:
-            want[g * n + v] = want.get(g * n + v, 0) | mask
-    got_keys, got_masks = _lane_reach(graph, keys, masks)
+    for d, u, mask in zip(day.tolist(), user.tolist(), masks.tolist()):
+        for v in [u, *followers(graph, u).tolist()] if 0 <= d < 3 and mask else []:
+            want[d * n + v] = want.get(d * n + v, 0) | mask
+    got_keys, got_masks = _reach(graph, user, DAY0.toordinal() + day, masks, days(3))
     assert got_masks.dtype == dtype
     assert got_keys.tolist() == sorted(want)
     assert got_masks.tolist() == [want[k] for k in sorted(want)]
@@ -837,6 +846,11 @@ def test_load_seed_tweets_rejects_repeated_tweet_id():
         ("t0,u0,rumour,2020-02-21\n", "", "line 3: unknown tweet category 'rumour'"),
         ("", "mallory,t0,2020-02-21,1\n", "line 2: unknown user id 'mallory'"),
         ("", "u1,t0,2020-02-21,x\n", "line 2: invalid literal"),
+        # `int` takes these: digit-group `_`, Arabic-Indic and fullwidth digits
+        ("", "u1,t0,2020-02-21,1_000\n", "line 2: number '1_000' is not ASCII"),
+        ("", "u1,t1,2020-02-21,1\nu1,t0,2020-02-21,١٢٣٤\n",
+         "line 3: number '١٢٣٤' is not ASCII"),
+        ("", "u1,t1,2020-02-21,1\nu1,t0,2020-02-21,１２\n", "line 3: number '１２' is not ASCII"),
     ],
 )
 def test_cascade_loader_value_errors_are_line_numbered(tweets, retweets, what):

@@ -179,6 +179,12 @@ def test_matrix_csv_rejects_garbage():
         ("day,x1,x2,x3,x4,x5,x6,x7\n2020-02-21,1,2,3,4,5,6,7\n2020-02-22,1,2,3,4,5,6,1.5\n",
          3, "invalid literal"),
         ("day,x1,x2,x3,x4,x5,x6,x7\nFeb 21,1,2,3,4,5,6,7\n", 2, "isoformat"),
+        # `int` takes these: digit-group `_`, Arabic-Indic and fullwidth digits
+        ("day,x1,x2,x3,x4,x5,x6,x7\n2020-02-21,1,2,3,4,5,6,7\n2020-02-22,1_0,0,0,0,0,0,0\n",
+         3, "'1_0' is not ASCII"),
+        ("day,x1,x2,x3,x4,x5,x6,x7\n2020-02-21,1,2,3,4,5,6,7\n2020-02-22,0,0,0,0,0,0,١٢\n",
+         3, "not ASCII decimal"),
+        ("day,x1,x2,x3,x4,x5,x6,x7\n2020-02-21,1,2,3,4,５,6,7\n", 2, "not ASCII decimal"),
         ("day,x1,x2,x3,x4,x5,x6,x7\n2020-02-20,0,0,0,0,0,0,0\n2020-02-21,-5,0,0,0,0,0,0\n",
          3, "negative class count -5"),
         ("day,x1,x2,x3,x4,x5,x6,x7\n2020-02-20,0,0,0,0,0,0,0\n2020-02-22,0,0,0,0,0,0,0\n",

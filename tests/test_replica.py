@@ -42,7 +42,8 @@ def test_matrix_consistent_with_cascades(small_replica):
 
 def test_sales_follow_reference_impacts(small_replica):
     r = small_replica
-    clean = REFERENCE_INTERCEPT + r.matrix.counts @ (REFERENCE_IMPACTS * r.impact_scale)
+    scale = REAL_ACCOUNT_COUNT / r.config.n_users
+    clean = REFERENCE_INTERCEPT + r.matrix.counts @ (REFERENCE_IMPACTS * scale)
     noise = r.sales.values - clean
     assert np.abs(noise).max() < 5 * SALES_NOISE
 
@@ -59,11 +60,6 @@ def test_build_seed_changes_outcome():
     a = build_replica(ReplicaConfig(n_users=800, seed=5))
     b = build_replica(ReplicaConfig(n_users=800, seed=6))
     assert not np.array_equal(a.matrix.counts, b.matrix.counts)
-
-
-def test_impact_scale():
-    r = build_replica(ReplicaConfig(n_users=1000, seed=0))
-    assert r.impact_scale == pytest.approx(REAL_ACCOUNT_COUNT / 1000)
 
 
 def test_misinfo_seeds_post_late(small_replica):
@@ -83,6 +79,6 @@ def test_reference_model_predicts_exactly():
     r = build_replica(ReplicaConfig(n_users=1000, seed=3))
     m2 = reference_model(1000, r.config.period)
     pred = predict(m2, r.matrix)
-    want = REFERENCE_INTERCEPT + r.matrix.counts @ (REFERENCE_IMPACTS * r.impact_scale)
+    want = REFERENCE_INTERCEPT + r.matrix.counts @ (REFERENCE_IMPACTS * (REAL_ACCOUNT_COUNT / 1000))
     assert pred.values == pytest.approx(want)
     assert sum_index(pred) == pytest.approx(want.sum())

@@ -93,6 +93,10 @@ def test_series_csv_raw_form():
         ("date,sales_index\n2020-02-21\n", 2, "malformed record"),  # short row
         ("date,sales_index\n2020-02-21,0.1,7\n", 2, "malformed record"),  # extra column
         ("date,sales_index\n2020-02-21,0.1\n2020-02-22,abc\n", 3, "could not convert"),
+        # `float` takes these: digit-group `_`, Arabic-Indic and fullwidth digits
+        ("date,sales_index\n2020-02-21,0.1\n2020-02-22,0_5\n", 3, "'0_5' is not ASCII"),
+        ("date,sales_index\n2020-02-21,0.1\n2020-02-22,١٢\n", 3, "not ASCII decimal"),
+        ("date,sales,sales_prev_year\n2020-02-21,５,100\n", 2, "not ASCII decimal"),
         ("date,sales_index\nFeb 21,0.1\n", 2, "isoformat"),
         ("date,sales,sales_prev_year\n2020-02-21,5,0\n", 2, "must be positive"),
         ("date,sales_index\n2020-02-21,0.1\n2020-02-22,nan\n", 3, "non-finite value in 'nan'"),
