@@ -79,6 +79,10 @@ class ExposureMatrix:
                 raise ExposureError(f"line {line_no}: {e}") from None
             if min(rows[-1]) < 0:
                 raise ExposureError(f"line {line_no}: negative class count {min(rows[-1])}")
+            if max(rows[-1]) >= 2**63:
+                raise ExposureError(
+                    f"line {line_no}: class count {max(rows[-1])} does not fit in 64 bits"
+                )
             if len(days) > 1 and (days[-1] - days[-2]).days != 1:
                 raise ExposureError(
                     f"line {line_no}: days must be contiguous and increasing "

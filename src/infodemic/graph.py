@@ -29,8 +29,9 @@ EDGE_HEADER = ["follower_id", "followee_id"]
 # format; the header's number is the layout's version
 _SIDECAR_HEAD = b"infodemic edge csr 3\n"
 _SAVE_ROWS = 1 << 14  # edge rows `save_edges` gathers at once: bounds its per-byte index
-# first-round draws `generate_graph` makes at once: bounds its working memory
-_WINDOW_DRAWS = 1 << 18
+# first-round draws `generate_graph` makes at once: its working memory
+# stays in cache instead of fresh pages each window
+_WINDOW_DRAWS = 1 << 14
 _MAX_USERS = 2**31 - 1  # the most users a graph holds: every dense id fits int32
 
 
@@ -124,7 +125,9 @@ class SocialGraph:
     ) -> None:
         """Every graph is built here, from edge keys `follower * n +
         followee`; a `GraphError` unless `n` is at most `_MAX_USERS`, they
-        strictly increase within [0, n*n) without a self-edge, and no id repeats."""
+        strictly increase within [0, n*n) without a self-edge, and no id
+        repeats.  The transpose sorts the packed `followee << 32 | follower`,
+        which keeps both ids whole because n < 2**31."""
         if not 0 <= n <= _MAX_USERS:
             raise GraphError(f"n_users must be in [0, {_MAX_USERS}]")
         self._ids = self._id_index = None
@@ -138,19 +141,21 @@ class SocialGraph:
                 raise GraphError(f"repeated user id {self._ids[u]!r}")
         if len(keys) and (keys[0] < 0 or int(keys[-1]) >= n * n or np.any(keys[1:] <= keys[:-1])):
             raise GraphError("edge keys not strictly increasing within [0, n_users**2)")
-        src, dst = np.divmod(keys, n)
+        src = keys // n  # `//` by a scalar has a fast path in numpy; `divmod` has none
+        dst = src * n
+        np.subtract(keys, dst, out=dst)
         if np.any(src == dst):
             raise GraphError("self-edge")
         self.n_users = n
         self.n_edges = len(keys)
         self.self_edges_dropped = self_edges_dropped
         self._follows = _Csr(n, src, dst)
-        # the transpose: (followee, follower) keys sorted, built in place
-        t = dst * n
-        t += src
+        # the transpose, packed, sorted and unpacked in place
+        t = dst << 32
+        t |= src
         del src
         t.sort()
-        t %= n
+        t &= 0xFFFFFFFF
         self._followers = _Csr(n, dst, t)
 
     @property
@@ -220,7 +225,9 @@ def generate_graph(config: GraphGenConfig) -> SocialGraph:
     distinct ones other than u of all its draws.  The first rounds of a run
     of users are drawn in one call of at most `_WINDOW_DRAWS` draws (or one
     user's), a short user's further rounds alone; the draws continue one
-    stream, so the graph does not depend on how they are split.
+    stream, so the graph does not depend on how they are split.  The
+    windows share one `_guide` table, and write their keys into one array
+    sized for every user's degree.
     """
     n = config.n_users
     if n == 0:
@@ -243,7 +250,9 @@ def generate_graph(config: GraphGenConfig) -> SocialGraph:
     cum[-1] = 1.0
     takes = np.where(degrees > 0, 2 * degrees + 4, 0)
     drawn = np.concatenate(([0], np.cumsum(takes)))  # first-round draws before each user
-    parts: list[np.ndarray] = []  # sorted edge keys, each part above the last
+    guide = _guide(cum, int(drawn[-1]))
+    keys = np.empty(int(degrees.sum()), dtype=np.int64)  # sorted edge keys, keys[:at] written
+    at = 0
     # users pos..end-1 are drawn at once, at most `_WINDOW_DRAWS` draws (at
     # least one user); the window shrinks near a short user and doubles
     # after a clean run, so replays stay cheap
@@ -252,22 +261,24 @@ def generate_graph(config: GraphGenConfig) -> SocialGraph:
         fit = int(np.searchsorted(drawn, drawn[pos] + _WINDOW_DRAWS, side="right")) - 1
         end = min(pos + window, max(fit, pos + 1))
         state = rng.bit_generator.state
-        keys = _window(n, cum, degrees, takes, rng, pos, end)
-        # user pos + i's keys are keys[bounds[i]:bounds[i + 1]]
-        bounds = np.searchsorted(keys, np.arange(pos, end + 1) * n)
+        got = _window(n, cum, guide, degrees, takes, rng, pos, end)
+        # user pos + i's keys are got[bounds[i]:bounds[i + 1]]
+        bounds = np.searchsorted(got, np.arange(pos, end + 1) * n)
         short = np.flatnonzero(np.diff(bounds) < degrees[pos:end])
         if len(short) == 0:
-            parts.append(keys)
+            keys[at : at + len(got)] = got
+            at += len(got)
             pos, window = end, 2 * window
             continue
         u = pos + int(short[0])
         lo, hi = bounds[short[0]], bounds[short[0] + 1]
-        parts.append(keys[:lo])
+        keys[at : at + lo] = got[:lo]
+        at += lo
         # u's further rounds come after its first, before the next users' draws
         rng.bit_generator.state = state
         rng.bit_generator.advance(int(drawn[u + 1] - drawn[pos]))
         # a further round's few draws: plain Python beats array calls
-        d, chosen = int(degrees[u]), (keys[lo:hi] - u * n).tolist()
+        d, chosen = int(degrees[u]), (got[lo:hi] - u * n).tolist()
         taken = {u, *chosen}
         for _ in range(19):
             if len(chosen) == d:
@@ -278,41 +289,51 @@ def generate_graph(config: GraphGenConfig) -> SocialGraph:
                     chosen.append(v)
                     if len(chosen) == d:
                         break
-        parts.append(u * n + np.sort(np.array(chosen, dtype=np.int64)))
+        keys[at : at + len(chosen)] = u * n + np.sort(np.array(chosen, dtype=np.int64))
+        at += len(chosen)
         pos, window = u + 1, max(2 * (u - pos), 1)
-    keys = np.concatenate(parts)
-    del parts
+    del guide
     graph = SocialGraph.__new__(SocialGraph)  # keys sorted and distinct: no deduplication
-    graph._assign(n, keys, None, 0)
+    graph._assign(n, keys[:at], None, 0)
     return graph
 
 
 def _window(
-    n: int, cum: np.ndarray, degrees: np.ndarray, takes: np.ndarray,
+    n: int, cum: np.ndarray, guide: np.ndarray, degrees: np.ndarray, takes: np.ndarray,
     rng: np.random.Generator, pos: int, end: int,
 ) -> np.ndarray:
     """The sorted edge keys of users pos..end-1 from their first rounds,
-    `takes[u]` draws each; its own function, so that its draw-sized
-    temporaries are freed before the next window."""
+    `takes[u]` draws each, looked up through `cum`'s `guide`; its own
+    function, so that its draw-sized temporaries are freed before the next
+    window."""
     owner = np.repeat(np.arange(pos, end), takes[pos:end])
-    return _first_distinct(n, owner, _lookup(cum, rng.random(len(owner))), degrees)
+    return _first_distinct(n, owner, _lookup(cum, guide, rng.random(len(owner))), degrees)
 
 
 _LOOKUP_STEPS = 4  # guide-table steps before the draws left go to a binary search
 
 
-def _lookup(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """`np.searchsorted(cum, draws)` for draws in [0, 1) and `cum` ending in 1.0.
+def _guide(cum: np.ndarray, n_draws: int) -> np.ndarray:
+    """`_lookup`'s guide table for `n_draws` draws in all against `cum`:
+    the first index of `cum` at or above each of `b` equal buckets of
+    [0, 1).  `b` is a power of two, so that `draw * b` and `k / b` are
+    exact, and about the smaller of the CDF's length and the draw count,
+    so that a few draws against a long CDF build a small table."""
+    b = 1 << max(min(len(cum), n_draws) - 1, 0).bit_length()
+    return np.searchsorted(cum, np.arange(b) / b)
 
-    A guide table over `b` equal buckets of [0, 1), `b` a power of two so
-    that `draw * b` and `k / b` are exact, gives each draw a first index at
-    or below its answer; draws step forward from there, and the few left
-    after `_LOOKUP_STEPS` steps are searched.  `b` is at most about the
-    number of draws, so that a few draws against a long CDF build a small
-    guide.
+
+def _lookup(cum: np.ndarray, guide: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(cum, draws)` for draws in [0, 1) and `cum` ending in
+    1.0, through `cum`'s `_guide`, which a graph builds once for all its
+    windows.
+
+    The guide gives each draw a first index at or below its answer; draws
+    step forward from there, and the few left after `_LOOKUP_STEPS` steps
+    are searched.
     """
-    b = 1 << max(min(len(cum), len(draws)) - 1, 0).bit_length()
-    picks = np.take(np.searchsorted(cum, np.arange(b) / b), (draws * b).astype(np.intp))
+    b = len(guide)
+    picks = np.take(guide, (draws * b).astype(np.intp))
     todo = np.flatnonzero(np.take(cum, picks) < draws)
     for _ in range(_LOOKUP_STEPS):
         if len(todo) == 0:

@@ -194,7 +194,8 @@ def model_to_json(model: FittedSalesModel) -> str:
 
 def model_from_json(text: str) -> FittedSalesModel:
     """The model of a `model_to_json` document.  A document of another
-    shape, a missing key or a value of the wrong type or length raises
+    shape, a missing key, a value of the wrong type or length, or a
+    number that prediction reads and that is not finite as a float raises
     `SalesModelError`."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -213,6 +214,12 @@ def model_from_json(text: str) -> FittedSalesModel:
     coefficients = _numbers(doc, "coefficients")
     if not 1 <= k <= components or len(coefficients) != k:
         raise SalesModelError(f"k={k} needs at least k eigenvectors and exactly k coefficients")
+    intercept = _value(doc, "intercept", _NUMBER)
+    # the fields prediction reads; diagnostics may hold an infinity
+    for key, v in (("means", p.means), ("eigenvectors", p.eigenvectors),
+                   ("coefficients", coefficients), ("intercept", intercept)):
+        if not _finite(v):
+            raise SalesModelError(f"model field {key!r} must be finite")
     days = _value(doc, "train_days", list)
     try:
         train_days = tuple(parse_day(x) for x in days)
@@ -222,7 +229,7 @@ def model_from_json(text: str) -> FittedSalesModel:
         pca=p,
         k=k,
         coefficients=coefficients,
-        intercept=_value(doc, "intercept", _NUMBER),
+        intercept=intercept,
         diagnostics=diag,
         train_days=train_days,
     )
@@ -263,6 +270,10 @@ def _numbers(doc: dict, key: str, ndim: int = 1) -> np.ndarray:
             a = np.array(v, dtype=np.float64)
         except ValueError:  # rows of unequal length
             pass
+        except OverflowError:
+            raise SalesModelError(
+                f"model field {key!r} holds an integer past the float range"
+            ) from None
     if a is None or a.ndim != ndim:
         raise SalesModelError(f"model field {key!r} must be a {ndim}-d list of numbers")
     return a
@@ -270,6 +281,14 @@ def _numbers(doc: dict, key: str, ndim: int = 1) -> np.ndarray:
 
 def _is_number(x) -> bool:
     return isinstance(x, _NUMBER) and not isinstance(x, bool)
+
+
+def _finite(v) -> bool:
+    """Whether every number of `v`, one or an array, is finite as a float."""
+    try:
+        return bool(np.isfinite(np.asarray(v, dtype=np.float64)).all())
+    except OverflowError:  # an integer past the float range
+        return False
 
 
 def save_model(model: FittedSalesModel, path: str | os.PathLike) -> None:

@@ -759,6 +759,35 @@ def test_malformed_model_json_is_input_error(pipeline, tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), -float("inf"), 10**400],
+    ids=["nan", "inf", "-inf", "int-1e400"],
+)
+@pytest.mark.parametrize("field", ["means", "eigenvectors", "coefficients", "intercept"])
+def test_model_numbers_prediction_reads_must_be_finite(pipeline, tmp_path, capsys, field, value):
+    """`json` reads NaN, Infinity and integers no float holds; each would
+    predict NaN or fail mid-command."""
+    with open(os.path.join(pipeline, "model.json")) as fh:
+        doc = json.load(fh)
+    if field == "intercept":
+        doc[field] = value
+    elif field == "eigenvectors":
+        doc[field][0][-1] = value
+    else:
+        doc[field][-1] = value
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    code = run(
+        "whatif", "--model", str(model), "--graph", os.path.join(pipeline, "edges.csv"),
+        "--tweets", os.path.join(pipeline, "tweets.csv"),
+        "--retweets", os.path.join(pipeline, "retweets.csv"),
+        "--period", PERIOD, "--trials", "1", "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: model field {field!r} ")
+    assert not (tmp_path / "whatif.csv").exists()
+
+
 def test_outputs_do_not_depend_on_the_edge_sidecar(pipeline, tmp_path):
     """Every command's output bytes are the same whether the graph comes
     from a parse or from the `.csr` sidecar, and whatever state it is in."""

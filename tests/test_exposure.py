@@ -187,6 +187,10 @@ def test_matrix_csv_rejects_garbage():
         ("day,x1,x2,x3,x4,x5,x6,x7\n2020-02-21,1,2,3,4,５,6,7\n", 2, "not ASCII decimal"),
         ("day,x1,x2,x3,x4,x5,x6,x7\n2020-02-20,0,0,0,0,0,0,0\n2020-02-21,-5,0,0,0,0,0,0\n",
          3, "negative class count -5"),
+        # one past the largest int64
+        ("day,x1,x2,x3,x4,x5,x6,x7\n2020-02-20,0,0,0,0,0,0,0\n"
+         "2020-02-21,0,0,0,0,0,0,9223372036854775808\n",
+         3, "class count 9223372036854775808 does not fit in 64 bits"),
         ("day,x1,x2,x3,x4,x5,x6,x7\n2020-02-20,0,0,0,0,0,0,0\n2020-02-22,0,0,0,0,0,0,0\n",
          3, r"days must be contiguous and increasing \(2020-02-22 after 2020-02-20\)"),
         ("day,x1,x2,x3,x4,x5,x6,x7\n2020-02-20,0,0,0,0,0,0,0\n\n2020-02-20,0,0,0,0,0,0,0\n",

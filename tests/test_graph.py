@@ -418,6 +418,13 @@ def popularity_cdf(weights) -> np.ndarray:
     return cum
 
 
+def lookup(cum: np.ndarray, draws: np.ndarray, n_guided: int | None = None) -> np.ndarray:
+    """`_lookup` of `draws` through the guide built for `n_guided` draws in
+    all (default: these draws alone)."""
+    guide = graph_module._guide(cum, len(draws) if n_guided is None else n_guided)
+    return graph_module._lookup(cum, guide, draws)
+
+
 @given(
     # zero and tiny weights repeat CDF entries
     st.lists(st.sampled_from([0.0, 1e-300, 0.1, 1.0]) | st.floats(0, 1e3), min_size=1, max_size=12)
@@ -431,7 +438,7 @@ def test_lookup_equals_searchsorted(weights, picks):
     cum = popularity_cdf(weights)
     draws = np.array([cum[p % len(cum)] if isinstance(p, int) else p for p in picks], dtype=float)
     draws = draws[draws < 1.0]  # `rng.random` draws in [0, 1)
-    np.testing.assert_array_equal(graph_module._lookup(cum, draws), np.searchsorted(cum, draws))
+    np.testing.assert_array_equal(lookup(cum, draws), np.searchsorted(cum, draws))
 
 
 def test_lookup_past_a_cdf_entry_rounded_over_one():
@@ -439,7 +446,7 @@ def test_lookup_past_a_cdf_entry_rounded_over_one():
     assert cum[-2] > cum[-1] == 1.0
     # the entries below 1.0 themselves, a grid of [0, 1) and its last double
     draws = np.concatenate([cum[:2], np.linspace(0.0, 1.0, 101)[:-1], [np.nextafter(1.0, 0.0)]])
-    np.testing.assert_array_equal(graph_module._lookup(cum, draws), np.searchsorted(cum, draws))
+    np.testing.assert_array_equal(lookup(cum, draws), np.searchsorted(cum, draws))
 
 
 @given(
@@ -458,7 +465,7 @@ def test_lookup_equals_searchsorted_on_long_heavy_tailed_cdfs(seed, entries, n_d
     at = cum[rng.integers(0, entries, size=n_draws // 4 + 1)]
     draws = np.concatenate([draws, at, np.nextafter(at, 0.0), np.nextafter(at, 1.0)])
     draws = draws[draws < 1.0]
-    np.testing.assert_array_equal(graph_module._lookup(cum, draws), np.searchsorted(cum, draws))
+    np.testing.assert_array_equal(lookup(cum, draws), np.searchsorted(cum, draws))
 
 
 @pytest.mark.parametrize("n_draws", [8, 100_000])
@@ -468,10 +475,37 @@ def test_lookup_searches_the_draws_left_after_its_steps(n_draws):
     rng = np.random.default_rng(5)
     cum = popularity_cdf(rng.pareto(0.2, size=4000) + 1.0)
     draws = rng.random(n_draws)
+    guide = graph_module._guide(cum, n_draws)
     with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
-        picks = graph_module._lookup(cum, draws)
-    assert search.call_count == 2  # the guide table, then the draws left
+        picks = graph_module._lookup(cum, guide, draws)
+    assert search.call_count == 1  # the draws left
     np.testing.assert_array_equal(picks, np.searchsorted(cum, draws))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([4, 1000, 4000]),
+    st.sampled_from([0.2, 0.5, 1.2]),
+    st.integers(1, 3000),
+    # the guide is built for the draws of every window of a graph, so for
+    # far more draws than one call looks up
+    st.integers(1, 2**20),
+)
+@example(seed=5, entries=4000, shape=0.2, n_draws=3000, extra=2**20)
+@settings(max_examples=80, deadline=None)
+def test_lookup_through_a_guide_built_for_more_draws(seed, entries, shape, n_draws, extra):
+    rng = np.random.default_rng(seed)
+    cum = popularity_cdf(rng.pareto(shape, size=entries) + 1.0)
+    draws = rng.random(n_draws)
+    at = cum[rng.integers(0, entries, size=n_draws // 4 + 1)]
+    draws = np.concatenate([draws, at, np.nextafter(at, 0.0), np.nextafter(at, 1.0)])
+    draws = draws[draws < 1.0]
+    np.testing.assert_array_equal(lookup(cum, draws, len(draws) + extra), np.searchsorted(cum, draws))
+    # the CDF rounded over one, its guide built for a graph's draws
+    cum = popularity_cdf(OVERSHOOTING_WEIGHTS)
+    draws = np.concatenate([cum[:2], np.nextafter(cum[:3], 0.0), draws])
+    draws = draws[draws < 1.0]
+    np.testing.assert_array_equal(lookup(cum, draws, len(draws) + extra), np.searchsorted(cum, draws))
 
 
 def reference_first_distinct(n, owner, cand, degrees) -> list[int]:
@@ -557,7 +591,8 @@ def replica_3000() -> SocialGraph:
     return build_replica(ReplicaConfig(n_users=3000, seed=1)).graph
 
 
-@pytest.mark.parametrize("draws", WINDOW_DRAWS)
+# and the windows of 2**18 draws `generate_graph` once took
+@pytest.mark.parametrize("draws", [*WINDOW_DRAWS, 1 << 18])
 def test_capped_windows_keep_the_replica_graph(replica_3000, draws):
     with mock.patch.object(graph_module, "_WINDOW_DRAWS", draws):
         g = build_replica(ReplicaConfig(n_users=3000, seed=1)).graph
