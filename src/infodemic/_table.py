@@ -114,7 +114,9 @@ def csv_field(value: str) -> str:
     return '"' + value.replace('"', '""') + '"'
 
 
-def atomic_write(path: str | os.PathLike, data: str | bytes | Iterable[bytes]) -> None:
+def atomic_write(
+    path: str | os.PathLike, data: str | bytes | Iterable[bytes | memoryview]
+) -> None:
     """Write `data`, text as UTF-8 or bytes or an iterable of byte chunks,
     to a temp file beside `path`, then rename it over `path`; if writing or
     the iterable raises, the temp file is removed.  The file is created as

@@ -29,6 +29,7 @@ EDGE_HEADER = ["follower_id", "followee_id"]
 # format; the header's number is the layout's version
 _SIDECAR_HEAD = b"infodemic edge csr 3\n"
 _SAVE_ROWS = 1 << 14  # edge rows `save_edges` gathers at once: bounds its per-byte index
+_ASSIGN_KEYS = 1 << 14  # edge keys `SocialGraph._assign` reads at once: bounds its temporaries
 # first-round draws `generate_graph` makes at once: its working memory
 # stays in cache instead of fresh pages each window
 _WINDOW_DRAWS = 1 << 14
@@ -50,16 +51,28 @@ class _Csr:
 
     `indptr` is int64 and `indices` int32, which holds every dense id; a
     neighbor index is widened to int64 before it is multiplied or shifted
-    (`indices * n` overflows int32 once n > 46,340)."""
+    (`indices * n` overflows int32 once n > 46,340).  It is built in place,
+    a slice of entries at a time, so its build holds no entry-sized
+    temporary."""
 
     __slots__ = ("indptr", "indices")
 
-    def __init__(self, n: int, rows: np.ndarray, indices: np.ndarray):
-        """From each entry's row (any order) and the entries' neighbors,
-        sorted by (row, neighbor)."""
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
-        self.indices = indices.astype(np.int32)
+    def __init__(self, n: int, m: int):
+        """Empty, with `n` rows and `m` entries, which `fill` writes and
+        `close` ends."""
+        self.indptr = np.zeros(n + 1, dtype=np.int64)  # row r's count at r + 1 until `close`
+        self.indices = np.empty(m, dtype=np.int32)
+
+    def fill(self, at: int, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Entries at, at + 1, ...: `cols` in rows `rows`, which ascend
+        from the last row filled before."""
+        self.indices[at : at + len(cols)] = cols
+        counts = np.bincount(rows - rows[0])
+        self.indptr[rows[0] + 1 : rows[0] + 1 + len(counts)] += counts
+
+    def close(self) -> None:
+        """Row offsets from the counts filled, and both arrays read-only."""
+        np.cumsum(self.indptr, out=self.indptr)
         self.indptr.setflags(write=False)
         self.indices.setflags(write=False)
 
@@ -124,10 +137,16 @@ class SocialGraph:
         self, n: int, keys: np.ndarray, external_ids: Sequence[str] | None, self_edges_dropped: int
     ) -> None:
         """Every graph is built here, from edge keys `follower * n +
-        followee`; a `GraphError` unless `n` is at most `_MAX_USERS`, they
-        strictly increase within [0, n*n) without a self-edge, and no id
-        repeats.  The transpose sorts the packed `followee << 32 | follower`,
-        which keeps both ids whole because n < 2**31."""
+        followee`, a writable int64 array that the build overwrites; a
+        `GraphError` unless `n` is at most `_MAX_USERS`, they strictly
+        increase within [0, n*n) without a self-edge, and no id repeats.
+
+        The keys are read `_ASSIGN_KEYS` at a time: each slice is checked,
+        fills the follows CSR and is overwritten by its packed `followee <<
+        32 | follower` (both ids whole, as n < 2**31), whose sort in place
+        orders the transpose; that fills the followers CSR a slice at a
+        time.  So beside the graph the build holds `keys` and slice-sized
+        temporaries."""
         if not 0 <= n <= _MAX_USERS:
             raise GraphError(f"n_users must be in [0, {_MAX_USERS}]")
         self._ids = self._id_index = None
@@ -139,24 +158,31 @@ class SocialGraph:
             if len(self._id_index) != n:  # a repeat keeps its last dense id
                 u = next(u for u, x in enumerate(self._ids) if self._id_index[x] != u)
                 raise GraphError(f"repeated user id {self._ids[u]!r}")
-        if len(keys) and (keys[0] < 0 or int(keys[-1]) >= n * n or np.any(keys[1:] <= keys[:-1])):
-            raise GraphError("edge keys not strictly increasing within [0, n_users**2)")
-        src = keys // n  # `//` by a scalar has a fast path in numpy; `divmod` has none
-        dst = src * n
-        np.subtract(keys, dst, out=dst)
-        if np.any(src == dst):
-            raise GraphError("self-edge")
+        m, last = len(keys), -1  # last: the last key read
+        follows, followers = _Csr(n, m), _Csr(n, m)
+        for a in range(0, m, _ASSIGN_KEYS):
+            k = keys[a : a + _ASSIGN_KEYS]
+            if k[0] <= last or int(k[-1]) >= n * n or np.any(k[1:] <= k[:-1]):
+                raise GraphError("edge keys not strictly increasing within [0, n_users**2)")
+            last = int(k[-1])
+            src = k // n  # `//` by a scalar has a fast path in numpy; `divmod` has none
+            dst = k - src * n
+            if np.any(src == dst):
+                raise GraphError("self-edge")
+            follows.fill(a, src, dst)
+            np.left_shift(dst, 32, out=k)
+            k |= src
+        keys.sort()
+        for a in range(0, m, _ASSIGN_KEYS):
+            t = keys[a : a + _ASSIGN_KEYS]
+            followers.fill(a, t >> 32, t & 0xFFFFFFFF)
+        follows.close()
+        followers.close()
         self.n_users = n
-        self.n_edges = len(keys)
+        self.n_edges = m
         self.self_edges_dropped = self_edges_dropped
-        self._follows = _Csr(n, src, dst)
-        # the transpose, packed, sorted and unpacked in place
-        t = dst << 32
-        t |= src
-        del src
-        t.sort()
-        t &= 0xFFFFFFFF
-        self._followers = _Csr(n, dst, t)
+        self._follows = follows
+        self._followers = followers
 
     @property
     def external_ids(self) -> tuple[str, ...]:
@@ -227,7 +253,8 @@ def generate_graph(config: GraphGenConfig) -> SocialGraph:
     user's), a short user's further rounds alone; the draws continue one
     stream, so the graph does not depend on how they are split.  The
     windows share one `_guide` table, and write their keys into one array
-    sized for every user's degree.
+    sized for every user's degree, which the graph's build then turns into
+    its sorted transpose in place.
     """
     n = config.n_users
     if n == 0:
@@ -525,19 +552,25 @@ def _write_sidecar(
     """The sidecar of the CSV of sha256 `digest`: header, digest, then meta
     (user count, `dropped` self-edges), the sorted edge `keys` and the
     UTF-8 blob of `ids`, a user each, NUL-separated (no id holds a NUL).
-    `np.save` output carries no timestamp, so equal graphs give equal
-    bytes."""
+    Each array is written as `np.save` writes it, its header and then its
+    own buffer, so the file is never copied whole; that output carries no
+    timestamp, so equal graphs give equal bytes."""
     path = _sidecar_path(csv_path)
-    buf = io.BytesIO()
-    buf.write(_SIDECAR_HEAD + digest)
-    try:
+
+    def parts() -> Iterator[bytes | memoryview]:
+        yield _SIDECAR_HEAD + digest
         for a in (
             np.array([len(ids), dropped], dtype=np.int64),
             keys,
             np.frombuffer("\0".join(ids).encode("utf-8"), dtype=np.uint8),
         ):
-            np.save(buf, a, allow_pickle=False)
-        atomic_write(path, buf.getvalue())
+            head = io.BytesIO()
+            np.lib.format.write_array_header_1_0(head, np.lib.format.header_data_from_array_1_0(a))
+            yield head.getvalue()
+            yield memoryview(a).cast("B")
+
+    try:
+        atomic_write(path, parts())
     except (OSError, ValueError) as e:
         log.debug("edge sidecar %s not written: %s", path, e)
 
@@ -571,4 +604,7 @@ def _load_array(fh: BinaryIO, dtype: type, length: int | None = None) -> np.ndar
     nbytes = shape[0] * dt.itemsize
     if nbytes > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError("truncated")
-    return np.frombuffer(fh.read(nbytes), dtype=dt)
+    a = np.empty(shape[0], dtype=dt)  # writable: `SocialGraph._assign` overwrites the keys
+    if fh.readinto(memoryview(a).cast("B")) != nbytes:
+        raise ValueError("truncated")
+    return a

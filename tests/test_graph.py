@@ -628,6 +628,38 @@ def test_graph_build_and_save_memory_is_bounded(tmp_path):
     assert save_peak < 40e6
 
 
+def test_graph_build_and_sidecar_load_hold_no_int64_edge_columns(tmp_path):
+    """Criterion 5's 5e4-user replica graph (821,002 edges): `_assign`
+    turns the edge keys (6.6 MB) into the sorted transpose in place, so a
+    build holds them beside the two int32 neighbor arrays and no other
+    edge-sized array, and a sidecar load holds the ids besides."""
+    config = GraphGenConfig(
+        n_users=50_000,
+        exponent=replica_module.GRAPH_EXPONENT,
+        min_degree=6,
+        max_degree=replica_module.GRAPH_MAX_DEGREE,
+        popularity_exponent=replica_module.GRAPH_POPULARITY_EXPONENT,
+        seed=derive_seed(ReplicaConfig().seed, "replica-graph"),
+    )
+    tracemalloc.start()
+    try:
+        g = generate_graph(config)
+        generate_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n_edges == 821_002
+    save_edges(g, tmp_path / "edges.csv")
+    del g
+    tracemalloc.start()
+    try:
+        load_from_sidecar(tmp_path / "edges.csv")
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert generate_peak < 22e6
+    assert load_peak < 26e6
+
+
 def test_ids_past_int32_products_save_reload_and_reach(tmp_path):
     """A 70,000-user graph, every user on a ring, plus edges between ids
     near 0 and ids >= 65,536: a follower index times n and a reach key
@@ -997,17 +1029,23 @@ def write_sidecar(path, text: bytes, arrays, head=graph_module._SIDECAR_HEAD) ->
 GOOD_ARRAYS = [[3, 0], [1, 2, 7], np.frombuffer(b"alice\0bob\0carol", dtype=np.uint8)]
 
 
+# edge keys of that sidecar that do not hold a graph
+BAD_KEYS = [
+    [2, 1, 7],  # keys not sorted
+    [1, 2, 2, 7],  # a repeated key
+    [1, 4, 7],  # a self-edge key: bob follows bob
+    [1, 2, 9],  # a key past n * n
+    [-1, 2, 7],  # a negative key
+    np.array([1, 2, 7], dtype=np.int32),  # wrong dtype
+]
+
+
 @pytest.mark.parametrize(
     "index, value",
     [
         (0, [3, 0, 0]),  # meta of the wrong shape
         (0, [3, -1]),  # negative count
-        (1, [2, 1, 7]),  # keys not sorted
-        (1, [1, 2, 2, 7]),  # a repeated key
-        (1, [1, 4, 7]),  # a self-edge key: bob follows bob
-        (1, [1, 2, 9]),  # a key past n * n
-        (1, [-1, 2, 7]),  # a negative key
-        (1, np.array([1, 2, 7], dtype=np.int32)),  # wrong dtype
+        *((1, keys) for keys in BAD_KEYS),
         (2, np.frombuffer(b"alice\0bob", dtype=np.uint8)),  # an id short
         (2, np.frombuffer(b"alice\0bob\0carol\0", dtype=np.uint8)),  # an id over
         (2, np.frombuffer(b"alice\0bob\0alice", dtype=np.uint8)),  # a repeated id
@@ -1022,6 +1060,33 @@ def test_inconsistent_sidecar_reparses(tmp_path, index, value):
     assert_same_graph(load_from_sidecar(path), load_edges(io.StringIO(CSV)))
     write_sidecar(path, CSV.encode(), GOOD_ARRAYS[:index] + [value] + GOOD_ARRAYS[index + 1 :])
     assert_same_graph(load_edges_file(path), load_edges(io.StringIO(CSV)))
+
+
+# keys that break the checks only across `_assign`'s slices of 2 keys
+BAD_KEYS_ACROSS_SLICES = [
+    [1, 5, 2],  # a decrease from one slice to the next
+    [1, 2, 2],  # a key repeated in the next slice
+    [1, 2, 4],  # a self-edge in the last slice: bob follows bob
+]
+
+
+@pytest.mark.parametrize("keys", BAD_KEYS + BAD_KEYS_ACROSS_SLICES)
+def test_inconsistent_sidecar_keys_reparse_across_key_slices(tmp_path, keys):
+    with mock.patch.object(graph_module, "_ASSIGN_KEYS", 2):
+        test_inconsistent_sidecar_reparses(tmp_path, 1, keys)
+
+
+def test_key_slices_keep_the_replica_graph(replica_3000, tmp_path):
+    """`_assign` reading 3 keys at a time builds, parses and reloads from
+    its sidecar the graphs it builds at its default slices."""
+    path = tmp_path / "edges.csv"
+    save_edges(replica_3000, path)
+    want = [load_edges_file(path), parse_file(path)]
+    with mock.patch.object(graph_module, "_ASSIGN_KEYS", 3):
+        g = build_replica(ReplicaConfig(n_users=3000, seed=1)).graph
+        assert_csr_equal(g, csr_arrays(replica_3000))
+        assert_same_graph(load_from_sidecar(path), want[0])
+        assert_same_graph(parse_file(path), want[1])
 
 
 def test_empty_graph_sidecar(tmp_path):
