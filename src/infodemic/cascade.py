@@ -74,15 +74,15 @@ class Cascade:
         object.__setattr__(self, "events", ev)
         if ev.ndim != 1:
             raise CascadeError("events must be one row per retweet")
-        if not len(ev):
-            return
-        seq, users = ev["seq"], np.sort(ev["user"])
-        if seq[0] <= self.seed.seq or (seq[1:] <= seq[:-1]).any():
-            raise CascadeError("events must be strictly increasing in seq")
-        if (twice := users[1:][users[1:] == users[:-1]]).size:
-            raise CascadeError(f"user {twice[0]} retweets more than once")
-        if ev["day"].min() < self.seed.day.toordinal():
-            raise CascadeError("event day precedes seed day")
+        _check_events([self.seed], np.array([0, len(ev)]), ev)
+
+    @classmethod
+    def _checked(cls, seed: SeedTweet, events: np.ndarray) -> "Cascade":
+        """A cascade of read-only `EVENT` rows that `_check_events` passed."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "seed", seed)
+        object.__setattr__(c, "events", events)
+        return c
 
     def __eq__(self, other):
         if not isinstance(other, Cascade):
@@ -92,6 +92,39 @@ class Cascade:
     @property
     def retweeters(self) -> np.ndarray:
         return self.events["user"]
+
+
+def _check_events(seeds: Sequence[SeedTweet], bounds: np.ndarray, events: np.ndarray) -> None:
+    """Raise the `CascadeError` of the first of `seeds` whose events,
+    `events[bounds[k]:bounds[k + 1]]` for seed k, break a cascade's rules:
+    seq strictly rising above the seed's, no user retweeting twice and no
+    day before the seed's, checked in that order."""
+    if not len(events):
+        return
+    counts = np.diff(bounds)
+    owner = np.repeat(np.arange(len(seeds), dtype=np.min_scalar_type(len(seeds))), counts)
+    seq, user = events["seq"], events["user"]
+    # each event's seq must be above the one before it, its seed's for a first event
+    rising = np.ones(len(seq), dtype=bool)
+    rising[1:] = seq[1:] > seq[:-1]
+    firsts = np.flatnonzero(counts)
+    rising[bounds[firsts]] = seq[bounds[firsts]] > [seeds[k].seq for k in firsts]
+    days = np.array([s.day.toordinal() for s in seeds], dtype=np.int64)
+    late, early = owner[~rising], owner[events["day"] < days[owner]]
+    # a stable sort by user keeps each user's events in seed order, so a
+    # user's two events in one cascade are neighbors
+    by_user = np.argsort(user, kind="stable")
+    user, mine = user[by_user], owner[by_user]
+    twice = np.flatnonzero((user[1:] == user[:-1]) & (mine[1:] == mine[:-1])) + 1
+    failing = [late, mine[twice], early]
+    first = [f.min() if len(f) else len(seeds) for f in failing]
+    if (k := min(first)) == len(seeds):
+        return
+    if first[0] == k:
+        raise CascadeError("events must be strictly increasing in seq")
+    if first[1] == k:  # the lowest user that seed k's events repeat
+        raise CascadeError(f"user {user[twice[mine[twice] == k][0]]} retweets more than once")
+    raise CascadeError("event day precedes seed day")
 
 
 def _events(cascades: Sequence[Cascade]) -> np.ndarray:
@@ -296,6 +329,11 @@ def _spread(
     on its first exposure: its draw is fixed and a user's gates only gain
     lanes, so a key that did not retweet in a lane then never can.  The
     work so grows with every exposure whose draw is below the top rate.
+    The keys that have retweeted, with their lanes, are one sorted table
+    that grows with the retweets, not with tweets x users: each day one
+    search of the day's distinct keys finds the lanes each has retweeted
+    in, and the day's retweets add their lanes to keys already there and
+    go in order into the table otherwise.
     A draw's lanes come from one threshold table per run: `above[j]`
     holds the lanes whose rate is above `floors[j]`, -1 and then the
     rates in order, and a draw takes j, the count of rates at or below it.
@@ -315,9 +353,10 @@ def _spread(
     floors = np.array([-1.0, *sorted(rates)])
     above = _lane_mask((floors < rate for rate in rates), dtype)
 
-    # per (tweet, user) key tweet * n + user, the lanes in which it has
-    # retweeted: written only at retweets, so its pages are mostly never touched
-    done = np.zeros(t * n, dtype=dtype)
+    # the (tweet, user) keys tweet * n + user that have retweeted, sorted,
+    # and beside each the lanes in which it has; it ends in the key t * n,
+    # above every real key, so a lookup never runs past its end
+    done, done_lanes = np.array([t * n], dtype=np.int64), np.zeros(1, dtype)
     # per user, the lanes that gate it as of the current day
     corrected = np.zeros(n, dtype=dtype)
     # keys and lanes of retweets landing today, sorted, so seq follows
@@ -354,12 +393,33 @@ def _spread(
         key_lanes = np.bitwise_or.reduceat(key_lanes, heads)
         keys, i = keys[heads], i[heads]
         rate_lanes = above[np.searchsorted(floors[1:], draw[i], side="right")]
-        hit = key_lanes & ~done[keys] & ~corrected[user[i]] & rate_lanes
+        # each key's place in the table, and the lanes it has retweeted in
+        at = np.searchsorted(done, keys)
+        seen = done[at] == keys
+        hit = key_lanes & ~(done_lanes[at] * seen) & ~corrected[user[i]] & rate_lanes
         retweets = np.flatnonzero(hit)
         pending, pending_lanes = keys[retweets], hit[retweets]
-        done[pending] |= pending_lanes
+        if len(retweets):  # a key in the table gains lanes, a new one goes in its place
+            at, seen = at[retweets], seen[retweets]
+            done_lanes[at[seen]] |= pending_lanes[seen]
+            new = np.flatnonzero(~seen)
+            # the new keys' rows in the grown table; the old keys fill the rest in order
+            rows = at[new] + np.arange(len(new))
+            old = np.ones(len(done) + len(new), dtype=bool)
+            old[rows] = False
+            done = _grown(done, old, rows, pending[new])
+            done_lanes = _grown(done_lanes, old, rows, pending_lanes[new])
     tweet, user = np.divmod(np.concatenate(landed), n)
     return _Run(np.concatenate(landed_day), tweet, user, np.concatenate(landed_lanes), lanes)
+
+
+def _grown(
+    table: np.ndarray, old: np.ndarray, rows: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """`table` in the rows set in the bool mask `old`, `values` in `rows`."""
+    grown = np.empty(len(old), table.dtype)
+    grown[old], grown[rows] = table, values
+    return grown
 
 
 def _reach(
@@ -416,11 +476,15 @@ def _lane_mask(lanes: Iterable[np.ndarray], dtype: np.dtype) -> np.ndarray:
 
 def _split(seeds: Sequence[SeedTweet], tweet: np.ndarray, run: np.ndarray) -> list[Cascade]:
     """One cascade per seed, holding the rows of the `EVENT` array `run`
-    whose `tweet` is the seed's index, in their order in `run`."""
+    whose `tweet` is the seed's index, in their order in `run`: read-only
+    views of one array, all checked at once, so a run that breaks a
+    cascade's rules raises the error of its first such cascade."""
     order = np.argsort(tweet, kind="stable")
     bounds = np.searchsorted(tweet[order], np.arange(len(seeds) + 1))
     run = run[order]
-    return [Cascade(s, run[a:b]) for s, a, b in zip(seeds, bounds[:-1], bounds[1:])]
+    run.setflags(write=False)
+    _check_events(seeds, bounds, run)
+    return [Cascade._checked(s, run[a:b]) for s, a, b in zip(seeds, bounds[:-1], bounds[1:])]
 
 
 def _lane_reach(

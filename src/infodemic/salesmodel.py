@@ -10,6 +10,7 @@ period viewer totals).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from datetime import date
@@ -189,14 +190,14 @@ def model_to_json(model: FittedSalesModel) -> str:
         "train_days": [x.isoformat() for x in model.train_days],
         "diagnostics": _to_fields(model.diagnostics, _OLS_FIELDS),
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(_plain(doc), indent=2, allow_nan=False)
 
 
 def model_from_json(text: str) -> FittedSalesModel:
-    """The model of a `model_to_json` document.  A document of another
-    shape, a missing key, a value of the wrong type or length, or a
-    number that prediction reads and that is not finite as a float raises
-    `SalesModelError`."""
+    """The model of a `model_to_json` document, a `null` number read as
+    NaN.  A document of another shape, a missing key, a value of the
+    wrong type or length, or a number that prediction reads and that is
+    not finite as a float raises `SalesModelError`."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise SalesModelError("model document must be a JSON object")
@@ -235,6 +236,16 @@ def model_from_json(text: str) -> FittedSalesModel:
     )
 
 
+def _plain(v):
+    """The JSON value `v` with each float that is not finite as None, so
+    that it is written as `null`, not as JavaScript's `NaN` or `Infinity`."""
+    if isinstance(v, dict):
+        return {key: _plain(x) for key, x in v.items()}
+    if isinstance(v, list):
+        return [_plain(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _to_fields(result, fields: dict) -> dict:
     """The JSON values of the `fields` of `result`."""
     values = {key: getattr(result, key) for key in fields}
@@ -250,10 +261,13 @@ def _from_fields(doc: dict, fields: dict) -> dict:
 
 
 def _value(doc: dict, key: str, kind: type | tuple[type, ...]):
-    """`doc[key]`, which must be a `kind` (a bool is only a bool)."""
+    """`doc[key]`, which must be a `kind` (a bool is only a bool); a
+    number may be `null`, read as NaN."""
     if key not in doc:
         raise SalesModelError(f"model field {key!r} missing")
     v = doc[key]
+    if v is None and kind is _NUMBER:
+        return math.nan
     if not isinstance(v, kind) or isinstance(v, bool) and kind is not bool:
         raise SalesModelError(f"model field {key!r} has the wrong type")
     return v
@@ -280,7 +294,8 @@ def _numbers(doc: dict, key: str, ndim: int = 1) -> np.ndarray:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, _NUMBER) and not isinstance(x, bool)
+    """Whether `x` is a number, `null` (NaN) included."""
+    return x is None or isinstance(x, _NUMBER) and not isinstance(x, bool)
 
 
 def _finite(v) -> bool:

@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 from dataclasses import replace
 from datetime import timedelta
 
@@ -29,6 +30,7 @@ from infodemic.cascade import (
 )
 from infodemic.exposure import _category_code
 from infodemic.graph import SocialGraph
+from infodemic.replica import ReplicaConfig, build_replica
 
 
 def seed(author=0, day=DAY0, seq=0, cat=TweetCategory.CORRECTIVE, tid="t0"):
@@ -62,6 +64,90 @@ def test_duplicate_retweeter_rejected():
 def test_event_before_seed_day_rejected():
     with pytest.raises(CascadeError):
         cascade([ev(1, 1, day=DAY0 - timedelta(days=1))])
+
+
+SPLIT_SEEDS = [seed(tid=f"t{k}", seq=k - 3) for k in range(3)]
+# a run of three cascades in seq order, interleaved: seed k's events are its rows
+SPLIT_TWEET = np.array([0, 1, 2, 0, 1, 2])
+SPLIT_EVENTS = [ev(1, 1), ev(1, 2), ev(2, 3), ev(2, 4), ev(3, 5), ev(4, 6)]
+
+
+def corrupt(events, how):
+    """`events`, three rows of one cascade, broken in each way of `how`."""
+    events = list(events)
+    if "seq" in how:
+        events[1] = events[1][:2] + (events[0][2],)
+    if "user" in how:
+        events[1] = (events[0][0],) + events[1][1:]
+    if "day" in how:
+        events[0] = (events[0][0], DAY0.toordinal() - 1, events[0][2])
+    return events
+
+
+@pytest.mark.parametrize("how", [["seq"], ["user"], ["day"], ["user", "day"], ["seq", "day"]])
+def test_split_raises_what_its_first_broken_cascade_raises(how):
+    """A run with cascade 1 broken raises the `CascadeError` that building
+    that cascade raises; cascade 2, broken by an earlier check, does not
+    change which."""
+    events = list(SPLIT_EVENTS)
+    mine = np.flatnonzero(SPLIT_TWEET == 1)
+    for i, row in zip(mine, corrupt([events[i] for i in mine], how)):
+        events[i] = row
+    with pytest.raises(CascadeError) as alone:
+        Cascade(SPLIT_SEEDS[1], [events[i] for i in mine])
+    later = np.flatnonzero(SPLIT_TWEET == 2)
+    for i, row in zip(later, corrupt([events[i] for i in later], ["seq", "user"])):
+        events[i] = row
+    with pytest.raises(CascadeError) as run:
+        _split(SPLIT_SEEDS, SPLIT_TWEET, np.array(events, dtype=EVENT))
+    assert str(run.value) == str(alone.value)
+
+
+def reference_check(seed, events):
+    """The error text of the checks a cascade made alone, one at a time,
+    or None: the reference for `_split`'s checks of a whole run."""
+    if not len(events):
+        return None
+    seq, users = events["seq"], np.sort(events["user"])
+    if seq[0] <= seed.seq or (seq[1:] <= seq[:-1]).any():
+        return "events must be strictly increasing in seq"
+    if (twice := users[1:][users[1:] == users[:-1]]).size:
+        return f"user {twice[0]} retweets more than once"
+    if events["day"].min() < seed.day.toordinal():
+        return "event day precedes seed day"
+    return None
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_split_checks_equal_each_cascade_checked_alone(data):
+    """Runs of up to five cascades with users, seqs and days drawn so that
+    each check often fails: `_split` raises the reference error of the
+    first failing cascade in seed order, and otherwise returns them all."""
+    count = data.draw(st.integers(1, 5))
+    seeds = [seed(tid=f"t{k}", seq=data.draw(st.integers(-3, 3))) for k in range(count)]
+    # (seed, user, day offset, seq) per event
+    row = st.tuples(st.integers(0, count - 1), st.integers(0, 4), st.integers(-1, 1),
+                    st.integers(-3, 12))
+    rows = data.draw(st.lists(row, max_size=12))
+    tweet = np.array([r[0] for r in rows], dtype=np.int64)
+    run = np.array([(u, DAY0.toordinal() + d, q) for _, u, d, q in rows], dtype=EVENT)
+    alone = [run[tweet == k] for k in range(count)]
+    want = next(filter(None, (reference_check(s, ev) for s, ev in zip(seeds, alone))), None)
+    if want is None:
+        assert _split(seeds, tweet, run) == [Cascade(s, ev) for s, ev in zip(seeds, alone)]
+    else:
+        with pytest.raises(CascadeError) as got:
+            _split(seeds, tweet, run)
+        assert str(got.value) == want
+
+
+def test_split_cascades_are_read_only_views_equal_to_built_ones():
+    run = np.array(SPLIT_EVENTS, dtype=EVENT)
+    got = _split(SPLIT_SEEDS, SPLIT_TWEET, run)
+    assert got == [Cascade(s, run[SPLIT_TWEET == k]) for k, s in enumerate(SPLIT_SEEDS)]
+    assert all(not c.events.flags.writeable for c in got)
+    assert got[0].events.base is got[2].events.base is not None
 
 
 def test_unknown_category_label():
@@ -694,6 +780,58 @@ def test_key_reached_in_a_second_lane_later_retweets_in_it_then():
     ((run, _), _) = _lane_runs(graph, seeds, rates, days(5), 9)
     assert rows_of(run, x) == [(1, 0b01)]
     assert rows_of(run, u) == [(2, 0b01), (3, 0b10)]
+
+
+def test_retweeters_reached_again_in_a_new_lane_retweet_once_per_lane():
+    """The case above for three tweets at once, each in its own six users
+    and seeded on day 0, 1 or 0, and with one more retweeter v, whom z
+    reaches: on each tweet's day + 2 its u, which retweeted in lane 0, is
+    reached again in both lanes while other tweets' keys go into the
+    retweeted-key table, and retweets in lane 1 only; reached in both
+    lanes once more a day later, through v, it retweets in neither.  No
+    (tweet, user) key retweets twice in a lane."""
+    edges, seeds, us = [], [], []
+    for k, day in enumerate((0, 1, 0)):
+        # the first tweet id whose draws at the block's five users put
+        # exactly one at or above lane 1's rate 0.5
+        block = 6 * k + np.arange(1, 6)
+        ids = map(str, range(k, 99, 3))
+        draws = ((tid, uniform_for_users(derive_seed(9, "rt", tid), block)) for tid in ids)
+        tid, draws = next((tid, d) for tid, d in draws if (d >= 0.5).sum() == 1)
+        x, y, z, u, v = block[np.argsort(-draws)]
+        edges += [(x, 6 * k), (y, 6 * k), (u, x), (z, y), (u, z), (v, z), (u, v)]
+        seeds.append(seed(6 * k, DAY0 + timedelta(days=day), k - 3, MISINFORMATION, tid))
+        us.append((u, v, day))
+    graph = SocialGraph(18, edges)
+    assert_lanes_equal_one_lane_runs(graph, seeds, [1.0, 0.5], days(7), 9, None)
+    ((run, _), _) = _lane_runs(graph, seeds, [1.0, 0.5], days(7), 9)
+    for u, v, day in us:
+        assert rows_of(run, v) == [(day + 3, 0b11)]
+        assert rows_of(run, u) == [(day + 2, 0b01), (day + 3, 0b10)]
+    keys = run.tweet * graph.n_users + run.user
+    for key in np.unique(keys):
+        lanes = run.lanes[keys == key]
+        assert np.bitwise_or.reduce(lanes) == lanes.sum(), key
+
+
+def test_simulation_memory_grows_with_retweets_not_tweets_times_users():
+    """One `simulate_cascades` on a 2e4-user replica holds its retweeted
+    keys in a table, not in a byte per (tweet, user) of a category's run:
+    its tracemalloc peak stays below half the corrective run's 229 x 2e4
+    bytes (4.58 MB)."""
+    replica = build_replica(ReplicaConfig(n_users=20_000, seed=1))
+    seeds = replica.seed_tweets
+    dense = sum(s.category is CORRECTIVE for s in seeds) * replica.graph.n_users
+    assert dense == 229 * 20_000
+    rates = {CORRECTIVE: 0.0079, MISINFORMATION: 0.00186, TweetCategory.SOLDOUT: 0.004}
+    tracemalloc.start()
+    try:
+        cascades = simulate_cascades(replica.graph, seeds, rates, replica.config.period, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(c.events) for c in cascades) > 100
+    assert peak < dense / 2
 
 
 def test_key_reached_in_two_lanes_on_one_day_gets_one_row():

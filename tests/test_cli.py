@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 import infodemic
 from infodemic.cascade import CascadeError, load_retweets, load_seed_tweets, save_cascades
-from infodemic.cli import _period_arg, main
+from infodemic.cli import _period_arg, build_parser, main
 from infodemic.counterfactual import sweep, sweep_summary_csv, sweep_trials_csv
 from infodemic.exposure import ExposureError, ExposureMatrix, exposure_matrix
 from infodemic.graph import (
@@ -852,6 +853,33 @@ def test_ids_with_commas_and_quotes_survive_simulate(tmp_path):
     ) == 0
     with open(os.path.join(out, "exposure.csv")) as fh:
         assert ExposureMatrix.from_csv(fh).counts.sum() > 0
+
+
+def long_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """The `--` flags of `parser`, argparse's own `--help` aside."""
+    return {f for a in parser._actions for f in a.option_strings if f.startswith("--")} - {"--help"}
+
+
+def test_readme_cli_flags_are_the_parsers():
+    """README's flag table lists each command's required and optional
+    flags as `build_parser` makes them, besides `--config` and `--out`;
+    and every `--flag` the CLI section names is a flag of some command."""
+    top = build_parser()
+    (sub,) = (a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        # from the `## CLI` heading to the next one
+        section = fh.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if m := re.fullmatch(r"\| `([a-z-]+)` \| (.*) \| (.*) \|", line):
+            rows[m[1]] = tuple(set(re.findall(r"`(--[a-z-]+)`", cell)) for cell in m.group(2, 3))
+    assert set(rows) == set(sub.choices)
+    for name, parser in sub.choices.items():
+        required = {"--" + flag.replace("_", "-") for flag in parser.get_default("required")}
+        assert rows[name] == (required, long_flags(parser) - required - {"--config", "--out"}), name
+    named = set(re.findall(r"--[a-z][a-z-]*", section))
+    assert named <= long_flags(top).union(*map(long_flags, sub.choices.values()))
+    assert {"--config", "--out", "--version"} <= named
 
 
 # The data formats exactly as README.md documents them, with a leading

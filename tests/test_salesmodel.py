@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import DAY0, NOT_A_VALUE, table_with_bad_row
 from infodemic.exposure import ExposureMatrix
+from infodemic.replica import reference_model
 from infodemic.salesmodel import (
     FittedSalesModel,
     SalesModelError,
@@ -266,6 +267,44 @@ def test_model_json_roundtrip(tmp_path):
     pred_a = predict(model, matrix)
     pred_b = predict(back, matrix)
     assert np.array_equal(pred_a.values, pred_b.values)
+
+
+def no_constants(name):
+    raise AssertionError(f"model.json holds {name}, which is not JSON")
+
+
+def test_model_json_writes_a_non_finite_number_as_null():
+    """The reference model's exact fit has an infinite F, and a diagnostic
+    may be NaN: both are written as `null`, so the document parses as
+    plain JSON, and read back as NaN; prediction does not change."""
+    model = reference_model(1000)
+    assert model.diagnostics.f_value == float("inf")
+    stderrs = np.array([np.nan, 1.0, -np.inf, 0.5, 2.0, 0.0, np.inf, 3.0])
+    model = dataclasses.replace(
+        model, diagnostics=dataclasses.replace(model.diagnostics, stderrs=stderrs)
+    )
+    text = model_to_json(model)
+    doc = json.loads(text, parse_constant=no_constants)
+    assert doc["diagnostics"]["f_value"] is None
+    assert doc["diagnostics"]["stderrs"] == [None, 1.0, None, 0.5, 2.0, 0.0, None, 3.0]
+    back = model_from_json(text)
+    assert np.isnan(back.diagnostics.f_value)
+    want = np.where(np.isfinite(stderrs), stderrs, np.nan)
+    np.testing.assert_array_equal(back.diagnostics.stderrs, want)
+    counts = np.arange(len(model.train_days) * 7).reshape(-1, 7)
+    matrix = ExposureMatrix(model.train_days, counts)
+    assert np.array_equal(predict(back, matrix).values, predict(model, matrix).values)
+
+
+@pytest.mark.parametrize("field", ["means", "intercept"])
+def test_model_json_null_in_a_field_prediction_reads_is_not_finite(field):
+    doc = json.loads(valid_model_json())
+    if field == "intercept":
+        doc[field] = None
+    else:
+        doc[field][0] = None
+    with pytest.raises(SalesModelError, match=f"model field {field!r} must be finite"):
+        model_from_json(json.dumps(doc))
 
 
 def test_model_json_keys_in_order():
